@@ -19,51 +19,44 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 
 import numpy as np
 
+from . import _kernels
 from .bits import fnv1a64
 from .codec import (
-    HEADER_LEN,
     CodecConfig,
     FeedforwardOracle,
     decode,
     encode,
     measure,
+    read_header,
 )
-from .errors import FfscError
+from .erasure import ErasureSource
+from .errors import ConfigError, FfscError
 from .experiments import (
     ExperimentSpec,
     run_beq_example,
     run_codec_experiment,
     run_duality_example,
 )
-from .model import (
-    DistortionMatrix,
-    Pmf,
-    TestChannel,
-    blahut_arimoto,
-    load_model,
-)
+from .model import TestChannel, blahut_arimoto, load_model
 
-_ASCII = {"0": 0, "1": 1, "*": 2}
-_ASCII_REV = {0: "0", 1: "1", 2: "*"}
+_BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
 
 
 def _read_symbols(path: str, fmt: str) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     if fmt == "ascii":
-        text = raw.decode("ascii").strip()
-        return np.array([_ASCII[c] for c in text], dtype=np.int64)
+        return ErasureSource.from_string(raw.decode("latin-1")).seq
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
 def _write_symbols(path: str, symbols: np.ndarray, fmt: str):
     if fmt == "ascii":
-        data = "".join(_ASCII_REV[int(v)] for v in symbols).encode("ascii")
+        data = ErasureSource(symbols).to_string().encode("ascii")
     else:
         data = symbols.astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
@@ -76,11 +69,6 @@ def _emit(text: str, out: str | None):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _resolve_channel(prior: Pmf, d: DistortionMatrix, target_d: float):
-    channel, rate, dist = blahut_arimoto(prior, d, target_d)
-    return channel, rate, dist
 
 
 def _config_args(p: argparse.ArgumentParser, with_channel: bool = True):
@@ -169,8 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_rd(args) -> int:
     _, prior, d = load_model(args.model)
     if args.grid:
-        lo, hi, count = args.grid.split(":")
-        targets = np.linspace(float(lo), float(hi), int(count))
+        try:
+            lo, hi, count = args.grid.split(":")
+            targets = np.linspace(float(lo), float(hi), int(count))
+        except ValueError:
+            raise ConfigError(
+                f"--grid {args.grid!r} is not lo:hi:count with count >= 0"
+            ) from None
     elif args.target_d:
         targets = np.array(args.target_d, dtype=np.float64)
     else:
@@ -195,7 +188,7 @@ def _cfg_from_args(args, prior, d, channel) -> CodecConfig:
 
 def _cmd_encode(args) -> int:
     _, prior, d = load_model(args.model)
-    channel, _, _ = _resolve_channel(prior, d, args.target_d)
+    channel, _, _ = blahut_arimoto(prior, d, args.target_d)
     cfg = _cfg_from_args(args, prior, d, channel)
     source = _read_symbols(args.infile, args.format)
     result = encode(source, cfg)
@@ -209,31 +202,39 @@ def _cmd_encode(args) -> int:
         "source_length": int(source.size),
         "source_offset": int(source.size - result.n),
         "atypical_blocks": result.atypical_blocks,
+        "backend": _BACKEND,
     }
     with open(args.out + ".stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(
         f"encoded n={result.n} samples in {len(result.pass_lengths)} passes, "
-        f"rate {result.rate:.4f} bits/sample\n"
+        f"rate {result.rate:.4f} bits/sample, backend {_BACKEND}\n"
     )
     return 0
 
 
-def _peek_header(path: str) -> tuple[int, int, int, int, bytes]:
-    with open(path, "rb") as fh:
-        hdr = fh.read(HEADER_LEN)
-        rest = fh.read()
-    if len(hdr) < HEADER_LEN:
-        raise FfscError("bitstream shorter than its header")
-    _, _, q, k, m, seed, _ = struct.unpack("<4sBBHIQQ", hdr)
-    return q, k, m, seed, hdr + rest
+def _sidecar_offset(path: str) -> int:
+    """source_offset from an encode stats sidecar; 0 if there is none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stats = json.load(fh)
+    except FileNotFoundError:
+        return 0
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    offset = stats.get("source_offset", 0) if isinstance(stats, dict) else None
+    if type(offset) is not int:
+        raise ConfigError(f"{path} has no integer source_offset")
+    return offset
 
 
 def _cmd_decode(args) -> int:
     _, prior, d = load_model(args.model)
-    channel, _, _ = _resolve_channel(prior, d, args.target_d)
-    q, k, m, seed, stream = _peek_header(args.infile)
+    channel, _, _ = blahut_arimoto(prior, d, args.target_d)
+    with open(args.infile, "rb") as fh:
+        stream = fh.read()
+    q, k, m, seed, _ = read_header(stream)
     cfg = CodecConfig(
         prior=prior, channel=channel, distortion=d, min_block=m, passes=k,
         precision=q, seed=seed, delta=args.delta,
@@ -241,12 +242,9 @@ def _cmd_decode(args) -> int:
     source = _read_symbols(args.source, args.format)
     offset = args.offset
     if offset is None:
-        offset = 0
-        try:
-            with open(args.infile + ".stats.json", encoding="utf-8") as fh:
-                offset = int(json.load(fh).get("source_offset", 0))
-        except (OSError, ValueError):
-            pass
+        offset = _sidecar_offset(args.infile + ".stats.json")
+    if offset < 0:
+        raise ConfigError(f"source offset {offset} is negative")
     oracle = FeedforwardOracle(source[offset:])
     result = decode(stream, oracle, cfg)
     _write_symbols(args.out, result.xhat, args.format)
@@ -259,6 +257,7 @@ def _cmd_decode(args) -> int:
         "rd_reference": rep.rd_reference,
         "gap": rep.gap,
         "causality_audit": "pass" if oracle.audit_clean() else "fail",
+        "backend": _BACKEND,
     }
     path = args.report or (args.out + ".report.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -266,7 +265,8 @@ def _cmd_decode(args) -> int:
         fh.write("\n")
     sys.stdout.write(
         f"decoded n={result.n}, distortion {result.mean_distortion:.5f}, "
-        f"audit {'clean' if oracle.audit_clean() else 'VIOLATED'}\n"
+        f"audit {'clean' if oracle.audit_clean() else 'VIOLATED'}, "
+        f"backend {_BACKEND}\n"
     )
     return 0 if oracle.audit_clean() else 1
 
@@ -288,7 +288,7 @@ def _cmd_exp_hamming(args) -> int:
 
 def _cmd_exp_general(args) -> int:
     _, prior, d = load_model(args.model)
-    channel, ref_rate, _ = _resolve_channel(prior, d, args.target_d)
+    channel, ref_rate, _ = blahut_arimoto(prior, d, args.target_d)
     cfg = _cfg_from_args(args, prior, d, channel)
     spec = ExperimentSpec(
         name="general", cfg=cfg, trials=args.trials, fmt=args.format,
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
-    except FfscError as exc:
+    except (FfscError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .bits import BitString, read_uvarint
+from .bits import BitString
 from .coder import (
     ConditionalModel,
-    Frame,
     QuantizedModel,
-    coded_length,
     compress,
     decode_frame_prefix,
     model_digest,
@@ -42,10 +41,9 @@ from .model import (
     blahut_arimoto,
     growth_factor,
     is_strongly_typical,
-    TypicalityParams,
 )
 from .rng import SplitMix64
-from .shaping import deshape_raw, shape, _pad_bit
+from .shaping import deshape_raw, pad_mismatch, shape
 
 __all__ = [
     "CodecConfig",
@@ -56,7 +54,9 @@ __all__ = [
     "encode",
     "decode",
     "plan_passes",
+    "estimate_total_samples",
     "measure",
+    "read_header",
     "MAGIC",
     "STREAM_VERSION",
     "HEADER_LEN",
@@ -186,6 +186,12 @@ def _sample_rows(rng: SplitMix64, cond: ConditionalModel, rows: np.ndarray):
     return (u[:, None] >= cum[:, 1:-1]).sum(axis=1, dtype=np.int64)
 
 
+def _check_alphabet(seq: np.ndarray, cfg: CodecConfig, what: str):
+    size = cfg.prior.alphabet.size
+    if seq.size and (seq.min() < 0 or seq.max() >= size):
+        raise CodingError(f"{what} symbol outside alphabet of size {size}")
+
+
 def _pack_header(cfg: CodecConfig, digest: int) -> bytes:
     return struct.pack(
         _HEADER_FMT, MAGIC, STREAM_VERSION, cfg.precision,
@@ -201,9 +207,7 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     or a ShapingError("side provider exhausted") is raised.
     """
     src = np.ascontiguousarray(source, dtype=np.int64)
-    size = cfg.prior.alphabet.size
-    if src.size and (src.min() < 0 or src.max() >= size):
-        raise CodingError(f"source symbol outside alphabet of size {size}")
+    _check_alphabet(src, cfg, "source")
     M = cfg.min_block
     if src.size < M:
         raise CodingError(
@@ -221,14 +225,14 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     blocks = [block]
     lengths = [M]
     pos = M
-    params = TypicalityParams(cfg.delta)
     atypical = [1] if not is_strongly_typical(
-        rev[:M], cfg.prior, params) else []
+        rev[:M], cfg.prior, cfg.delta) else []
 
     for pass_idx in range(2, cfg.passes + 1):
         bits = BitString.from_bytes(frame.to_bytes())
         symbols, consumed = shape(bits, rev[pos:], cond)
-        if not is_strongly_typical(rev[pos:pos + consumed], cfg.prior, params):
+        if not is_strongly_typical(rev[pos:pos + consumed], cfg.prior,
+                                   cfg.delta):
             atypical.append(pass_idx)
         blocks.append(symbols)
         lengths.append(consumed)
@@ -251,16 +255,23 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     )
 
 
-def _parse_header(stream: bytes, cfg: CodecConfig, digest: int):
+def read_header(stream: bytes) -> tuple[int, int, int, int, int]:
+    """Check a stream's length, magic and version; return its header
+    fields (precision q, passes K, min_block M, seed, model digest)."""
     if len(stream) < HEADER_LEN:
         raise StreamFormatError("stream shorter than its header")
-    magic, version, q, k, m, seed, got_digest = struct.unpack(
-        _HEADER_FMT, stream[:HEADER_LEN]
+    magic, version, q, k, m, seed, digest = struct.unpack_from(
+        _HEADER_FMT, stream
     )
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}")
     if version != STREAM_VERSION:
         raise StreamFormatError(f"unsupported stream version {version}")
+    return q, k, m, seed, digest
+
+
+def _parse_header(stream: bytes, cfg: CodecConfig, digest: int):
+    q, k, m, seed, got_digest = read_header(stream)
     if (q, k, m) != (cfg.precision, cfg.passes, cfg.min_block):
         raise StreamFormatError(
             f"stream parameters (q={q}, K={k}, M={m}) do not match the "
@@ -280,13 +291,13 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     """Invert encode() using unit-lag feedforward side information."""
     marg, cond = cfg.quantized()
     _parse_header(stream, cfg, model_digest(marg, cond))
-    frame_bytes = np.frombuffer(stream[HEADER_LEN:], dtype=np.uint8)
+    frame_bytes = stream[HEADER_LEN:]
 
     block, used = decode_frame_prefix(frame_bytes, marg)
-    if used != frame_bytes.size:
+    if used != len(frame_bytes):
         raise StreamFormatError(
             f"final frame occupies {used} bytes but the stream carries "
-            f"{frame_bytes.size}"
+            f"{len(frame_bytes)}"
         )
 
     chunks = []
@@ -301,7 +312,14 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
         base += chunk.size
         data, settled = deshape_raw(block, x_chunk[::-1], cond)
         block, used = decode_frame_prefix(data, marg)
-        _check_pad_tail(data, 8 * used, settled)
+        if 8 * used > settled:
+            raise CodingError(
+                f"recovered frame spans {8 * used} bits but only {settled} "
+                f"are settled: corrupted stream"
+            )
+        bad = pad_mismatch(data, 8 * used, settled)
+        if bad is not None:
+            raise CodingError(f"pad mismatch at bit {bad}: corrupted stream")
 
     lengths_rev.append(int(block.size))
     if block.size != cfg.min_block:
@@ -317,6 +335,7 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     xhat = np.concatenate(chunks)
     n = int(xhat.size)
     x = oracle.reveal_range(0, n)
+    _check_alphabet(x, cfg, "side information")
     per_sample = cfg.distortion.entries[x, xhat]
     total_bits = 8 * len(stream)
     return DecodeResult(
@@ -330,20 +349,15 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     )
 
 
-def _check_pad_tail(data: bytes, m_bits: int, settled_bits: int):
-    """Settled bits past the embedded frame must match the pad pattern."""
-    if m_bits > settled_bits:
-        raise CodingError(
-            f"recovered frame spans {m_bits} bits but only {settled_bits} "
-            f"are settled: corrupted stream"
-        )
-    arr = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8),
-        count=settled_bits if settled_bits else None,
-    )
-    for i in range(m_bits, settled_bits):
-        if arr[i] != _pad_bit(i - m_bits):
-            raise CodingError(f"pad mismatch at bit {i}: corrupted stream")
+def _pass_totals(cfg: CodecConfig):
+    """Predicted total samples after 1, 2, ... passes: each block is
+    rho times the previous one, starting from min_block."""
+    rho = growth_factor(cfg.prior, cfg.channel)
+    total = length = float(cfg.min_block)
+    while True:
+        yield total
+        length *= rho
+        total += length
 
 
 def plan_passes(cfg: CodecConfig, target_n: int) -> int:
@@ -352,17 +366,16 @@ def plan_passes(cfg: CodecConfig, target_n: int) -> int:
         raise ConfigError(
             f"target_n {target_n} below min_block {cfg.min_block}"
         )
-    rho = growth_factor(cfg.prior, cfg.channel)
-    total = float(cfg.min_block)
-    length = float(cfg.min_block)
-    k = 1
-    while total < target_n:
-        k += 1
-        if k > 64:
+    for k, total in enumerate(_pass_totals(cfg), start=1):
+        if total >= target_n:
+            return k
+        if k == 64:
             raise ConfigError("pass count exceeds 64; check the growth factor")
-        length *= rho
-        total += length
-    return k
+
+
+def estimate_total_samples(cfg: CodecConfig) -> int:
+    """Predicted n for a full K-pass run (geometric block growth)."""
+    return int(next(islice(_pass_totals(cfg), cfg.passes - 1, None)))
 
 
 def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:

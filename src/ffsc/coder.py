@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bits import BitString, fnv1a64, read_uvarint, write_uvarint
+from .bits import fnv1a64, read_uvarint, write_uvarint
 from .errors import (
     CodingError,
     InconsistentFrameError,
@@ -33,7 +33,6 @@ __all__ = [
     "compress",
     "decompress",
     "decode_frame_prefix",
-    "coded_length",
     "model_digest",
 ]
 
@@ -168,24 +167,17 @@ def model_digest(marginal: QuantizedModel, cond: ConditionalModel) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Self-delimiting coded block: varint symbol count + payload."""
+    """Self-delimiting coded block: varint symbol count + payload bytes."""
 
     symbol_count: int
-    payload: BitString
+    payload: bytes
 
     def __post_init__(self):
         if self.symbol_count < 0:
             raise CodingError("negative symbol count")
-        if self.payload.length % 8:
-            raise CodingError("frame payload must be byte-aligned")
 
     def to_bytes(self) -> bytes:
-        return write_uvarint(self.symbol_count) + self.payload.data
-
-
-def coded_length(f: Frame) -> int:
-    """Total frame size in bits (varint header + payload)."""
-    return 8 * len(write_uvarint(f.symbol_count)) + f.payload.length
+        return write_uvarint(self.symbol_count) + self.payload
 
 
 def compress(symbols, model: QuantizedModel) -> Frame:
@@ -206,7 +198,7 @@ def compress(symbols, model: QuantizedModel) -> Frame:
             sym, _EMPTY_ROWS, cum, model.precision, buf
         )
         if status == _kernels.OK:
-            return Frame(int(sym.size), BitString.from_bytes(buf[:nbytes].tobytes()))
+            return Frame(int(sym.size), buf[:nbytes].tobytes())
         if status == _kernels.ERR_ZERO_FREQ:
             raise CodingError("symbol with zero model frequency")
         if status == _kernels.NEED_MORE_BUF:
@@ -215,37 +207,16 @@ def compress(symbols, model: QuantizedModel) -> Frame:
         raise CodingError(f"encoder failed with status {status}")
 
 
-def _decode_count(data: np.ndarray, count: int, model: QuantizedModel):
-    if count > 2**31:
-        raise CodingError(f"frame declares {count} symbols; refusing to decode")
-    out = np.empty(count, dtype=np.int64)
-    shifts, status = _kernels.decode_kernel(
-        data, count, _EMPTY_ROWS, model.cum_matrix(), model.precision, out
-    )
-    if status != _kernels.OK:  # pragma: no cover - decode_kernel cannot fail
-        raise CodingError(f"decoder failed with status {status}")
-    return out, int(shifts)
-
-
 def decompress(f, model: QuantizedModel) -> np.ndarray:
     """Invert compress(); validates the payload length exactly.
 
     Accepts a Frame or its serialized bytes.
     """
-    if not isinstance(f, Frame):
-        raw = bytes(f)
-        count, off = read_uvarint(raw)
-        f = Frame(count, BitString.from_bytes(raw[off:]))
-    data = np.frombuffer(f.payload.data, dtype=np.uint8)
-    out, shifts = _decode_count(data, f.symbol_count, model)
-    expected = shifts + 2
-    if len(f.payload.data) < expected:
-        raise TruncatedFrameError(
-            f"payload has {len(f.payload.data)} bytes, needs {expected}"
-        )
-    if len(f.payload.data) > expected:
+    raw = f.to_bytes() if isinstance(f, Frame) else bytes(f)
+    out, used = decode_frame_prefix(raw, model)
+    if used < len(raw):
         raise InconsistentFrameError(
-            f"payload has {len(f.payload.data)} bytes, expected {expected}"
+            f"frame occupies {used} bytes but {len(raw)} were given"
         )
     return out
 
@@ -259,15 +230,18 @@ def decode_frame_prefix(data, model: QuantizedModel) -> tuple[np.ndarray, int]:
     bits.  Raises TruncatedFrameError if `data` cannot even hold the
     frame it declares.
     """
-    if isinstance(data, np.ndarray):
-        raw = data.tobytes()
-        arr = data
-    else:
-        raw = bytes(data)
-        arr = np.frombuffer(raw, dtype=np.uint8)
+    raw = bytes(data)
     count, off = read_uvarint(raw)
-    out, shifts = _decode_count(arr[off:], count, model)
-    nbytes = off + shifts + 2
+    if count > 2**31:
+        raise CodingError(f"frame declares {count} symbols; refusing to decode")
+    out = np.empty(count, dtype=np.int64)
+    shifts, status = _kernels.decode_kernel(
+        np.frombuffer(raw, dtype=np.uint8)[off:], count, _EMPTY_ROWS,
+        model.cum_matrix(), model.precision, out,
+    )
+    if status != _kernels.OK:  # pragma: no cover - decode_kernel cannot fail
+        raise CodingError(f"decoder failed with status {status}")
+    nbytes = off + int(shifts) + 2
     if nbytes > len(raw):
         raise TruncatedFrameError(
             f"embedded frame needs {nbytes} bytes, buffer has {len(raw)}"

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import _kernels
 from .bits import BitString
-from .codec import CodecConfig, FeedforwardOracle, decode, encode, measure
+from .codec import (
+    CodecConfig,
+    FeedforwardOracle,
+    decode,
+    encode,
+    estimate_total_samples,
+    measure,
+)
 from .erasure import (
     ErasurePattern,
     ErasureSource,
@@ -31,7 +38,7 @@ from .erasure import (
     beq_decode,
     beq_encode,
 )
-from .model import growth_factor
+from .errors import ConfigError
 
 __all__ = [
     "ExperimentSpec",
@@ -42,7 +49,6 @@ __all__ = [
     "run_beq_example",
     "run_duality_example",
     "uniform_source",
-    "estimate_total_samples",
 ]
 
 _COLUMNS = ("trial", "seed", "n", "K", "rate", "distortion", "rd_ref", "gap",
@@ -63,9 +69,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
+            raise ConfigError("trial count must be >= 1")
         if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown report format {self.fmt!r}")
+            raise ConfigError(f"unknown report format {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -132,16 +138,6 @@ def uniform_source(seed: int, count: int, size: int) -> np.ndarray:
     return (((u >> np.uint64(32)) * np.uint64(size)) >> np.uint64(32)).astype(
         np.int64
     )
-
-
-def estimate_total_samples(cfg: CodecConfig) -> int:
-    """Predicted n for a full K-pass run (geometric block growth)."""
-    rho = growth_factor(cfg.prior, cfg.channel)
-    total = length = float(cfg.min_block)
-    for _ in range(cfg.passes - 1):
-        length *= rho
-        total += length
-    return int(total)
 
 
 _SOURCE_SEED_SALT = 0x5EED_0F5E_ED00_0001

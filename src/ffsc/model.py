@@ -21,7 +21,6 @@ __all__ = [
     "Pmf",
     "TestChannel",
     "DistortionMatrix",
-    "TypicalityParams",
     "entropy",
     "conditional_entropy",
     "mutual_information",
@@ -142,17 +141,6 @@ class DistortionMatrix:
         return cls(1.0 - np.eye(size))
 
 
-@dataclass(frozen=True)
-class TypicalityParams:
-    """Maximum allowed deviation of empirical frequencies."""
-
-    delta: float = 0.02
-
-    def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ModelError(f"delta {self.delta} outside (0, 1)")
-
-
 def _check_match(prior: Pmf, ch: TestChannel):
     if prior.alphabet.size != ch.input_alphabet.size:
         raise ModelError(
@@ -216,7 +204,7 @@ def growth_factor(prior: Pmf, ch: TestChannel) -> float:
 
 # -- typicality --------------------------------------------------------
 
-def is_strongly_typical(seq, p: Pmf, params: TypicalityParams) -> bool:
+def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
     """True iff every empirical frequency is within delta of its probability
     and no zero-probability symbol occurs."""
     seq = np.asarray(seq, dtype=np.int64)
@@ -227,11 +215,11 @@ def is_strongly_typical(seq, p: Pmf, params: TypicalityParams) -> bool:
     if np.any(counts[p.probs == 0] > 0):
         return False
     n = max(seq.size, 1)
-    return bool(np.all(np.abs(counts / n - p.probs) <= params.delta))
+    return bool(np.all(np.abs(counts / n - p.probs) <= delta))
 
 
 def is_jointly_typical(
-    x_seq, xhat_seq, prior: Pmf, ch: TestChannel, params: TypicalityParams
+    x_seq, xhat_seq, prior: Pmf, ch: TestChannel, delta: float
 ) -> bool:
     """Strong typicality of the pair sequence w.r.t. p(x)·p(x_hat|x)."""
     x_seq = np.asarray(x_seq, dtype=np.int64)
@@ -243,7 +231,7 @@ def is_jointly_typical(
     joint = (prior.probs[:, None] * ch.rows).ravel()
     pair_seq = x_seq * out_size + xhat_seq
     pair_pmf = Pmf(Alphabet(joint.size), joint)
-    return is_strongly_typical(pair_seq, pair_pmf, params)
+    return is_strongly_typical(pair_seq, pair_pmf, delta)
 
 
 # -- Blahut-Arimoto ----------------------------------------------------

@@ -43,15 +43,3 @@ class SplitMix64:
             z = z ^ (z >> np.uint64(31))
         return z
 
-
-def sample_from_quantized(
-    rng: SplitMix64, cum: np.ndarray, precision: int, count: int
-) -> np.ndarray:
-    """Draw `count` symbols from a quantized pmf via inverse CDF.
-
-    `cum` is the cumulative frequency table (length alphabet+1, ending at
-    2**precision).  Each draw uses the top `precision` bits of one
-    SplitMix64 output, so results are exactly reproducible.
-    """
-    u = rng.fill_u64(count) >> np.uint64(64 - precision)
-    return (np.searchsorted(cum, u, side="right") - 1).astype(np.int64)

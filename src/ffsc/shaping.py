@@ -27,7 +27,10 @@ from .coder import ConditionalModel
 from .errors import ShapingError
 from .model import Pmf, TestChannel, conditional_entropy
 
-__all__ = ["PAD_PATTERN", "shape", "deshape", "deshape_raw", "shaped_length"]
+__all__ = [
+    "PAD_PATTERN", "shape", "deshape", "deshape_raw", "pad_mismatch",
+    "shaped_length",
+]
 
 PAD_PATTERN = b"\xb4\x5a\x1c\xe3\x8f\x26\xd9\x71"
 _PAD_BITS = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
@@ -42,9 +45,16 @@ def _padded_stream(b: BitString, nbytes: int) -> np.ndarray:
     return np.packbits(bits)
 
 
-def _pad_bit(offset: int) -> int:
-    """Pad bit value at the given offset past the payload end."""
-    return int(_PAD_BITS[offset % 64])
+def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
+    """Index of the first bit in [m_bits, settled_bits) of data that
+    differs from the pad pattern started at m_bits, or None."""
+    if settled_bits <= m_bits:
+        return None
+    start = m_bits - m_bits % 8
+    tail = np.unpackbits(np.frombuffer(data, dtype=np.uint8)[start // 8:])
+    tail = tail[m_bits - start:settled_bits - start]
+    bad = np.flatnonzero(tail != np.resize(_PAD_BITS, tail.size))
+    return m_bits + int(bad[0]) if bad.size else None
 
 
 def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
@@ -132,14 +142,13 @@ def deshape(xhat, x, cm: ConditionalModel, m: int) -> BitString:
             f"re-encoded sequence settles only {settled} bits, caller "
             f"claims m={m}: inconsistent inputs"
         )
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    for i in range(m, settled):
-        if bits[i] != _pad_bit(i - m):
-            raise ShapingError(
-                f"pad mismatch at bit {i}: (xhat, x) does not deshape to "
-                f"an m={m} bit string"
-            )
-    return BitString.from_bits(bits[:m])
+    bad = pad_mismatch(data, m, settled)
+    if bad is not None:
+        raise ShapingError(
+            f"pad mismatch at bit {bad}: (xhat, x) does not deshape to "
+            f"an m={m} bit string"
+        )
+    return BitString.from_bytes(data, m)
 
 
 def shaped_length(m: int, prior: Pmf, ch: TestChannel) -> float:

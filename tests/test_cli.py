@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from ffsc import _kernels
 from ffsc.cli import main
 from ffsc.experiments import uniform_source
 
 BINARY_RATE_011 = 0.500084041835
+BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
 
 
 def run(*argv):
@@ -70,6 +72,7 @@ def test_encode_outputs(coded_dir):
     assert stats["source_offset"] == 40_000 - stats["n"]
     assert stats["total_bits"] == 8 * (coded_dir / "out.ffsc").stat().st_size
     assert 0.4 < stats["rate"] < 0.7
+    assert stats["backend"] == BACKEND
 
 
 def test_encode_is_deterministic(coded_dir, tmp_path):
@@ -83,11 +86,13 @@ def test_decode_report(coded_dir, capsys):
     out = coded_dir / "recon.bin"
     assert run("decode", "--in", coded_dir / "out.ffsc",
                "--source", coded_dir / "source.bin", "--out", out) == 0
-    assert "audit clean" in capsys.readouterr().out
+    out_line = capsys.readouterr().out
+    assert "audit clean" in out_line and f"backend {BACKEND}" in out_line
     stats = json.loads((coded_dir / "out.ffsc.stats.json").read_text())
     report = json.loads((coded_dir / "recon.bin.report.json").read_text())
     assert report["n"] == stats["n"]
     assert report["causality_audit"] == "pass"
+    assert report["backend"] == BACKEND
     assert 0.08 < report["mean_distortion"] < 0.14
     # K=3 keeps a 1/(1 - rho^-3) ~ 8/7 factor over the ideal rate
     assert report["gap"] <= 0.13
@@ -130,6 +135,83 @@ def test_decode_garbage_stream_exits_2(tmp_path, capsys):
     assert run("decode", "--in", bad, "--source", src,
                "--out", tmp_path / "x.bin") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _header_cut_to_27_bytes(stream):
+    return stream[:27]
+
+
+def _header_with_bad_magic(stream):
+    return b"XXXX" + stream[4:]
+
+
+def _header_with_version_2(stream):
+    return stream[:4] + b"\x02" + stream[5:]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_header_cut_to_27_bytes, "stream shorter than its header"),
+    (_header_with_bad_magic, "bad magic b'XXXX'"),
+    (_header_with_version_2, "unsupported stream version 2"),
+])
+def test_decode_bad_header_exits_2(mutate, message, coded_dir, tmp_path,
+                                   capsys):
+    bad = tmp_path / "bad.ffsc"
+    bad.write_bytes(mutate((coded_dir / "out.ffsc").read_bytes()))
+    assert run("decode", "--in", bad, "--source", coded_dir / "source.bin",
+               "--out", tmp_path / "x.bin") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _ascii_symbol_x(tmp_path, coded_dir):
+    src = tmp_path / "source.txt"
+    src.write_text("0110x01")
+    return ("encode", "--in", src, "--out", tmp_path / "x.ffsc",
+            "--format", "ascii"), "character 'x'"
+
+
+def _grid_without_count(tmp_path, coded_dir):
+    return ("rd", "--grid", "0:0.5"), "--grid '0:0.5'"
+
+
+def _zero_trials(tmp_path, coded_dir):
+    return ("exp-hamming", "--trials", 0), "trial count"
+
+
+def _sidecar_not_an_object(tmp_path, coded_dir):
+    stream = tmp_path / "out.ffsc"
+    stream.write_bytes((coded_dir / "out.ffsc").read_bytes())
+    (tmp_path / "out.ffsc.stats.json").write_text("[1, 2]")
+    return ("decode", "--in", stream, "--source", coded_dir / "source.bin",
+            "--out", tmp_path / "x.bin"), "source_offset"
+
+
+def _negative_offset(tmp_path, coded_dir):
+    # -n slices the coded suffix from the end of the file: the decode
+    # itself would go through
+    n = json.loads((coded_dir / "out.ffsc.stats.json").read_text())["n"]
+    return ("decode", "--in", coded_dir / "out.ffsc",
+            "--source", coded_dir / "source.bin", "--out", tmp_path / "x.bin",
+            "--offset", -n), f"source offset {-n} is negative"
+
+
+def _missing_bitstream(tmp_path, coded_dir):
+    return ("decode", "--in", tmp_path / "none.ffsc",
+            "--source", coded_dir / "source.bin",
+            "--out", tmp_path / "x.bin"), "none.ffsc"
+
+
+@pytest.mark.parametrize("case", [
+    _ascii_symbol_x, _grid_without_count, _zero_trials,
+    _sidecar_not_an_object, _negative_offset, _missing_bitstream,
+])
+def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
+                                                     tmp_path, capsys):
+    argv, reason = case(tmp_path, coded_dir)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_encode_short_source_exits_2(tmp_path, capsys):

@@ -6,10 +6,12 @@ from ffsc.codec import (
     MAGIC,
     CodecConfig,
     FeedforwardOracle,
+    _pack_header,
     decode,
     encode,
     measure,
     plan_passes,
+    read_header,
 )
 from ffsc.errors import (
     CausalityError,
@@ -250,6 +252,16 @@ def test_header_magic_and_version_checked():
         decode(corrupt(res.bitstream, 4, 99), oracle, cfg)  # version byte
 
 
+def test_read_header_round_trips_the_packed_header():
+    cfg = bsc_config(seed=-3, passes=7, min_block=1000, precision=12)
+    header = _pack_header(cfg, 0x0123456789ABCDEF)
+    assert len(header) == HEADER_LEN
+    assert read_header(header + b"frame") == (
+        12, 7, 1000, 2**64 - 3, 0x0123456789ABCDEF)
+    with pytest.raises(StreamFormatError, match="shorter"):
+        read_header(header[:-1])
+
+
 def test_header_config_mismatch_detected():
     cfg = bsc_config(seed=2)
     src = uniform_source(2, 180_000, 2)
@@ -268,6 +280,20 @@ def test_header_digest_guards_model_swap():
     oracle = FeedforwardOracle(src[src.size - res.n:])
     with pytest.raises(StreamFormatError):
         decode(res.bitstream, oracle, swapped)
+
+
+def test_out_of_alphabet_side_information_raises_coding_error():
+    # The seed block sits last in original time and is revealed only
+    # after every pass is deshaped, so a bad sample there reaches the
+    # distortion lookup instead of a shaping kernel.
+    cfg = bsc_config(seed=5, passes=3, min_block=2048)
+    src = uniform_source(5, 40_000, 2)
+    res = encode(src, cfg)
+    coded = src[src.size - res.n:].copy()
+    for bad in (7, -1):
+        coded[-1] = bad
+        with pytest.raises(CodingError, match="side information"):
+            decode(res.bitstream, FeedforwardOracle(coded), cfg)
 
 
 def test_truncated_stream_detected():

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ffsc.bits import BitString
 from ffsc.coder import (
     ConditionalModel,
     Frame,
     QuantizedModel,
-    coded_length,
     compress,
     decode_frame_prefix,
     decompress,
@@ -90,22 +88,12 @@ def test_model_digest_changes_with_tables():
 # frames
 
 
-def test_frame_rejects_unaligned_payload():
-    with pytest.raises(CodingError):
-        Frame(1, BitString.from_bits([1, 0, 1]))
-
-
 def test_empty_sequence_frame_is_tiny():
     m = quantize(Pmf.from_probs([0.5, 0.5]), 16)
     f = compress(np.array([], dtype=np.int64), m)
     assert f.symbol_count == 0
-    assert coded_length(f) <= 64
+    assert 8 * len(f.to_bytes()) <= 64
     assert decompress(f, m).size == 0
-
-
-def test_coded_length_counts_header_and_payload():
-    f = Frame(4096, BitString.from_bytes(b"\x00" * 10))
-    assert coded_length(f) == 8 * 2 + 80  # varint(4096) is two bytes
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +160,8 @@ def test_rate_tracks_entropy_on_typical_input(n):
     # empirical entropy of the drawn sequence, not the ensemble average
     k = symbols.sum() / n
     h_emp = -(k * np.log2(k) + (1 - k) * np.log2(1 - k))
-    assert f.payload.length <= n * h_emp + 0.01 * n + 64
-    assert f.payload.length >= n * h_emp - 0.01 * n
+    assert 8 * len(f.payload) <= n * h_emp + 0.01 * n + 64
+    assert 8 * len(f.payload) >= n * h_emp - 0.01 * n
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +177,14 @@ def make_frame(n=2000, seed=0):
 
 def test_truncated_payload_detected():
     symbols, f, m = make_frame()
-    cut = Frame(f.symbol_count, BitString.from_bytes(f.payload.data[:-3]))
+    cut = Frame(f.symbol_count, f.payload[:-3])
     with pytest.raises(TruncatedFrameError):
         decompress(cut, m)
 
 
 def test_oversized_payload_detected():
     symbols, f, m = make_frame()
-    fat = Frame(f.symbol_count, BitString.from_bytes(f.payload.data + b"\x00\x00"))
+    fat = Frame(f.symbol_count, f.payload + b"\x00\x00")
     with pytest.raises(InconsistentFrameError):
         decompress(fat, m)
 

@@ -9,7 +9,6 @@ from ffsc.model import (
     DistortionMatrix,
     Pmf,
     TestChannel,
-    TypicalityParams,
     binary_entropy,
     blahut_arimoto,
     bundled_model_names,
@@ -162,19 +161,19 @@ def test_solver_distortion_always_met(weights, frac):
 def test_strongly_typical_accepts_exact_composition():
     p = Pmf.from_probs([0.75, 0.25])
     seq = np.array([0] * 75 + [1] * 25)
-    assert is_strongly_typical(seq, p, TypicalityParams(0.001))
+    assert is_strongly_typical(seq, p, 0.001)
 
 
 def test_strongly_typical_rejects_off_composition():
     p = Pmf.from_probs([0.75, 0.25])
     seq = np.array([0] * 60 + [1] * 40)
-    assert not is_strongly_typical(seq, p, TypicalityParams(0.02))
+    assert not is_strongly_typical(seq, p, 0.02)
 
 
 def test_strongly_typical_zero_prob_symbol_disqualifies():
     p = Pmf.from_probs([0.75, 0.25, 0.0])
     seq = np.array([0] * 75 + [1] * 24 + [2])
-    assert not is_strongly_typical(seq, p, TypicalityParams(0.5))
+    assert not is_strongly_typical(seq, p, 0.5)
 
 
 def test_strongly_typical_statistical_acceptance():
@@ -182,9 +181,9 @@ def test_strongly_typical_statistical_acceptance():
     # delta=0.02 box
     p = Pmf.from_probs([0.89, 0.11])
     rng = np.random.default_rng(123)
-    params = TypicalityParams(0.02)
+    delta = 0.02
     fails = sum(
-        not is_strongly_typical(rng.choice(2, size=100_000, p=p.probs), p, params)
+        not is_strongly_typical(rng.choice(2, size=100_000, p=p.probs), p, delta)
         for _ in range(40)
     )
     assert fails / 40 < 0.05
@@ -196,8 +195,8 @@ def test_jointly_typical_matched_pair():
     flips = rng.random(20000) < 0.11
     y = np.where(flips, 1 - x, x)
     prior, ch, _ = bsc_setup()
-    assert is_jointly_typical(x, y, prior, ch, TypicalityParams(0.02))
-    assert not is_jointly_typical(x, x, prior, ch, TypicalityParams(0.02))
+    assert is_jointly_typical(x, y, prior, ch, 0.02)
+    assert not is_jointly_typical(x, x, prior, ch, 0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,15 @@
 import numpy as np
 
-from ffsc.rng import SplitMix64, sample_from_quantized
+from ffsc.codec import _sample_rows
+from ffsc.coder import ConditionalModel, QuantizedModel
+from ffsc.rng import SplitMix64
+
+
+def sample_from_table(seed: int, cum, count: int) -> np.ndarray:
+    """`count` draws through the codec's sampler from the one 16-bit
+    table whose cumulative frequencies are `cum`."""
+    table = ConditionalModel((QuantizedModel(np.diff(cum), 16),))
+    return _sample_rows(SplitMix64(seed), table, np.zeros(count, dtype=np.int64))
 
 
 def test_splitmix64_reference_sequence():
@@ -32,15 +41,15 @@ def test_fill_matches_scalar_path():
 
 def test_sample_from_quantized_is_deterministic():
     cum = np.array([0, 58327, 65536], dtype=np.int64)
-    a = sample_from_quantized(SplitMix64(5), cum, 16, 10000)
-    b = sample_from_quantized(SplitMix64(5), cum, 16, 10000)
+    a = sample_from_table(5, cum, 10000)
+    b = sample_from_table(5, cum, 10000)
     assert np.array_equal(a, b)
     assert set(np.unique(a)) <= {0, 1}
 
 
 def test_sample_from_quantized_hits_expected_fractions():
     cum = np.array([0, 58327, 65536], dtype=np.int64)
-    s = sample_from_quantized(SplitMix64(17), cum, 16, 200_000)
+    s = sample_from_table(17, cum, 200_000)
     ones = s.mean()
     assert abs(ones - 7209 / 65536) < 0.005
 
@@ -48,5 +57,5 @@ def test_sample_from_quantized_hits_expected_fractions():
 def test_sample_never_emits_zero_frequency_symbol():
     # middle symbol has frequency zero and must never appear
     cum = np.array([0, 40000, 40000, 65536], dtype=np.int64)
-    s = sample_from_quantized(SplitMix64(3), cum, 16, 50_000)
+    s = sample_from_table(3, cum, 50_000)
     assert not np.any(s == 1)

@@ -6,8 +6,15 @@ import hypothesis.strategies as st
 from ffsc.bits import BitString
 from ffsc.coder import quantize_channel
 from ffsc.errors import ShapingError
-from ffsc.model import Pmf, TestChannel, TypicalityParams, is_jointly_typical
-from ffsc.shaping import PAD_PATTERN, deshape, deshape_raw, shape, shaped_length
+from ffsc.model import Pmf, TestChannel, is_jointly_typical
+from ffsc.shaping import (
+    PAD_PATTERN,
+    deshape,
+    deshape_raw,
+    pad_mismatch,
+    shape,
+    shaped_length,
+)
 
 BSC11 = quantize_channel(TestChannel.bsc(0.11), 16)
 UNIFORM_ROWS = quantize_channel(
@@ -125,13 +132,13 @@ def test_crossover_fraction_matches_channel():
 def test_joint_typicality_of_output():
     prior = Pmf.from_probs([0.5, 0.5])
     ch = TestChannel.bsc(0.11)
-    params = TypicalityParams(0.02)
+    delta = 0.02
     rng = np.random.default_rng(31)
     passes = 0
     for _ in range(20):
         bits, side = random_case(rng, 10_000)
         xhat, used = shape(bits, side, BSC11)
-        passes += is_jointly_typical(side[:used], xhat, prior, ch, params)
+        passes += is_jointly_typical(side[:used], xhat, prior, ch, delta)
     assert passes >= 18
 
 
@@ -212,3 +219,31 @@ def test_deshape_rejects_m_beyond_settled():
 def test_pad_pattern_shape():
     assert len(PAD_PATTERN) == 8
     assert PAD_PATTERN != b"\x00" * 8 and PAD_PATTERN != b"\xff" * 8
+
+
+def first_pad_mismatch_by_loop(data, m_bits, settled_bits):
+    """Bit-by-bit reference for pad_mismatch."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    pad = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
+    for i in range(m_bits, settled_bits):
+        if bits[i] != pad[(i - m_bits) % 64]:
+            return i
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 300), st.integers(0, 300), st.integers(-1, 299),
+       st.integers(0, 2**31))
+def test_pad_mismatch_matches_bitwise_reference(m, tail, flip, salt):
+    """m payload bits, then `tail` pad bits, with bit `flip` of the tail
+    inverted (none when flip is -1 or past the tail)."""
+    rng = np.random.default_rng(salt)
+    pad = np.tile(np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8)),
+                  tail // 64 + 1)[:tail]
+    bits = np.concatenate([rng.integers(0, 2, size=m), pad]).astype(np.uint8)
+    if 0 <= flip < tail:
+        bits[m + flip] ^= 1
+    data = np.packbits(bits).tobytes()
+    want = first_pad_mismatch_by_loop(data, m, m + tail)
+    assert pad_mismatch(data, m, m + tail) == want
+    assert want == (m + flip if 0 <= flip < tail else None)
