@@ -13,10 +13,17 @@ is bit-identical to the compiled kernels; on 2 cores one trial of the
 binary benchmark (n ~ 128k, encode and decode) takes about 0.3 s.
 
 Kernels never raise: they return a status code so the compiled code
-stays allocation-free and exception-free.  Buffers are caller-allocated;
-NEED_MORE_* statuses implement a grow-and-retry protocol (the caller
-doubles the buffer and reruns from scratch, which keeps the kernels
-stateless).
+stays allocation-free and exception-free.  Buffers are caller-allocated
+and bounds-checked by the kernels themselves.  The encoder's output
+never exceeds ``encoded_bytes_bound``, and the shaper's stream and
+mirror buffer have closed-form sizes too (see ``shaping.shape``), so
+their callers allocate once and treat NEED_MORE_BUF and
+NEED_MORE_STREAM as errors.  Grow-and-retry is left only for the
+shaper's symbol buffer: on NEED_MORE_SYM, ``shape`` doubles it and
+reruns from scratch, which keeps the kernels stateless.  The decoder
+returns TRUNCATED as soon as it has shifted in more bytes than the
+payload holds, so its work is bounded by the frame's length rather
+than by the symbol count the frame declares.
 
 All arithmetic is int64.  The largest intermediate is low + r*start
 < 2^33, far below overflow.
@@ -35,6 +42,7 @@ NEED_MORE_SYM = 4
 NEED_MORE_STREAM = 5
 SIDE_EXHAUSTED = 6
 ERR_RANGE = 7
+TRUNCATED = 8
 
 _MASK32 = 0xFFFFFFFF
 _TOP = 1 << 24
@@ -149,12 +157,26 @@ def encode_kernel(symbols, rows, cum_rows, precision, buf):
     return nbuf + 2, settled, OK
 
 
-@_jit
-def decode_kernel(data, count, rows, cum_rows, precision, out):
-    """Decode `count` symbols; bytes past the end of `data` read as 0.
+def encoded_bytes_bound(count, precision):
+    """Most bytes encode_kernel can write for `count` symbols.
 
-    Returns (shifts, status).  The caller compares shifts+2 with the
-    actual payload length to detect truncated or oversized frames.
+    Before each symbol the range is at least 2^24, and a symbol of
+    frequency >= 1 leaves at least range >> precision >= 2^(24 -
+    precision), so renormalising shifts out at most ceil(precision/8)
+    bytes per symbol; the flush adds two.
+    """
+    return count * -(-precision // 8) + 2
+
+
+@_jit
+def decode_kernel(data, count, cum, precision, out):
+    """Decode up to `count` symbols against the 1-D table `cum`; bytes
+    past the end of `data` read as 0.
+
+    Returns (shifts, status).  A frame's payload is exactly shifts+2
+    bytes, so the decoder stops with TRUNCATED as soon as shifts+2
+    exceeds len(data); the caller compares shifts+2 with the payload
+    length to detect oversized frames.
     """
     total = 1 << precision
     rng = 1 << 32
@@ -162,22 +184,14 @@ def decode_kernel(data, count, rows, cum_rows, precision, out):
     pos = 0
     dlen = len(data)
     shifts = 0
-    size = len(cum_rows[0]) - 1
-    fixed_row = len(rows) == 0
+    size = len(cum) - 1
 
     for _ in range(4):
         b = data[pos] if pos < dlen else 0
         code = (code << 8) | b
         pos += 1
 
-    n_rows = len(cum_rows)
-    cum = cum_rows[0]
     for t in range(count):
-        if not fixed_row:
-            row = rows[t]
-            if row < 0 or row >= n_rows:
-                return shifts, ERR_RANGE
-            cum = cum_rows[row]
         r = rng >> precision
         v = code // r
         if v >= total:
@@ -204,6 +218,8 @@ def decode_kernel(data, count, rows, cum_rows, precision, out):
             code = ((code << 8) | b) & _MASK32
             pos += 1
             shifts += 1
+            if shifts + 2 > dlen:
+                return shifts, TRUNCATED
             rng <<= 8
     return shifts, OK
 
@@ -308,10 +324,10 @@ def python_encode_kernel(symbols, rows, cum_rows, precision, buf):
                       int(precision), memoryview(buf))
 
 
-def python_decode_kernel(data, count, rows, cum_rows, precision, out):
+def python_decode_kernel(data, count, cum, precision, out):
     """decode_kernel run as plain Python on Python ints."""
-    return _py_decode(data.tobytes(), int(count), rows.tolist(),
-                      cum_rows.tolist(), int(precision), memoryview(out))
+    return _py_decode(data.tobytes(), int(count), cum.tolist(),
+                      int(precision), memoryview(out))
 
 
 def python_shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym, buf):

@@ -103,18 +103,6 @@ class BitString:
             return np.zeros(0, dtype=np.uint8)
         return unpack_bits(self.data, self.length)
 
-    def concat(self, other: "BitString") -> "BitString":
-        if self.length % 8 == 0:
-            return BitString(self.data + other.data, self.length + other.length)
-        return BitString.from_bits(
-            np.concatenate([self.to_array(), other.to_array()])
-        )
-
-    def prefix(self, nbits: int) -> "BitString":
-        if nbits > self.length:
-            raise ValueError("prefix longer than string")
-        return BitString(self.data[: (nbits + 7) // 8], nbits)
-
     def __repr__(self) -> str:
         head = "".join(str(self[i]) for i in range(min(self.length, 24)))
         tail = "..." if self.length > 24 else ""

@@ -81,9 +81,6 @@ def _config_args(p: argparse.ArgumentParser, with_channel: bool = True):
     p.add_argument("--passes", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--precision", type=int, default=16)
-    p.add_argument("--seed-block-mode", choices=("sampled", "raw"),
-                   default="sampled")
-    p.add_argument("--delta", type=float, default=0.02)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,6 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bytes", "ascii"), default="bytes")
+    p.add_argument("--delta", type=float, default=0.02,
+                   help="typicality tolerance behind the stats sidecar's "
+                        "atypical_blocks")
     _config_args(p)
 
     p = sub.add_parser("decode", help="reconstruct from a bitstream")
@@ -123,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("bytes", "ascii"), default="bytes")
     p.add_argument("--target-d", "--d0", dest="target_d", type=float,
                    default=0.11)
-    p.add_argument("--delta", type=float, default=0.02)
 
     p = sub.add_parser("exp-hamming",
                        help="binary symmetric benchmark (seeded trials)")
@@ -177,19 +176,18 @@ def _cmd_rd(args) -> int:
     return 0
 
 
-def _cfg_from_args(args, prior, d, channel) -> CodecConfig:
+def _cfg_from_args(args, prior, d, channel, **extra) -> CodecConfig:
     return CodecConfig(
         prior=prior, channel=channel, distortion=d,
         min_block=args.min_block, passes=args.passes,
-        precision=args.precision, seed=args.seed,
-        seed_block_mode=args.seed_block_mode, delta=args.delta,
+        precision=args.precision, seed=args.seed, **extra,
     )
 
 
 def _cmd_encode(args) -> int:
     _, prior, d = load_model(args.model)
     channel, _, _ = blahut_arimoto(prior, d, args.target_d)
-    cfg = _cfg_from_args(args, prior, d, channel)
+    cfg = _cfg_from_args(args, prior, d, channel, delta=args.delta)
     source = _read_symbols(args.infile, args.format)
     result = encode(source, cfg)
     with open(args.out, "wb") as fh:
@@ -237,7 +235,7 @@ def _cmd_decode(args) -> int:
     q, k, m, seed, _ = read_header(stream)
     cfg = CodecConfig(
         prior=prior, channel=channel, distortion=d, min_block=m, passes=k,
-        precision=q, seed=seed, delta=args.delta,
+        precision=q, seed=seed,
     )
     source = _read_symbols(args.source, args.format)
     offset = args.offset
@@ -276,7 +274,7 @@ def _cmd_exp_hamming(args) -> int:
     channel = TestChannel.bsc(0.11)
     cfg = _cfg_from_args(args, prior, d, channel)
     spec = ExperimentSpec(
-        name="hamming", cfg=cfg, trials=args.trials, fmt=args.format,
+        name="hamming", cfg=cfg, trials=args.trials,
         rate_bounds=(0.50, 0.56), distortion_bounds=(0.10, 0.12),
     )
     report = run_codec_experiment(spec)
@@ -291,7 +289,7 @@ def _cmd_exp_general(args) -> int:
     channel, ref_rate, _ = blahut_arimoto(prior, d, args.target_d)
     cfg = _cfg_from_args(args, prior, d, channel)
     spec = ExperimentSpec(
-        name="general", cfg=cfg, trials=args.trials, fmt=args.format,
+        name="general", cfg=cfg, trials=args.trials,
         distortion_bounds=(args.target_d - 0.015, args.target_d + 0.015),
         rate_reference=ref_rate, rate_rel_tol=0.10,
     )

@@ -77,7 +77,6 @@ class CodecConfig:
     passes: int = 5
     precision: int = 16
     seed: int = 1
-    seed_block_mode: str = "sampled"
     delta: float = 0.02
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class CodecConfig:
             raise ConfigError("passes must be >= 1")
         if not 2 <= self.precision <= 24:
             raise ConfigError("precision outside [2, 24]")
-        if self.seed_block_mode not in ("sampled", "raw"):
-            raise ConfigError(f"unknown seed_block_mode {self.seed_block_mode!r}")
         if not 0 < self.delta < 1:
             raise ConfigError("delta outside (0, 1)")
         if self.distortion.entries.shape != self.channel.rows.shape:
@@ -216,11 +213,7 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     marg, cond = cfg.quantized()
     rev = src[::-1]
 
-    if cfg.seed_block_mode == "sampled":
-        rng = SplitMix64(cfg.seed)
-        block = _sample_rows(rng, cond, rev[:M])
-    else:
-        block = rev[:M].copy()
+    block = _sample_rows(SplitMix64(cfg.seed), cond, rev[:M])
     frame = compress(block, marg)
     blocks = [block]
     lengths = [M]
@@ -389,9 +382,12 @@ def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:
     x = np.ascontiguousarray(x, dtype=np.int64)
     if x.size != result.xhat.size:
         raise ConfigError("source length does not match the reconstruction")
+    size = d.entries.shape[0]
+    if x.size and (x.min() < 0 or x.max() >= size):
+        raise ConfigError(f"source symbol outside alphabet of size {size}")
     per_sample = d.entries[x, result.xhat]
     mean_d = float(per_sample.mean()) if x.size else 0.0
-    counts = np.bincount(x, minlength=d.entries.shape[0]).astype(np.float64)
+    counts = np.bincount(x, minlength=size).astype(np.float64)
     prior = Pmf.from_probs(counts / max(x.size, 1))
     _, rd_ref, _ = blahut_arimoto(prior, d, mean_d)
     return MeasureReport(

@@ -74,10 +74,6 @@ class QuantizedModel:
     def size(self) -> int:
         return int(self.freq.size)
 
-    @property
-    def total(self) -> int:
-        return 1 << self.precision
-
     def cum_matrix(self) -> np.ndarray:
         return self.cum.reshape(1, -1)
 
@@ -190,21 +186,16 @@ def compress(symbols, model: QuantizedModel) -> Frame:
             raise CodingError(
                 f"symbol out of range for model of size {model.size}"
             )
-    cap = (sym.size * model.precision) // 8 + 16
-    cum = model.cum_matrix()
-    while True:
-        buf = np.empty(cap, dtype=np.uint8)
-        nbytes, _, status = _kernels.encode_kernel(
-            sym, _EMPTY_ROWS, cum, model.precision, buf
-        )
-        if status == _kernels.OK:
-            return Frame(int(sym.size), buf[:nbytes].tobytes())
-        if status == _kernels.ERR_ZERO_FREQ:
-            raise CodingError("symbol with zero model frequency")
-        if status == _kernels.NEED_MORE_BUF:
-            cap *= 2
-            continue
-        raise CodingError(f"encoder failed with status {status}")
+    buf = np.empty(_kernels.encoded_bytes_bound(sym.size, model.precision),
+                   dtype=np.uint8)
+    nbytes, _, status = _kernels.encode_kernel(
+        sym, _EMPTY_ROWS, model.cum_matrix(), model.precision, buf
+    )
+    if status == _kernels.OK:
+        return Frame(int(sym.size), buf[:nbytes].tobytes())
+    if status == _kernels.ERR_ZERO_FREQ:
+        raise CodingError("symbol with zero model frequency")
+    raise CodingError(f"encoder failed with status {status}")
 
 
 def decompress(f, model: QuantizedModel) -> np.ndarray:
@@ -236,14 +227,17 @@ def decode_frame_prefix(data, model: QuantizedModel) -> tuple[np.ndarray, int]:
         raise CodingError(f"frame declares {count} symbols; refusing to decode")
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(raw, dtype=np.uint8)[off:], count, _EMPTY_ROWS,
-        model.cum_matrix(), model.precision, out,
+        np.frombuffer(raw, dtype=np.uint8)[off:], count, model.cum,
+        model.precision, out,
     )
-    if status != _kernels.OK:  # pragma: no cover - decode_kernel cannot fail
-        raise CodingError(f"decoder failed with status {status}")
     nbytes = off + int(shifts) + 2
-    if nbytes > len(raw):
+    # The kernel checks the length only when it shifts a byte in, so a
+    # frame that never renormalises is checked here.
+    if status == _kernels.TRUNCATED or nbytes > len(raw):
         raise TruncatedFrameError(
-            f"embedded frame needs {nbytes} bytes, buffer has {len(raw)}"
+            f"embedded frame needs at least {nbytes} bytes, buffer has "
+            f"{len(raw)}"
         )
+    if status != _kernels.OK:
+        raise CodingError(f"decoder failed with status {status}")
     return out, nbytes

@@ -60,8 +60,6 @@ class ExperimentSpec:
     name: str
     cfg: CodecConfig
     trials: int = 20
-    out: str | None = None
-    fmt: str = "csv"
     rate_bounds: tuple[float, float] | None = None
     distortion_bounds: tuple[float, float] | None = None
     rate_reference: float | None = None
@@ -70,8 +68,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trial count must be >= 1")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown report format {self.fmt!r}")
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,26 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     cum = cm.cum_matrix()
     q = cm.precision
 
+    # The mirror encoder writes one byte per stream byte read after the
+    # first four, so its buffer never outgrows the stream.  It is done
+    # once it writes byte ceil(m/8), the first one wholly past the
+    # payload: that byte is a window of the pad, which is never 0x00 or
+    # 0xFF, so it settles as soon as it is written.  Writing it and the
+    # rest of that symbol's renormalisation (ceil(q/8) <= 3 bytes) reads
+    # at most ceil(m/8) + 4 + 3 <= m//8 + 8 stream bytes.
+    stream = _padded_stream(b, m // 8 + 8)
+    buf = np.empty(stream.size, dtype=np.uint8)
     sym_cap = max(256, 2 * m + 64)
-    buf_cap = m // 8 + 256
-    stream_cap = m // 8 + 512
     while True:
         out_sym = np.empty(sym_cap, dtype=np.int64)
-        buf = np.empty(buf_cap, dtype=np.uint8)
-        stream = _padded_stream(b, stream_cap)
         nsym, _, status = _kernels.shape_kernel(
             stream, m, side_arr, cum, q, out_sym, buf
         )
         if status == _kernels.OK:
             return out_sym[:nsym].copy(), int(nsym)
+        if status == _kernels.NEED_MORE_SYM:
+            sym_cap *= 2
+            continue
         if status == _kernels.SIDE_EXHAUSTED:
             raise ShapingError(
                 f"side provider exhausted after {nsym} symbols "
@@ -90,14 +98,7 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
             )
         if status == _kernels.ERR_RANGE:
             raise ShapingError("side symbol outside the conditional model")
-        if status == _kernels.NEED_MORE_SYM:
-            sym_cap *= 2
-        elif status == _kernels.NEED_MORE_BUF:
-            buf_cap *= 2
-        elif status == _kernels.NEED_MORE_STREAM:
-            stream_cap *= 2
-        else:
-            raise ShapingError(f"shaper failed with status {status}")
+        raise ShapingError(f"shaper failed with status {status}")
 
 
 def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
@@ -111,23 +112,18 @@ def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     rows = np.asarray(x, dtype=np.int64)
     if sym.shape != rows.shape:
         raise ShapingError("xhat and x must have equal length")
-    cum = cm.cum_matrix()
-    cap = (sym.size * cm.precision) // 8 + 16
-    while True:
-        buf = np.empty(cap, dtype=np.uint8)
-        nbytes, settled, status = _kernels.encode_kernel(
-            sym, rows, cum, cm.precision, buf
-        )
-        if status == _kernels.OK:
-            return buf[:nbytes].tobytes(), 8 * int(settled)
-        if status == _kernels.ERR_ZERO_FREQ:
-            raise ShapingError("(xhat, x) pair with zero quantized probability")
-        if status == _kernels.ERR_RANGE:
-            raise ShapingError("symbol outside the conditional model")
-        if status == _kernels.NEED_MORE_BUF:
-            cap *= 2
-            continue
-        raise ShapingError(f"deshaper failed with status {status}")
+    buf = np.empty(_kernels.encoded_bytes_bound(sym.size, cm.precision),
+                   dtype=np.uint8)
+    nbytes, settled, status = _kernels.encode_kernel(
+        sym, rows, cm.cum_matrix(), cm.precision, buf
+    )
+    if status == _kernels.OK:
+        return buf[:nbytes].tobytes(), 8 * int(settled)
+    if status == _kernels.ERR_ZERO_FREQ:
+        raise ShapingError("(xhat, x) pair with zero quantized probability")
+    if status == _kernels.ERR_RANGE:
+        raise ShapingError("symbol outside the conditional model")
+    raise ShapingError(f"deshaper failed with status {status}")
 
 
 def deshape(xhat, x, cm: ConditionalModel, m: int) -> BitString:

@@ -42,15 +42,6 @@ def test_bitstring_pad_bits_are_canonical():
     assert a.data == b"\xe0"
 
 
-def test_bitstring_concat_prefix():
-    a = BitString.from_bits([1, 0, 1])
-    b = BitString.from_bits([1, 1])
-    c = a.concat(b)
-    assert c.to_array().tolist() == [1, 0, 1, 1, 1]
-    assert c.prefix(3) == a
-    assert c.prefix(0) == BitString.empty()
-
-
 def test_bitstring_rejects_bad_length():
     with pytest.raises(ValueError):
         BitString(b"\x00", 9)

@@ -134,16 +134,6 @@ def test_single_pass_is_seed_block_only():
     assert np.array_equal(dec.xhat, res.xhat)
 
 
-def test_raw_seed_block_copies_source():
-    cfg = bsc_config(passes=2, min_block=1000, seed_block_mode="raw")
-    src = uniform_source(8, 30_000, 2)
-    res, dec, _ = run_pair(cfg, src)
-    coded = src[src.size - res.n:]
-    # the seed block sits at the tail in original time
-    assert np.array_equal(res.xhat[-1000:], coded[-1000:])
-    assert np.array_equal(dec.xhat, res.xhat)
-
-
 def test_encode_rejects_short_source():
     cfg = bsc_config()
     with pytest.raises(CodingError):
@@ -350,6 +340,17 @@ def test_measure_reports_gap_to_reference():
     assert 0 < rep.rd_reference < 1
     assert rep.gap == pytest.approx(rep.rate - rep.rd_reference)
     assert rep.gap <= 0.06
+
+
+def test_measure_rejects_out_of_alphabet_source():
+    cfg = bsc_config(seed=5, passes=2, min_block=1024)
+    src = uniform_source(5, 20_000, 2)
+    res, dec, _ = run_pair(cfg, src)
+    x = src[src.size - res.n:].copy()
+    for bad in (-1, 2):
+        x[0] = bad
+        with pytest.raises(ConfigError, match="alphabet"):
+            measure(x, dec, cfg.distortion)
 
 
 def test_distortion_matches_channel_level():

@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from ffsc import _kernels
+from ffsc.bits import write_uvarint
 from ffsc.coder import (
     ConditionalModel,
     Frame,
@@ -208,6 +212,34 @@ def test_prefix_decode_truncated_raises():
     symbols, f, m = make_frame()
     with pytest.raises(TruncatedFrameError):
         decode_frame_prefix(f.to_bytes()[:-4], m)
+
+
+@pytest.mark.parametrize("count, header", [(2**20, 3), (2**24, 4)])
+def test_decode_work_is_bounded_by_frame_length(count, header):
+    """A short frame declaring many symbols stops at the first byte it
+    lacks instead of decoding every declared symbol."""
+    m = quantize(Pmf.from_probs([0.5, 0.5]), 16)
+    frame = write_uvarint(count) + bytes(range(1, 11))
+    assert len(frame) == header + 10
+    t0 = time.perf_counter()
+    with pytest.raises(TruncatedFrameError):
+        decode_frame_prefix(frame, m)
+    assert time.perf_counter() - t0 < 0.25
+    out = np.empty(count, dtype=np.int64)
+    shifts, status = _kernels.decode_kernel(
+        np.frombuffer(frame[header:], dtype=np.uint8), count, m.cum, 16, out
+    )
+    assert (shifts, status) == (9, _kernels.TRUNCATED)
+
+
+def test_frame_that_never_renormalises_needs_its_terminator():
+    """The kernel ends OK on these, so only the length check after it
+    catches the missing two-byte terminator."""
+    with pytest.raises(TruncatedFrameError):
+        decode_frame_prefix(write_uvarint(0), quantize(Pmf.uniform(2), 16))
+    skew = QuantizedModel(np.array([65535, 1]), 16)
+    with pytest.raises(TruncatedFrameError):
+        decode_frame_prefix(write_uvarint(3) + b"\x00", skew)
 
 
 def test_conditional_model_row_access():

@@ -48,11 +48,10 @@ def kernel_encode(symbols, freq, precision):
 
 
 def kernel_decode(data, count, freq, precision):
-    cum = np.zeros((1, len(freq) + 1), dtype=np.int64)
-    cum[0, 1:] = np.cumsum(freq)
+    cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     arr = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(count, dtype=np.int64)
-    shifts, status = _kernels.decode_kernel(arr, count, NO_ROWS, cum, precision, out)
+    shifts, status = _kernels.decode_kernel(arr, count, cum, precision, out)
     assert status == _kernels.OK
     return out.tolist(), shifts
 
@@ -165,6 +164,20 @@ def test_decoder_reads_exactly_payload_plus_nothing():
         assert shifts + 2 == len(data)
 
 
+@pytest.mark.parametrize("precision", [2, 8, 12, 16, 24])
+def test_encoded_bytes_bound_holds_at_minimum_frequency(precision):
+    """Symbols of frequency 1 shift out the most bytes per symbol; a
+    buffer of exactly encoded_bytes_bound still holds their frame."""
+    cum = np.array([[0, 1, 1 << precision]], dtype=np.int64)
+    for count in (0, 1, 2, 7, 300):
+        cap = _kernels.encoded_bytes_bound(count, precision)
+        buf = np.empty(cap, dtype=np.uint8)
+        nbytes, _, status = _kernels.encode_kernel(
+            np.zeros(count, dtype=np.int64), NO_ROWS, cum, precision, buf
+        )
+        assert status == _kernels.OK and nbytes <= cap
+
+
 def test_constants_are_consistent():
     assert RANGE_INIT == 1 << 32
     assert TOP == 1 << 24
@@ -189,13 +202,17 @@ def test_pure_python_fallback_matches_jit():
         res_b = _kernels.python_encode_kernel(sym, rows, table, 16, buf_b)
         assert res_a == res_b
         assert np.array_equal(buf_a, buf_b)
+        if rows is NO_ROWS:
+            payload = buf_a[:res_a[0]]
 
+    # The decoder reads one table; a payload cut in half ends in TRUNCATED.
+    for data, want in ((payload, _kernels.OK),
+                       (payload[:payload.size // 2], _kernels.TRUNCATED)):
         out_a = np.zeros(sym.size, dtype=np.int64)
         out_b = np.zeros(sym.size, dtype=np.int64)
-        data = buf_a[:res_a[0]]
-        res_a = _kernels.decode_kernel(data, sym.size, rows, table, 16, out_a)
-        res_b = _kernels.python_decode_kernel(data, sym.size, rows, table, 16, out_b)
-        assert res_a == res_b
+        res_a = _kernels.decode_kernel(data, sym.size, cum[0], 16, out_a)
+        res_b = _kernels.python_decode_kernel(data, sym.size, cum[0], 16, out_b)
+        assert res_a == res_b and res_a[1] == want
         assert np.array_equal(out_a, out_b)
 
     stream = rng.integers(0, 256, 600).astype(np.uint8)
@@ -218,11 +235,10 @@ def test_python_decode_kernel_writes_only_where_symbols_land():
     rng = np.random.default_rng(4)
     symbols = rng.choice(2, size=500, p=[0.89, 0.11]).tolist()
     data, _ = kernel_encode(symbols, freq, 16)
-    cum = np.zeros((1, 3), dtype=np.int64)
-    cum[0, 1:] = np.cumsum(freq)
+    cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     out = np.full(len(symbols) + 8, -1, dtype=np.int64)
     shifts, status = _kernels.python_decode_kernel(
-        np.frombuffer(data, dtype=np.uint8), len(symbols), NO_ROWS, cum, 16, out
+        np.frombuffer(data, dtype=np.uint8), len(symbols), cum, 16, out
     )
     assert status == _kernels.OK and shifts + 2 == len(data)
     assert out[:len(symbols)].tolist() == symbols

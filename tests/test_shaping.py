@@ -221,6 +221,30 @@ def test_pad_pattern_shape():
     assert PAD_PATTERN != b"\x00" * 8 and PAD_PATTERN != b"\xff" * 8
 
 
+def test_no_byte_window_of_the_pad_is_constant():
+    """shape() sizes its stream on this: the first mirror byte wholly
+    past the payload is never 0x00 or 0xFF, so it settles at once."""
+    bits = np.unpackbits(np.frombuffer(PAD_PATTERN * 2, dtype=np.uint8))
+    windows = {int(np.packbits(bits[i:i + 8])[0]) for i in range(64)}
+    assert not windows & {0x00, 0xFF}
+
+
+@pytest.mark.parametrize("precision", [4, 16, 24])
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 1000, 1003, 8000, 8001])
+def test_constant_payloads_round_trip(m, precision):
+    """All-ones and all-zeros payloads, whose trailing bytes are 0xFF or
+    0x00, settle within the stream shape() allocates once."""
+    rng = np.random.default_rng(m)
+    for rows in ([[0.89, 0.11], [0.11, 0.89]],
+                 [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]):
+        cm = quantize_channel(TestChannel.from_rows(rows), precision)
+        side = rng.integers(0, len(rows), 4 * m + 512).astype(np.int64)
+        for fill in (0, 1):
+            bits = BitString.from_bits([fill] * m)
+            xhat, used = shape(bits, side, cm)
+            assert deshape(xhat, side[:used], cm, m) == bits
+
+
 def first_pad_mismatch_by_loop(data, m_bits, settled_bits):
     """Bit-by-bit reference for pad_mismatch."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
