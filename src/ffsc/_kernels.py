@@ -15,15 +15,15 @@ binary benchmark (n ~ 128k, encode and decode) takes about 0.3 s.
 Kernels never raise: they return a status code so the compiled code
 stays allocation-free and exception-free.  Buffers are caller-allocated
 and bounds-checked by the kernels themselves.  The encoder's output
-never exceeds ``encoded_bytes_bound``, and the shaper's stream and
-mirror buffer have closed-form sizes too (see ``shaping.shape``), so
-their callers allocate once and treat NEED_MORE_BUF and
-NEED_MORE_STREAM as errors.  Grow-and-retry is left only for the
-shaper's symbol buffer: on NEED_MORE_SYM, ``shape`` doubles it and
-reruns from scratch, which keeps the kernels stateless.  The decoder
-returns TRUNCATED as soon as it has shifted in more bytes than the
-payload holds, so its work is bounded by the frame's length rather
-than by the symbol count the frame declares.
+never exceeds ``encoded_bytes_bound``, and the shaper's stream has a
+closed-form size too (see ``shaping.shape``), so their callers
+allocate once and treat NEED_MORE_BUF and NEED_MORE_STREAM as errors.
+Grow-and-retry is left only for the shaper's symbol buffer: on
+NEED_MORE_SYM, ``shape`` doubles it and reruns from scratch, which
+keeps the kernels stateless.  The decoder returns TRUNCATED as soon
+as it has shifted in more bytes than the payload holds; between shifts
+its work is bounded by the symbol count the frame declares, which its
+caller caps.
 
 All arithmetic is int64.  The largest intermediate is low + r*start
 < 2^33, far below overflow.
@@ -175,7 +175,8 @@ def decode_kernel(data, count, cum, precision, out):
 
     Returns (shifts, status).  A frame's payload is exactly shifts+2
     bytes, so the decoder stops with TRUNCATED as soon as shifts+2
-    exceeds len(data); the caller compares shifts+2 with the payload
+    exceeds len(data), and ends with it if the payload lacks room for
+    the terminator; the caller compares shifts+2 with the payload
     length to detect oversized frames.
     """
     total = 1 << precision
@@ -221,36 +222,37 @@ def decode_kernel(data, count, cum, precision, out):
             if shifts + 2 > dlen:
                 return shifts, TRUNCATED
             rng <<= 8
+    if shifts + 2 > dlen:
+        return shifts, TRUNCATED
     return shifts, OK
 
 
 @_jit
-def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym, buf):
+def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym):
     """Decode symbols from `stream` against per-position rows keyed by
-    `side`, mirroring every step with an encoder, until the mirror has
-    settled at least `m_bits` bits of output.
+    `side` until the first `m_bits` bits of the stream are settled.
 
-    Returns (nsym, settled_bytes, status).  The mirrored encoder shares
-    the decoder's range register (their trajectories are identical by
-    construction), so only `low` and the byte buffer are extra state.
+    Returns (nsym, status).  The bits are settled after the first
+    symbol whose renormalisation takes the shift count past
+    ceil(m_bits/8): re-encoding the symbols then writes stream byte
+    ceil(m_bits/8), a pad byte that is never 0xFF, so no later carry
+    reaches the payload (see ``shaping``).
     """
     total = 1 << precision
     rng = 1 << 32
     code = 0
-    low = 0
     pos = 0
     slen = len(stream)
-    nbuf = 0
-    last_nonff = -1
-    cap = len(buf)
+    shifts = 0
+    payload_bytes = (m_bits + 7) >> 3
     max_sym = len(out_sym)
     side_len = len(side)
     size = len(cum_rows[0]) - 1
 
     if m_bits <= 0:
-        return 0, 0, OK
+        return 0, OK
     if slen < 4:
-        return 0, 0, NEED_MORE_STREAM
+        return 0, NEED_MORE_STREAM
     for _ in range(4):
         code = (code << 8) | stream[pos]
         pos += 1
@@ -259,12 +261,12 @@ def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym, buf):
     t = 0
     while True:
         if t >= max_sym:
-            return t, max(last_nonff, 0), NEED_MORE_SYM
+            return t, NEED_MORE_SYM
         if t >= side_len:
-            return t, max(last_nonff, 0), SIDE_EXHAUSTED
+            return t, SIDE_EXHAUSTED
         x = side[t]
         if x < 0 or x >= n_rows:
-            return t, max(last_nonff, 0), ERR_RANGE
+            return t, ERR_RANGE
         cum = cum_rows[x]
         r = rng >> precision
         v = code // r
@@ -282,34 +284,21 @@ def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym, buf):
         start = cum[s]
         freq = cum[s + 1] - start
         code -= r * start
-        low += r * start
-        if low > _MASK32:
-            last_nonff = _carry(buf, nbuf)
-            if last_nonff == -2:
-                return t, 0, ERR_CARRY
-            low &= _MASK32
         if start + freq == total:
             rng -= r * start
         else:
             rng = r * freq
         while rng < _TOP:
-            if nbuf >= cap:
-                return t, max(last_nonff, 0), NEED_MORE_BUF
-            b = (low >> 24) & 0xFF
-            buf[nbuf] = b
-            if b != 0xFF:
-                last_nonff = nbuf
-            nbuf += 1
-            low = (low << 8) & _MASK32
             if pos >= slen:
-                return t, max(last_nonff, 0), NEED_MORE_STREAM
+                return t, NEED_MORE_STREAM
             code = ((code << 8) | stream[pos]) & _MASK32
             pos += 1
+            shifts += 1
             rng <<= 8
         out_sym[t] = s
         t += 1
-        if last_nonff >= 0 and 8 * last_nonff >= m_bits:
-            return t, last_nonff, OK
+        if shifts > payload_bytes:
+            return t, OK
 
 
 # The same sources as plain Python, whether or not numba compiled them.
@@ -330,11 +319,10 @@ def python_decode_kernel(data, count, cum, precision, out):
                       int(precision), memoryview(out))
 
 
-def python_shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym, buf):
+def python_shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym):
     """shape_kernel run as plain Python on Python ints."""
     return _py_shape(stream.tobytes(), int(m_bits), side.tolist(),
-                     cum_rows.tolist(), int(precision), memoryview(out_sym),
-                     memoryview(buf))
+                     cum_rows.tolist(), int(precision), memoryview(out_sym))
 
 
 if not HAVE_NUMBA:  # pragma: no cover - exercised only without numba

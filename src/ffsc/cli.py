@@ -290,8 +290,8 @@ def _cmd_exp_general(args) -> int:
     cfg = _cfg_from_args(args, prior, d, channel)
     spec = ExperimentSpec(
         name="general", cfg=cfg, trials=args.trials,
+        rate_bounds=(0.9 * ref_rate, 1.1 * ref_rate),
         distortion_bounds=(args.target_d - 0.015, args.target_d + 0.015),
-        rate_reference=ref_rate, rate_rel_tol=0.10,
     )
     report = run_codec_experiment(spec)
     _emit(report.render(args.format), args.out)

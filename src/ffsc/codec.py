@@ -286,7 +286,10 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     _parse_header(stream, cfg, model_digest(marg, cond))
     frame_bytes = stream[HEADER_LEN:]
 
-    block, used = decode_frame_prefix(frame_bytes, marg)
+    # Every valid frame's symbols are emitted to the oracle, so none
+    # declares more than it has left.
+    block, used = decode_frame_prefix(frame_bytes, marg,
+                                      len(oracle) - oracle.emitted)
     if used != len(frame_bytes):
         raise StreamFormatError(
             f"final frame occupies {used} bytes but the stream carries "
@@ -304,7 +307,8 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
         x_chunk = oracle.reveal_range(base, base + chunk.size)
         base += chunk.size
         data, settled = deshape_raw(block, x_chunk[::-1], cond)
-        block, used = decode_frame_prefix(data, marg)
+        block, used = decode_frame_prefix(data, marg,
+                                          len(oracle) - oracle.emitted)
         if 8 * used > settled:
             raise CodingError(
                 f"recovered frame spans {8 * used} bits but only {settled} "

@@ -212,28 +212,33 @@ def decompress(f, model: QuantizedModel) -> np.ndarray:
     return out
 
 
-def decode_frame_prefix(data, model: QuantizedModel) -> tuple[np.ndarray, int]:
+def decode_frame_prefix(data, model: QuantizedModel,
+                        limit: int = 2**31) -> tuple[np.ndarray, int]:
     """Decode a frame embedded at the start of `data`.
 
     Returns (symbols, total frame length in bytes).  Bytes after the
     frame are ignored, which is exactly what the feedforward decoder
     needs: a deshaped bit buffer contains one frame followed by pad
-    bits.  Raises TruncatedFrameError if `data` cannot even hold the
-    frame it declares.
+    bits.  Raises CodingError if the frame declares more than `limit`
+    symbols, before reserving room for them: on a skewed model a few
+    bytes can validly hold millions of symbols, so only the caller
+    knows how many it can accept.  Raises TruncatedFrameError if
+    `data` cannot even hold the frame it declares.
     """
     raw = bytes(data)
     count, off = read_uvarint(raw)
-    if count > 2**31:
-        raise CodingError(f"frame declares {count} symbols; refusing to decode")
+    if count > limit:
+        raise CodingError(
+            f"frame declares {count} symbols, more than the {limit} "
+            f"expected; refusing to decode"
+        )
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
         np.frombuffer(raw, dtype=np.uint8)[off:], count, model.cum,
         model.precision, out,
     )
     nbytes = off + int(shifts) + 2
-    # The kernel checks the length only when it shifts a byte in, so a
-    # frame that never renormalises is checked here.
-    if status == _kernels.TRUNCATED or nbytes > len(raw):
+    if status == _kernels.TRUNCATED:
         raise TruncatedFrameError(
             f"embedded frame needs at least {nbytes} bytes, buffer has "
             f"{len(raw)}"

@@ -62,8 +62,6 @@ class ExperimentSpec:
     trials: int = 20
     rate_bounds: tuple[float, float] | None = None
     distortion_bounds: tuple[float, float] | None = None
-    rate_reference: float | None = None
-    rate_rel_tol: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -224,14 +222,6 @@ def run_codec_experiment(spec: ExperimentSpec) -> Report:
         if not lo <= mean_dist <= hi:
             violations.append(
                 f"mean distortion {mean_dist:.6f} outside [{lo}, {hi}]"
-            )
-    if spec.rate_reference is not None and spec.rate_rel_tol is not None:
-        rel = abs(mean_rate / spec.rate_reference - 1.0)
-        if rel > spec.rate_rel_tol:
-            violations.append(
-                f"mean rate {mean_rate:.6f} deviates {rel:.3%} from "
-                f"reference {spec.rate_reference:.6f} "
-                f"(allowed {spec.rate_rel_tol:.0%})"
             )
 
     return Report(spec.name, rows, summary, violations)

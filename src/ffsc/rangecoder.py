@@ -8,9 +8,10 @@ load-bearing and worth stating up front:
   a short *unsettled* suffix (a trailing run of 0xFF bytes plus the one
   byte before it) that a future carry could still increment.  A decoder
   fed the final stream therefore walks the exact same (low, range)
-  trajectory, which is what lets the shaping module run a decoder and a
-  mirror encoder in lockstep and know precisely which output bytes are
-  final.
+  trajectory, so after each shift of the decoder an encoder of the same
+  symbols has written one byte more.  That is what lets the shaping
+  module run the decoder alone and tell from its shift count which
+  output bytes are final.
 
 * **Deterministic flush.**  Termination emits exactly two bytes: the
   top 16 bits of the smallest multiple of 2^23 inside the final

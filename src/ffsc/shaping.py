@@ -4,11 +4,20 @@ symbol sequence, exactly invertibly.
 ``shape`` runs the range *decoder* over the input bits against a
 per-position conditional model keyed by the side sequence — the same
 trick as bits-back coding: uniform bits in, model-distributed symbols
-out.  A mirrored encoder tracks, byte for byte, how much of the input
-the decoder has irrevocably consumed; shaping stops at the first
-symbol where all ``m`` payload bits are settled.  ``deshape`` is then
-just a plain re-encode of the symbols (keyed by the same side samples)
-truncated to ``m`` bits.
+out.  ``deshape`` is then just a plain re-encode of the symbols (keyed
+by the same side samples) truncated to ``m`` bits.
+
+Shaping stops at the first symbol after which all ``m`` payload bits
+are settled, and the decoder's shift count alone tells when that is.
+By prefix duality (see ``rangecoder``), re-encoding the symbols decoded
+so far writes one byte per shift, and those bytes equal the input's
+leading bytes up to one pending carry.  A carry stops at the last byte
+that is not 0xFF, so the payload's bytes are final once a later byte
+that is not 0xFF is written.  The first byte wholly past the payload,
+byte ceil(m/8) counting from 0, is a window of the pad, and no 8-bit
+window of the pad is 0x00 or 0xFF, so that byte is not 0xFF whether or
+not a carry is pending.  The payload is therefore settled exactly when the shift
+count first exceeds ceil(m/8).
 
 The input is padded with a fixed repeating 64-bit pattern rather than
 zeros.  The pad serves two jobs: it gives the decoder bits to chew on
@@ -71,21 +80,16 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     cum = cm.cum_matrix()
     q = cm.precision
 
-    # The mirror encoder writes one byte per stream byte read after the
-    # first four, so its buffer never outgrows the stream.  It is done
-    # once it writes byte ceil(m/8), the first one wholly past the
-    # payload: that byte is a window of the pad, which is never 0x00 or
-    # 0xFF, so it settles as soon as it is written.  Writing it and the
-    # rest of that symbol's renormalisation (ceil(q/8) <= 3 bytes) reads
-    # at most ceil(m/8) + 4 + 3 <= m//8 + 8 stream bytes.
+    # The shaper reads four stream bytes, then one per shift, and stops
+    # after the symbol whose renormalisation takes the shift count past
+    # ceil(m/8); that renormalisation shifts at most ceil(q/8) <= 3
+    # bytes, so it reads at most 4 + ceil(m/8) + 3 <= m//8 + 8 bytes.
     stream = _padded_stream(b, m // 8 + 8)
-    buf = np.empty(stream.size, dtype=np.uint8)
     sym_cap = max(256, 2 * m + 64)
     while True:
         out_sym = np.empty(sym_cap, dtype=np.int64)
-        nsym, _, status = _kernels.shape_kernel(
-            stream, m, side_arr, cum, q, out_sym, buf
-        )
+        nsym, status = _kernels.shape_kernel(stream, m, side_arr, cum, q,
+                                             out_sym)
         if status == _kernels.OK:
             return out_sym[:nsym].copy(), int(nsym)
         if status == _kernels.NEED_MORE_SYM:

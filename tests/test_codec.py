@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ffsc import _kernels
 from ffsc.codec import (
     HEADER_LEN,
     MAGIC,
@@ -294,6 +297,44 @@ def test_truncated_stream_detected():
     with pytest.raises(StreamFormatError):
         decode(res.bitstream[:HEADER_LEN - 3], oracle, cfg)
     assert res.bitstream[:4] == MAGIC
+
+
+def test_final_frame_longer_than_the_oracle_is_refused_before_decoding(
+        monkeypatch):
+    cfg = bsc_config(seed=3, passes=3, min_block=256)
+    src = uniform_source(3, 6000, 2)
+    res = encode(src, cfg)
+    coded = src[src.size - res.n:]
+    short = FeedforwardOracle(coded[:res.pass_lengths[-1] - 1])
+
+    def decode_kernel(*args):
+        pytest.fail("decode_kernel called")
+
+    monkeypatch.setattr(_kernels, "decode_kernel", decode_kernel)
+    with pytest.raises(CodingError, match="declares"):
+        decode(res.bitstream, short, cfg)
+
+
+@pytest.mark.parametrize("size, rows, seed, digest", [
+    (2, None, 7,
+     "40ce32dbfb156b86c086156bbd31db4bb946f2182ae6e1ba7ddd8efaa5ec7d6b"),
+    (2, None, 8,
+     "38df38c0b638c9133c5a0ab3a617356233480221296ddeba463acbe4af804569"),
+    (3, [[0.8, 0.15, 0.05], [0.05, 0.8, 0.15], [0.15, 0.05, 0.8]], 9,
+     "83412573ae85fcfdf29dfa8bb01ed8b408c823f2c0bfcf0ec4c7c005425b13b0"),
+])
+def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
+    """Small fixed configurations encode to recorded bytes, so a change
+    to any layer that moves the wire format fails here.  The ternary
+    channel is given by fixed rows, not solved for, so that the
+    solver's floating point cannot move the digest."""
+    channel = (TestChannel.bsc(0.11) if rows is None
+               else TestChannel.from_rows(rows))
+    cfg = CodecConfig(prior=Pmf.uniform(size), channel=channel,
+                      distortion=DistortionMatrix.hamming(size),
+                      min_block=256, passes=3, seed=seed)
+    res = encode(uniform_source(seed, 6000, size), cfg)
+    assert hashlib.sha256(res.bitstream).hexdigest() == digest
 
 
 def test_stream_layout_header_then_single_frame():

@@ -233,13 +233,26 @@ def test_decode_work_is_bounded_by_frame_length(count, header):
 
 
 def test_frame_that_never_renormalises_needs_its_terminator():
-    """The kernel ends OK on these, so only the length check after it
-    catches the missing two-byte terminator."""
+    """The kernel shifts no byte in on these, so only its length check
+    after the decode loop catches the missing two-byte terminator."""
     with pytest.raises(TruncatedFrameError):
         decode_frame_prefix(write_uvarint(0), quantize(Pmf.uniform(2), 16))
     skew = QuantizedModel(np.array([65535, 1]), 16)
     with pytest.raises(TruncatedFrameError):
         decode_frame_prefix(write_uvarint(3) + b"\x00", skew)
+
+
+@pytest.mark.parametrize("count", [2**20, 2**24])
+def test_frame_over_the_callers_limit_is_refused_at_once(count):
+    """On a skewed model ten bytes can validly hold millions of
+    symbols, so only the caller's limit stops a frame that declares
+    more than the caller can take, and it does so before decoding."""
+    skew = QuantizedModel(np.array([65535, 1]), 16)
+    frame = write_uvarint(count) + bytes(10)
+    t0 = time.perf_counter()
+    with pytest.raises(CodingError, match="declares"):
+        decode_frame_prefix(frame, skew, limit=count - 1)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_conditional_model_row_access():

@@ -29,3 +29,23 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     assert [row[0] for row in serial[1:5]] == ["0", "1", "2", "3"]
     assert pooled == serial
 
+
+
+def test_each_bound_missed_is_one_violation(monkeypatch):
+    monkeypatch.setenv("FFSC_THREADS", "1")
+    cfg = CodecConfig(
+        prior=Pmf.uniform(2),
+        channel=TestChannel.bsc(0.11),
+        distortion=DistortionMatrix.hamming(2),
+        min_block=256,
+        passes=3,
+        seed=23,
+    )
+    wide, narrow = (0.0, 10.0), (0.0, 0.01)
+    for rate, dist, want in ((wide, wide, []),
+                             (narrow, wide, ["rate"]),
+                             (wide, narrow, ["distortion"])):
+        rep = run_codec_experiment(ExperimentSpec(
+            name="bounds", cfg=cfg, trials=2, rate_bounds=rate,
+            distortion_bounds=dist))
+        assert [v.split()[1] for v in rep.violations] == want

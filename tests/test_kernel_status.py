@@ -38,7 +38,7 @@ CALLS = {
     "deshape_raw": (lambda: deshape_raw(SYMBOLS, SYMBOLS, CHANNEL),
                     "encode_kernel", lambda st: (0, 0, st)),
     "shape": (lambda: shape(BitString.from_bits([1, 0, 1]), SIDE, CHANNEL),
-              "shape_kernel", lambda st: (0, 0, st)),
+              "shape_kernel", lambda st: (0, st)),
     "decode_frame_prefix": (lambda: decode_frame_prefix(bytes(64), MODEL),
                             "decode_kernel", lambda st: (0, st)),
 }
@@ -79,7 +79,7 @@ def test_status_raises_a_package_error(monkeypatch, caller, status):
 def test_shape_retries_need_more_sym_with_a_doubled_buffer(monkeypatch):
     run, kernel, _ = CALLS["shape"]
     calls = stub(monkeypatch, kernel,
-                 [(0, 0, _kernels.NEED_MORE_SYM), (2, 1, _kernels.OK)])
+                 [(0, _kernels.NEED_MORE_SYM), (2, _kernels.OK)])
     symbols, used = run()
     assert used == 2 and symbols.size == 2
     first, second = (len(args[5]) for args in calls)

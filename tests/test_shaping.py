@@ -222,8 +222,10 @@ def test_pad_pattern_shape():
 
 
 def test_no_byte_window_of_the_pad_is_constant():
-    """shape() sizes its stream on this: the first mirror byte wholly
-    past the payload is never 0x00 or 0xFF, so it settles at once."""
+    """shape()'s stop rule rests on this: the first byte wholly past
+    the payload is never 0x00 or 0xFF, so neither it nor it less a
+    pending carry is 0xFF, and the payload is settled as soon as the
+    decoder has shifted that byte in."""
     bits = np.unpackbits(np.frombuffer(PAD_PATTERN * 2, dtype=np.uint8))
     windows = {int(np.packbits(bits[i:i + 8])[0]) for i in range(64)}
     assert not windows & {0x00, 0xFF}
@@ -243,6 +245,27 @@ def test_constant_payloads_round_trip(m, precision):
             bits = BitString.from_bits([fill] * m)
             xhat, used = shape(bits, side, cm)
             assert deshape(xhat, side[:used], cm, m) == bits
+
+
+@pytest.mark.parametrize("precision", [4, 16, 24])
+def test_shape_stops_at_the_shortest_settling_prefix(precision):
+    """The symbols shape() returns settle all m bits when re-encoded,
+    and the same symbols less the last one do not.  Round trips cannot
+    see a shaper that stops late, since the extra symbols carry pad,
+    which deshape accepts."""
+    rng = np.random.default_rng(precision)
+    for rows in ([[0.89, 0.11], [0.11, 0.89]],
+                 [[0.99, 0.01], [0.01, 0.99]],
+                 rng.dirichlet(np.ones(3), size=3).tolist()):
+        cm = quantize_channel(TestChannel.from_rows(rows), precision)
+        for m in [*range(1, 40), 64, 65, 1000, 1003, 8001]:
+            side = rng.integers(0, len(rows), 40 * m + 512).astype(np.int64)
+            for bits in (rng.integers(0, 2, size=m), [0] * m, [1] * m):
+                xhat, used = shape(BitString.from_bits(bits), side, cm)
+                _, settled = deshape_raw(xhat, side[:used], cm)
+                assert settled >= m
+                _, settled = deshape_raw(xhat[:-1], side[:used - 1], cm)
+                assert settled < m
 
 
 def first_pad_mismatch_by_loop(data, m_bits, settled_bits):
