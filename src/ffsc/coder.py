@@ -18,7 +18,6 @@ from . import _kernels
 from .bits import fnv1a64, read_uvarint, write_uvarint
 from .errors import (
     CodingError,
-    InconsistentFrameError,
     QuantizationError,
     TruncatedFrameError,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "quantize",
     "quantize_channel",
     "compress",
-    "decompress",
     "decode_frame_prefix",
     "model_digest",
 ]
@@ -196,20 +194,6 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     if status == _kernels.ERR_ZERO_FREQ:
         raise CodingError("symbol with zero model frequency")
     raise CodingError(f"encoder failed with status {status}")
-
-
-def decompress(f, model: QuantizedModel) -> np.ndarray:
-    """Invert compress(); validates the payload length exactly.
-
-    Accepts a Frame or its serialized bytes.
-    """
-    raw = f.to_bytes() if isinstance(f, Frame) else bytes(f)
-    out, used = decode_frame_prefix(raw, model)
-    if used < len(raw):
-        raise InconsistentFrameError(
-            f"frame occupies {used} bytes but {len(raw)} were given"
-        )
-    return out
 
 
 def decode_frame_prefix(data, model: QuantizedModel,

@@ -164,10 +164,14 @@ def _run_trial(cfg: CodecConfig, trial: int) -> tuple[TrialRow, list[str]]:
 
 def harness_workers(trials: int) -> int:
     """Trials run at once: FFSC_THREADS if set, else the core count (at
-    most 8), never more than there are trials."""
+    most 8), never more than there are trials.  Raises ConfigError if
+    FFSC_THREADS is set to anything but a positive integer."""
     env = os.environ.get("FFSC_THREADS")
     if env:
-        return max(1, min(trials, int(env)))
+        if not (env.isascii() and env.isdigit()) or int(env) < 1:
+            raise ConfigError(
+                f"FFSC_THREADS={env!r} is not a positive integer")
+        return min(trials, int(env))
     return max(1, min(trials, os.cpu_count() or 1, 8))
 
 

@@ -236,32 +236,52 @@ def is_jointly_typical(
 
 # -- Blahut-Arimoto ----------------------------------------------------
 
+# Floor on every output probability inside a slope solve.  It keeps each
+# row's normaliser at least this large (the row's best column carries
+# kernel weight 1), so no row underflows to 0/0 at a steep slope, and it
+# is far below any mass that can move a rate or a distortion.
+_Q_FLOOR = 1e-300
+
+# Share of the uniform pmf mixed into every starting marginal.  Exact
+# zeros (or floored underflows) in a warm start would otherwise stay
+# (nearly) dead at every later slope, as multiplicative updates cannot
+# revive them, and the search would close its bracket on a false jump.
+_WARM_MIX = 0.01
+
+
 def _ba_solve_slope(
     prior: np.ndarray, d: np.ndarray, beta: float, q0: np.ndarray,
     tol: float, max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner fixed-slope iteration.  Returns (channel rows, output marginal)."""
-    a = -beta * d * _LOG2        # log-domain kernel: exp(a) = 2^(-beta*d)
-    q = q0.copy()
+    """Blahut's fixed-slope iteration.  Returns (channel rows, marginal).
+
+    Starts from q0 mixed with 1% of the uniform pmf and stops once the
+    Lagrangian functional (in bits) moves by at most ``tol`` in one
+    iteration.  Each row's kernel 2^(-beta*d) is scaled so that its
+    largest entry is 1, which leaves the channel unchanged and keeps
+    every iterate to a handful of array operations.
+    """
+    d_min = d.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        kern = np.exp2(-beta * (d - d_min))
+    q = (1.0 - _WARM_MIX) * q0 + _WARM_MIX / q0.size
+    tol_nat = tol * _LOG2
     prev_f = np.inf
     for _ in range(max_iter):
-        with np.errstate(divide="ignore"):
-            logq = np.where(q > 0, np.log(q), -np.inf)
-        logw = logq[None, :] + a
-        shift = logw.max(axis=1, keepdims=True)
-        w = np.exp(logw - shift)
-        z = w.sum(axis=1, keepdims=True)
-        w /= z
-        # Lagrangian functional at this iterate (monotone under BA updates).
-        f = float(-(prior @ (np.log(z).ravel() + shift.ravel())) / _LOG2)
-        q_new = prior @ w
-        if abs(prev_f - f) <= tol:
-            return w, q_new
+        w = q * kern
+        z = w.sum(axis=1)
+        w /= z[:, None]
+        # Minus the Lagrangian functional in nats, short of the constant
+        # that the kernel scaling took out; monotone under these updates.
+        f = float(prior @ np.log(z))
+        q = np.maximum(prior @ w, _Q_FLOOR)
+        if abs(prev_f - f) <= tol_nat:
+            return w, q
         prev_f = f
-        q = q_new
+    last = beta * float(prior @ d_min[:, 0]) - prev_f / _LOG2
     raise ModelError(
         f"rate-distortion solver did not converge in {max_iter} iterations "
-        f"(last functional {prev_f:.12g}, slope {beta:.6g})"
+        f"(last functional {last:.12g}, slope {beta:.6g})"
     )
 
 
@@ -286,10 +306,18 @@ def blahut_arimoto(
 ) -> tuple[TestChannel, float, float]:
     """Rate-distortion point at the requested distortion level.
 
-    Runs the classical alternating-minimization in the Lagrangian (slope)
-    parameterization and bisects the slope until the achieved distortion
-    matches ``min(target_D, distortion of the zero-rate point)``.  Returns
-    ``(channel, R, D)`` with R in bits/symbol.
+    Runs Blahut's alternating minimisation in the Lagrangian (slope)
+    parameterisation and searches the slope until the achieved
+    distortion matches ``min(target_D, distortion of the zero-rate
+    point)``.  The search doubles the slope until it brackets the
+    target, then closes the bracket by the Illinois variant of regula
+    falsi on D(slope) - target_D, with a bisection step whenever the
+    secant point leaves the open bracket.  Each slope solve starts from
+    the previous one's output marginal, mixed with 1% of the uniform
+    pmf.  ``tol`` bounds both the functional's last change in every
+    slope solve (bits) and the distortion width of the final bracket;
+    the result is the convex mixture of the bracket's two channels that
+    meets the target.  Returns ``(channel, R, D)`` with R in bits/symbol.
     """
     p = prior.probs
     dm = np.asarray(d.entries, dtype=np.float64)
@@ -318,41 +346,58 @@ def blahut_arimoto(
         rate, dist = _channel_rate_distortion(p, w, dm)
         return TestChannel(prior.alphabet, out_alpha, w), rate, dist
 
+    # A channel w's distortion is vdot(weighted_d, w); the search needs no
+    # rate until the end.
+    weighted_d = p[:, None] * dm
+
+    def solve(beta, q_start):
+        w, q_out = _ba_solve_slope(p, dm, beta, q_start, tol, max_iter)
+        return w, q_out, float(np.vdot(weighted_d, w))
+
     # Bracket the slope: distortion is non-increasing in beta.  Keep the
     # nearest feasible channel on each side of the target so we can finish
     # with an exact convex combination (distortion is linear in the channel,
     # so the mixture hits target_D to rounding error; convexity of R(D)
     # keeps the mixture's rate within the bracket of the true curve).
-    q0 = np.full(n_out, 1.0 / n_out)
     w_above = np.zeros((p.size, n_out))
     w_above[:, j_star] = 1.0
     d_above = d_zero
     lo = 0.0
     hi = 1.0
-    w_hi, q_hi = _ba_solve_slope(p, dm, hi, q0, tol, max_iter)
-    dist = _channel_rate_distortion(p, w_hi, dm)[1]
+    w_hi, q, dist = solve(hi, np.full(n_out, 1.0 / n_out))
     while dist > target_D:
         w_above, d_above = w_hi, dist
         lo = hi
         hi *= 2.0
         if hi > 2.0**60:
             break
-        w_hi, q_hi = _ba_solve_slope(p, dm, hi, q_hi, tol, max_iter)
-        dist = _channel_rate_distortion(p, w_hi, dm)[1]
+        w_hi, q, dist = solve(hi, q)
     w_below, d_below = w_hi, dist
 
+    # Illinois steps on g(beta) = D(beta) - target_D, positive at lo and
+    # non-positive at hi.  When the same end moves twice running, the
+    # other end's g is halved, so both ends close in.
     d_tol = max(tol, 1e-12)
-    q = q_hi
+    g_above = d_above - target_D
+    g_below = d_below - target_D
+    last_side = 0
     for _ in range(200):
         if d_above - d_below <= d_tol or hi - lo <= 1e-15 * max(1.0, hi):
             break
-        mid = 0.5 * (lo + hi)
-        w, q = _ba_solve_slope(p, dm, mid, q, tol, max_iter)
-        dist = _channel_rate_distortion(p, w, dm)[1]
+        beta = lo + (hi - lo) * g_above / (g_above - g_below)
+        if not lo < beta < hi:
+            beta = 0.5 * (lo + hi)
+        w, q, dist = solve(beta, q)
         if dist > target_D:
-            w_above, d_above, lo = w, dist, mid
+            w_above, d_above, lo, g_above = w, dist, beta, dist - target_D
+            if last_side > 0:
+                g_below *= 0.5
+            last_side = 1
         else:
-            w_below, d_below, hi = w, dist, mid
+            w_below, d_below, hi, g_below = w, dist, beta, dist - target_D
+            if last_side < 0:
+                g_above *= 0.5
+            last_side = -1
 
     if d_above > d_below:
         lam = (target_D - d_below) / (d_above - d_below)

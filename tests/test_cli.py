@@ -214,6 +214,15 @@ def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
     assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_malformed_thread_count_exits_2_with_one_error_line(value, monkeypatch,
+                                                            capsys):
+    monkeypatch.setenv("FFSC_THREADS", value)
+    assert run("exp-hamming", "--trials", 2) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: FFSC_THREADS={value!r} is not a positive integer"]
+
+
 def test_encode_short_source_exits_2(tmp_path, capsys):
     src = tmp_path / "tiny.bin"
     write_source(src, 64)

@@ -13,14 +13,12 @@ from ffsc.coder import (
     QuantizedModel,
     compress,
     decode_frame_prefix,
-    decompress,
     model_digest,
     quantize,
     quantize_channel,
 )
 from ffsc.errors import (
     CodingError,
-    InconsistentFrameError,
     QuantizationError,
     TruncatedFrameError,
 )
@@ -97,7 +95,9 @@ def test_empty_sequence_frame_is_tiny():
     f = compress(np.array([], dtype=np.int64), m)
     assert f.symbol_count == 0
     assert 8 * len(f.to_bytes()) <= 64
-    assert decompress(f, m).size == 0
+    out, used = decode_frame_prefix(f.to_bytes(), m, 0)
+    assert out.size == 0
+    assert used == len(f.to_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +124,10 @@ def test_roundtrip_property(model_idx, raw_symbols, salt):
     symbols = np.array([s % len(probs) for s in raw_symbols], dtype=np.int64)
     f = compress(symbols, m)
     assert f.symbol_count == symbols.size
-    assert np.array_equal(decompress(f, m), symbols)
-    # serialized form round-trips too
-    assert np.array_equal(decompress(f.to_bytes(), m), symbols)
+    raw = f.to_bytes()
+    out, used = decode_frame_prefix(raw, m, symbols.size)
+    assert np.array_equal(out, symbols)
+    assert used == len(raw)
 
 
 def test_roundtrip_large_block():
@@ -134,7 +135,10 @@ def test_roundtrip_large_block():
     rng = np.random.default_rng(5)
     symbols = rng.choice(2, size=100_000, p=[0.89, 0.11]).astype(np.int64)
     f = compress(symbols, m)
-    assert np.array_equal(decompress(f, m), symbols)
+    raw = f.to_bytes()
+    out, used = decode_frame_prefix(raw, m, symbols.size)
+    assert np.array_equal(out, symbols)
+    assert used == len(raw)
 
 
 def test_compress_rejects_zero_frequency_symbol():
@@ -183,21 +187,21 @@ def test_truncated_payload_detected():
     symbols, f, m = make_frame()
     cut = Frame(f.symbol_count, f.payload[:-3])
     with pytest.raises(TruncatedFrameError):
-        decompress(cut, m)
+        decode_frame_prefix(cut.to_bytes(), m, symbols.size)
 
 
 def test_oversized_payload_detected():
     symbols, f, m = make_frame()
-    fat = Frame(f.symbol_count, f.payload + b"\x00\x00")
-    with pytest.raises(InconsistentFrameError):
-        decompress(fat, m)
+    fat = Frame(f.symbol_count, f.payload + b"\x00\x00").to_bytes()
+    _, used = decode_frame_prefix(fat, m, symbols.size)
+    assert used == len(f.to_bytes()) < len(fat)
 
 
 def test_absurd_symbol_count_refused():
     _, f, m = make_frame()
     huge = Frame(2**40, f.payload)
     with pytest.raises(CodingError):
-        decompress(huge, m)
+        decode_frame_prefix(huge.to_bytes(), m, f.symbol_count)
 
 
 def test_prefix_decode_ignores_trailing_bytes():

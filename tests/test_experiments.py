@@ -1,6 +1,9 @@
 """The trial harness: reports do not depend on how trials are scheduled."""
 
+import pytest
+
 from ffsc.codec import CodecConfig
+from ffsc.errors import ConfigError
 from ffsc.experiments import ExperimentSpec, harness_workers, run_codec_experiment
 from ffsc.model import DistortionMatrix, Pmf, TestChannel
 
@@ -29,6 +32,12 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     assert [row[0] for row in serial[1:5]] == ["0", "1", "2", "3"]
     assert pooled == serial
 
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2", "4_0"])
+def test_thread_count_must_be_a_positive_integer(value, monkeypatch):
+    monkeypatch.setenv("FFSC_THREADS", value)
+    with pytest.raises(ConfigError, match="FFSC_THREADS"):
+        harness_workers(4)
 
 
 def test_each_bound_missed_is_one_violation(monkeypatch):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from ffsc import model
+from ffsc.coder import quantize_channel
 from ffsc.errors import ModelError
 from ffsc.model import (
     Alphabet,
@@ -152,6 +154,149 @@ def test_solver_distortion_always_met(weights, frac):
     _, rate, dist = blahut_arimoto(prior, d, target)
     assert dist <= target + 1e-6
     assert rate >= -1e-12
+
+
+def test_solver_revives_outputs_that_die_at_an_early_slope():
+    """At the first slope this prior's zero-rate solution underflows some
+    output probabilities to 0; a warm start that kept those zeros would
+    close the search on a false jump and overstate R by 0.17 bits."""
+    w = np.array([0.196, 0.1933, 0.1541, 0.3977, 0.0588])
+    prior = Pmf.from_probs(w / w.sum())
+    _, rate, dist = blahut_arimoto(prior, DistortionMatrix.hamming(5), 0.18)
+    assert rate == pytest.approx(1.06432, abs=1e-4)
+    assert dist == pytest.approx(0.18, abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [1.0, 100.0, 2000.0])
+def test_solver_survives_a_never_seen_input(target):
+    """A zero-probability input whose best output goes unused: at these
+    slopes every other kernel entry of its row underflows, so its
+    normaliser would be 0 without the floor on output probabilities."""
+    prior = Pmf.from_probs([0.7, 0.3, 0.0])
+    d = DistortionMatrix(1e4 * (1.0 - np.eye(3)))
+    ch, rate, dist = blahut_arimoto(prior, d, target)
+    assert np.all(np.isfinite(ch.rows))
+    assert dist == pytest.approx(target, rel=1e-12)
+    ref = binary_entropy(0.3) - binary_entropy(target / 1e4)
+    assert rate == pytest.approx(ref, abs=1e-8)
+
+
+_LN2 = np.log(2.0)
+
+
+def _cold_slope_points(p, d, betas, iters=600):
+    """(D, R) at each slope, every one solved from the uniform marginal."""
+    log_kern = -_LN2 * np.asarray(betas)[:, None, None] * d
+    q = np.full((len(betas), d.shape[1]), 1.0 / d.shape[1])
+    with np.errstate(divide="ignore"):
+        for _ in range(iters):
+            log_w = np.log(q)[:, None, :] + log_kern
+            w = np.exp(log_w - log_w.max(axis=2, keepdims=True))
+            w /= w.sum(axis=2, keepdims=True)
+            q = np.einsum("i,bij->bj", p, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(w > 0, w * np.log(w / q[:, None, :]), 0.0)
+    dist = np.einsum("i,bij,ij->b", p, w, d)
+    return dist, np.einsum("i,bij->b", p, t) / _LN2
+
+
+def _cold_reference_rate(p, d, target, levels=4, points=16):
+    """R(target) from grids of cold-started slopes, each grid spanning the
+    previous one's bracket, and the chord across the last bracket."""
+    lo, d_lo, r_lo = 0.0, float((p @ d).min()), 0.0   # zero-rate end
+    hi = 128.0
+    for _ in range(levels):
+        betas = np.linspace(lo, hi, points + 1)[1:]
+        dist, rate = _cold_slope_points(p, d, betas)
+        k = int(np.argmax(dist <= target))
+        assert dist[k] <= target
+        if k:
+            lo, d_lo, r_lo = betas[k - 1], dist[k - 1], rate[k - 1]
+        hi, d_hi, r_hi = betas[k], dist[k], rate[k]
+    lam = (target - d_hi) / (d_lo - d_hi)
+    return lam * r_lo + (1 - lam) * r_hi
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_solver_matches_cold_start_reference(case):
+    rng = np.random.default_rng(case)
+    n = 2 + case % 4
+    w = rng.random(n) + 0.05
+    if case % 3 == 0:
+        w[rng.integers(n)] = 1e-4 * w.sum()
+    p = w / w.sum()
+    a = np.arange(n)
+    if case % 2:
+        d = (a[:, None] - a[None, :]) ** 2 / (n - 1) ** 2   # squared error
+    else:
+        d = 1.0 - np.eye(n)                                  # Hamming
+    target = float(rng.uniform(0.1, 0.9) * (p @ d).min())
+    _, rate, dist = blahut_arimoto(Pmf.from_probs(p), DistortionMatrix(d),
+                                   target)
+    assert dist == pytest.approx(target, abs=1e-9)
+    assert rate == pytest.approx(_cold_reference_rate(p, d, target), abs=1e-4)
+
+
+def _measure_style_prior(counts):
+    counts = np.asarray(counts, dtype=np.float64)
+    return Pmf.from_probs(counts / counts.sum())
+
+
+def test_slope_search_makes_few_solves(monkeypatch):
+    """A prior like the ones ``codec.measure`` builds: 2304 uniform
+    ternary samples, scored at D = 0.15."""
+    calls = []
+    solve = model._ba_solve_slope
+    monkeypatch.setattr(model, "_ba_solve_slope",
+                        lambda *a: calls.append(a[2]) or solve(*a))
+    prior = _measure_style_prior([746, 764, 794])
+    blahut_arimoto(prior, DistortionMatrix.hamming(3), 0.15)
+    assert len(calls) <= 16
+
+
+# (sample counts or bundled model, target D, R, D): the points the
+# bisecting slope search returned
+_RECORDED_POINTS = [
+    ([746, 764, 794], 0.1471, 0.834849006941817, 0.1471),
+    ([746, 764, 794], 0.15, 0.824643920223643, 0.15),
+    ([746, 764, 794], 0.1532, 0.813493517675124, 0.1532),
+    ([767, 782, 755], 0.15, 0.8249730804066878, 0.15),
+    ([575, 590, 552, 587], 0.1471, 1.1638276902314806, 0.1471),
+    ([575, 590, 552, 587], 0.15, 1.1519262122612155, 0.15),
+    ([575, 590, 552, 587], 0.1532, 1.1389039297103887, 0.1532),
+    ([591, 582, 597, 534], 0.15, 1.1510547088947416, 0.15),
+    ("binary_hamming", 0.05, 0.7136030428840439, 0.05),
+    ("binary_hamming", 0.11, 0.5000840418354721, 0.11),
+    ("binary_hamming", 0.25, 0.18872187554086714, 0.25),
+    ("ternary_hamming", 0.05, 1.2485655436052001, 0.05),
+    ("ternary_hamming", 0.15, 0.825122196004756, 0.15),
+    ("ternary_hamming", 0.25, 0.5236843762620232, 0.25),
+]
+
+
+@pytest.mark.parametrize("source, target, rate_ref, dist_ref",
+                         _RECORDED_POINTS)
+def test_solver_keeps_recorded_points(source, target, rate_ref, dist_ref):
+    if isinstance(source, str):
+        _, prior, d = load_model(source)
+    else:
+        prior = _measure_style_prior(source)
+        d = DistortionMatrix.hamming(len(source))
+    _, rate, dist = blahut_arimoto(prior, d, target)
+    assert rate == pytest.approx(rate_ref, abs=1e-9)
+    assert dist == pytest.approx(dist_ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("size, diag, off",
+                         [(3, 55706, 4915), (4, 55705, 3277)])
+def test_short_stream_channel_tables_unchanged(size, diag, off):
+    """The uniform 3- and 4-ary channels at D = 0.15 quantize, at
+    precision 16, to the same tables as under the bisecting solver."""
+    ch, _, _ = blahut_arimoto(Pmf.uniform(size),
+                              DistortionMatrix.hamming(size), 0.15)
+    want = np.full((size, size), off) + (diag - off) * np.eye(size, dtype=int)
+    got = [row.freq.tolist() for row in quantize_channel(ch, 16).rows]
+    assert got == want.tolist()
 
 
 # ---------------------------------------------------------------------------
