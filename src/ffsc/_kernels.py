@@ -1,6 +1,13 @@
 """Hot loops for the range coder and the shaper.
 
-Each kernel is written once, in a form numba can compile: plain-int
+Two loops: ``encode_kernel``, the range encoder, and ``_decode_loop``,
+the range decoder.  Shaping is the decoder run over payload bits, so
+the decoder's one symbol step has two entry points: ``decode_kernel``
+decodes a frame's declared symbol count against one table, and
+``shape_kernel`` decodes against rows keyed by side samples until the
+payload is settled.
+
+Each loop is written once, in a form numba can compile: plain-int
 literals, ``len()`` rather than ``.shape``, indexing and nothing else.
 With numba the public kernels are those functions compiled.  Without
 it they are thin wrappers that run the same source as plain Python on
@@ -21,9 +28,9 @@ allocate once and treat NEED_MORE_BUF and NEED_MORE_STREAM as errors.
 Grow-and-retry is left only for the shaper's symbol buffer: on
 NEED_MORE_SYM, ``shape`` doubles it and reruns from scratch, which
 keeps the kernels stateless.  The decoder returns TRUNCATED as soon
-as it has shifted in more bytes than the payload holds; between shifts
-its work is bounded by the symbol count the frame declares, which its
-caller caps.
+as it has shifted in more bytes than its input holds; between shifts
+its work is bounded by the symbol count it is given, which its caller
+caps.
 
 All arithmetic is int64.  The largest intermediate is low + r*start
 < 2^33, far below overflow.
@@ -33,6 +40,8 @@ suite checks these kernels against it byte for byte.
 """
 
 from __future__ import annotations
+
+import types
 
 OK = 0
 ERR_ZERO_FREQ = 1
@@ -169,15 +178,17 @@ def encoded_bytes_bound(count, precision):
 
 
 @_jit
-def decode_kernel(data, count, cum, precision, out):
-    """Decode up to `count` symbols against the 1-D table `cum`; bytes
-    past the end of `data` read as 0.
+def _decode_loop(data, count, side, cum_rows, precision, out, stop):
+    """Range-decode up to `count` symbols of `data` into `out`, symbol t
+    against cum_rows[side[t]] (row 0 for every symbol if side is
+    empty); bytes past the end of `data` read as 0.
 
-    Returns (shifts, status).  A frame's payload is exactly shifts+2
-    bytes, so the decoder stops with TRUNCATED as soon as shifts+2
-    exceeds len(data), and ends with it if the payload lacks room for
-    the terminator; the caller compares shifts+2 with the payload
-    length to detect oversized frames.
+    Returns (symbols, shifts, status).  The status is OK once the shift
+    count passes `stop`, counting the symbol whose renormalisation
+    passed it; TRUNCATED as soon as shifts+2 exceeds len(data), leaving
+    the symbol being renormalised written but not counted; ERR_RANGE at
+    a side value with no row; and NEED_MORE_SYM after `count` symbols
+    with neither.
     """
     total = 1 << precision
     rng = 1 << 32
@@ -185,14 +196,25 @@ def decode_kernel(data, count, cum, precision, out):
     pos = 0
     dlen = len(data)
     shifts = 0
-    size = len(cum) - 1
+    # One test per shift serves both exits; it tells them apart only
+    # when it fires.
+    limit = min(stop, dlen - 2)
 
     for _ in range(4):
         b = data[pos] if pos < dlen else 0
         code = (code << 8) | b
         pos += 1
 
+    fixed_row = len(side) == 0
+    n_rows = len(cum_rows)
+    size = len(cum_rows[0]) - 1
+    cum = cum_rows[0]
     for t in range(count):
+        if not fixed_row:
+            x = side[t]
+            if x < 0 or x >= n_rows:
+                return t, shifts, ERR_RANGE
+            cum = cum_rows[x]
         r = rng >> precision
         v = code // r
         if v >= total:
@@ -219,12 +241,30 @@ def decode_kernel(data, count, cum, precision, out):
             code = ((code << 8) | b) & _MASK32
             pos += 1
             shifts += 1
-            if shifts + 2 > dlen:
-                return shifts, TRUNCATED
+            if shifts > limit:
+                if shifts + 2 > dlen:
+                    return t, shifts, TRUNCATED
+                return t + 1, shifts, OK
             rng <<= 8
-    if shifts + 2 > dlen:
-        return shifts, TRUNCATED
-    return shifts, OK
+    return count, shifts, NEED_MORE_SYM
+
+
+@_jit
+def decode_kernel(data, count, cum, precision, out):
+    """Decode up to `count` symbols against the 1-D table `cum`; bytes
+    past the end of `data` read as 0.
+
+    Returns (shifts, status).  A frame's payload is exactly shifts+2
+    bytes, so the decoder stops with TRUNCATED as soon as shifts+2
+    exceeds len(data), and ends with it if the payload lacks room for
+    the terminator; the caller compares shifts+2 with the payload
+    length to detect oversized frames.
+    """
+    # cum[:0] is an empty side (row 0 throughout) of a type both backends
+    # take; a stop at len(data) never fires, as TRUNCATED comes first.
+    _, shifts, _ = _decode_loop(data, count, cum[:0], (cum,), precision,
+                                out, len(data))
+    return shifts, TRUNCATED if shifts + 2 > len(data) else OK
 
 
 @_jit
@@ -238,73 +278,35 @@ def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym):
     ceil(m_bits/8), a pad byte that is never 0xFF, so no later carry
     reaches the payload (see ``shaping``).
     """
-    total = 1 << precision
-    rng = 1 << 32
-    code = 0
-    pos = 0
-    slen = len(stream)
-    shifts = 0
-    payload_bytes = (m_bits + 7) >> 3
-    max_sym = len(out_sym)
-    side_len = len(side)
-    size = len(cum_rows[0]) - 1
-
     if m_bits <= 0:
         return 0, OK
-    if slen < 4:
+    if len(stream) < 4:
         return 0, NEED_MORE_STREAM
-    for _ in range(4):
-        code = (code << 8) | stream[pos]
-        pos += 1
-
-    n_rows = len(cum_rows)
-    t = 0
-    while True:
-        if t >= max_sym:
-            return t, NEED_MORE_SYM
-        if t >= side_len:
-            return t, SIDE_EXHAUSTED
-        x = side[t]
-        if x < 0 or x >= n_rows:
-            return t, ERR_RANGE
-        cum = cum_rows[x]
-        r = rng >> precision
-        v = code // r
-        if v >= total:
-            v = total - 1
-        lo = 0
-        hi = size + 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if cum[mid] <= v:
-                lo = mid + 1
-            else:
-                hi = mid
-        s = lo - 1
-        start = cum[s]
-        freq = cum[s + 1] - start
-        code -= r * start
-        if start + freq == total:
-            rng -= r * start
-        else:
-            rng = r * freq
-        while rng < _TOP:
-            if pos >= slen:
-                return t, NEED_MORE_STREAM
-            code = ((code << 8) | stream[pos]) & _MASK32
-            pos += 1
-            shifts += 1
-            rng <<= 8
-        out_sym[t] = s
-        t += 1
-        if shifts > payload_bytes:
-            return t, OK
+    nsym, _, status = _decode_loop(stream, min(len(out_sym), len(side)),
+                                   side, cum_rows, precision, out_sym,
+                                   (m_bits + 7) >> 3)
+    if status == TRUNCATED:
+        return nsym, NEED_MORE_STREAM
+    if status == NEED_MORE_SYM and nsym < len(out_sym):
+        return nsym, SIDE_EXHAUSTED
+    return nsym, status
 
 
 # The same sources as plain Python, whether or not numba compiled them.
 _py_encode = getattr(encode_kernel, "py_func", encode_kernel)
-_py_decode = getattr(decode_kernel, "py_func", decode_kernel)
-_py_shape = getattr(shape_kernel, "py_func", shape_kernel)
+_py_loop = getattr(_decode_loop, "py_func", _decode_loop)
+
+
+def _plain(kernel):
+    """kernel's plain-Python source, bound to call the plain decode loop
+    (its own globals name the compiled one when numba is present)."""
+    fn = getattr(kernel, "py_func", kernel)
+    return types.FunctionType(fn.__code__,
+                              {**fn.__globals__, "_decode_loop": _py_loop})
+
+
+_py_decode = _plain(decode_kernel)
+_py_shape = _plain(shape_kernel)
 
 
 def python_encode_kernel(symbols, rows, cum_rows, precision, buf):

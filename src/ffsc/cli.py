@@ -269,35 +269,34 @@ def _cmd_decode(args) -> int:
     return 0 if oracle.audit_clean() else 1
 
 
-def _cmd_exp_hamming(args) -> int:
-    _, prior, d = load_model("binary_hamming")
-    channel = TestChannel.bsc(0.11)
-    cfg = _cfg_from_args(args, prior, d, channel)
-    spec = ExperimentSpec(
-        name="hamming", cfg=cfg, trials=args.trials,
-        rate_bounds=(0.50, 0.56), distortion_bounds=(0.10, 0.12),
-    )
+def _run_experiment(args, spec: ExperimentSpec) -> int:
+    """Run spec, write its report, and list each violation on stderr."""
     report = run_codec_experiment(spec)
     _emit(report.render(args.format), args.out)
     for v in report.violations:
         sys.stderr.write(f"violation: {v}\n")
     return 1 if report.violations else 0
+
+
+def _cmd_exp_hamming(args) -> int:
+    _, prior, d = load_model("binary_hamming")
+    channel = TestChannel.bsc(0.11)
+    cfg = _cfg_from_args(args, prior, d, channel)
+    return _run_experiment(args, ExperimentSpec(
+        name="hamming", cfg=cfg, trials=args.trials,
+        rate_bounds=(0.50, 0.56), distortion_bounds=(0.10, 0.12),
+    ))
 
 
 def _cmd_exp_general(args) -> int:
     _, prior, d = load_model(args.model)
     channel, ref_rate, _ = blahut_arimoto(prior, d, args.target_d)
     cfg = _cfg_from_args(args, prior, d, channel)
-    spec = ExperimentSpec(
+    return _run_experiment(args, ExperimentSpec(
         name="general", cfg=cfg, trials=args.trials,
         rate_bounds=(0.9 * ref_rate, 1.1 * ref_rate),
         distortion_bounds=(args.target_d - 0.015, args.target_d + 0.015),
-    )
-    report = run_codec_experiment(spec)
-    _emit(report.render(args.format), args.out)
-    for v in report.violations:
-        sys.stderr.write(f"violation: {v}\n")
-    return 1 if report.violations else 0
+    ))
 
 
 def _cmd_exp_beq(args) -> int:

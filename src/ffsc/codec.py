@@ -43,7 +43,7 @@ from .model import (
     is_strongly_typical,
 )
 from .rng import SplitMix64
-from .shaping import deshape_raw, pad_mismatch, shape
+from .shaping import check_unshaped, deshape_raw, shape
 
 __all__ = [
     "CodecConfig",
@@ -309,14 +309,7 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
         data, settled = deshape_raw(block, x_chunk[::-1], cond)
         block, used = decode_frame_prefix(data, marg,
                                           len(oracle) - oracle.emitted)
-        if 8 * used > settled:
-            raise CodingError(
-                f"recovered frame spans {8 * used} bits but only {settled} "
-                f"are settled: corrupted stream"
-            )
-        bad = pad_mismatch(data, 8 * used, settled)
-        if bad is not None:
-            raise CodingError(f"pad mismatch at bit {bad}: corrupted stream")
+        check_unshaped(data, settled, 8 * used)
 
     lengths_rev.append(int(block.size))
     if block.size != cfg.min_block:

@@ -21,10 +21,6 @@ class TruncatedFrameError(CodingError):
     """A frame ended before the declared number of symbols could be decoded."""
 
 
-class InconsistentFrameError(CodingError):
-    """A frame's payload length disagrees with its declared symbol count."""
-
-
 class ShapingError(FfscError):
     """Bit-shaping failure: padding mismatch or non-invertible state."""
 

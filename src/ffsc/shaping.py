@@ -22,7 +22,8 @@ count first exceeds ceil(m/8).
 The input is padded with a fixed repeating 64-bit pattern rather than
 zeros.  The pad serves two jobs: it gives the decoder bits to chew on
 past the payload, and its known values make corruption detectable —
-deshape verifies that every settled bit beyond position ``m`` matches
+``check_unshaped``, which both ``deshape`` and the codec's decoder
+call, verifies that every settled bit beyond position ``m`` matches
 the pad.
 """
 
@@ -37,8 +38,8 @@ from .errors import ShapingError
 from .model import Pmf, TestChannel, conditional_entropy
 
 __all__ = [
-    "PAD_PATTERN", "shape", "deshape", "deshape_raw", "pad_mismatch",
-    "shaped_length",
+    "PAD_PATTERN", "shape", "deshape", "deshape_raw", "check_unshaped",
+    "pad_mismatch", "shaped_length",
 ]
 
 PAD_PATTERN = b"\xb4\x5a\x1c\xe3\x8f\x26\xd9\x71"
@@ -130,17 +131,15 @@ def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     raise ShapingError(f"deshaper failed with status {status}")
 
 
-def deshape(xhat, x, cm: ConditionalModel, m: int) -> BitString:
-    """Recover the m bits that shape() embedded into (xhat, x)."""
-    if m < 0:
-        raise ShapingError("negative bit count")
-    if m == 0:
-        return BitString.empty()
-    data, settled = deshape_raw(xhat, x, cm)
+def check_unshaped(data: bytes, settled: int, m: int):
+    """Check that the first m bits of `data`, a ``deshape_raw`` output
+    with `settled` settled bits, are a payload that shape() consumed
+    whole: all m bits are settled, and the settled bits past them are
+    the pad.  Raises ShapingError otherwise."""
     if settled < m:
         raise ShapingError(
-            f"re-encoded sequence settles only {settled} bits, caller "
-            f"claims m={m}: inconsistent inputs"
+            f"re-encoded sequence settles only {settled} bits, fewer than "
+            f"the {m} of its payload: inconsistent inputs"
         )
     bad = pad_mismatch(data, m, settled)
     if bad is not None:
@@ -148,6 +147,16 @@ def deshape(xhat, x, cm: ConditionalModel, m: int) -> BitString:
             f"pad mismatch at bit {bad}: (xhat, x) does not deshape to "
             f"an m={m} bit string"
         )
+
+
+def deshape(xhat, x, cm: ConditionalModel, m: int) -> BitString:
+    """Recover the m bits that shape() embedded into (xhat, x)."""
+    if m < 0:
+        raise ShapingError("negative bit count")
+    if m == 0:
+        return BitString.empty()
+    data, settled = deshape_raw(xhat, x, cm)
+    check_unshaped(data, settled, m)
     return BitString.from_bytes(data, m)
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ffsc import _kernels
-from ffsc.coder import quantize
+from ffsc.bits import BitString
+from ffsc.coder import ConditionalModel, quantize
 from ffsc.model import Pmf
 from ffsc.rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
+from ffsc.shaping import PAD_PATTERN, shape
 
 
 def encode_reference(symbols, freq, precision):
@@ -181,6 +183,55 @@ def test_encoded_bytes_bound_holds_at_minimum_frequency(precision):
 def test_constants_are_consistent():
     assert RANGE_INIT == 1 << 32
     assert TOP == 1 << 24
+
+
+def test_shape_kernel_status_contract():
+    """Each way shape_kernel can stop, called directly: what shape()'s
+    retry and error mapping rely on."""
+    cm_cum = np.array([[0, 58327, 65536], [0, 7209, 65536]], dtype=np.int64)
+    m = 2000
+    rng = np.random.default_rng(12)
+    stream = rng.integers(0, 256, m // 8 + 8).astype(np.uint8)
+    side = rng.integers(0, 2, 3 * m).astype(np.int64)
+
+    def run(stream, m_bits, side, cap):
+        return _kernels.shape_kernel(stream, m_bits, side, cm_cum, 16,
+                                     np.empty(cap, dtype=np.int64))
+
+    assert run(stream, 0, side, 8) == (0, _kernels.OK)
+    assert run(stream[:3], m, side, 8) == (0, _kernels.NEED_MORE_STREAM)
+    # About 4000 symbols carry 2000 bits at H(0.11) = 0.5 bit/symbol.
+    assert run(stream, m, side[:100], 100) == (100, _kernels.NEED_MORE_SYM)
+    assert run(stream, m, side[:50], 100) == (50, _kernels.SIDE_EXHAUSTED)
+    for bad in (-1, 2):
+        side_bad = side.copy()
+        side_bad[37] = bad
+        assert run(stream, m, side_bad, 3 * m) == (37, _kernels.ERR_RANGE)
+    nsym, status = run(stream, m, side, 3 * m)
+    assert status == _kernels.OK and 100 < nsym < 3 * m
+
+
+@pytest.mark.parametrize("freq", [[32768, 32768], [58327, 7209],
+                                  [21845, 21846, 21845]])
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 1000, 8000])
+def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
+    """Shaping against a single row is the frame decoder run over the
+    padded bits: its symbols are decode_kernel's first symbols on the
+    same stream."""
+    model = quantize(Pmf.from_probs(np.array(freq) / sum(freq)), 16)
+    rng = np.random.default_rng(m)
+    bits = rng.integers(0, 2, m).astype(np.uint8)
+    side = np.zeros(16 * m + 64, dtype=np.int64)
+    symbols, nsym = shape(BitString.from_bits(bits), side,
+                          ConditionalModel((model,)))
+    pad = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
+    nbytes = m // 8 + 8
+    stream = np.packbits(np.concatenate([bits,
+                                         np.resize(pad, 8 * nbytes - m)]))
+    out = np.empty(nsym, dtype=np.int64)
+    _, status = _kernels.decode_kernel(stream, nsym, model.cum, 16, out)
+    assert status == _kernels.OK
+    assert np.array_equal(out, symbols)
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="fallback already in use")
