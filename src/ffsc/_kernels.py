@@ -5,7 +5,8 @@ the range decoder.  Shaping is the decoder run over payload bits, so
 the decoder's one symbol step has two entry points: ``decode_kernel``
 decodes a frame's declared symbol count against one table, and
 ``shape_kernel`` decodes against rows keyed by side samples until the
-payload is settled.
+payload is settled.  The encoder finds the bytes no carry can change
+once, after its symbol loop, by ``RangeEncoder.settled_count``'s rule.
 
 Each loop is written once, in a form numba can compile: plain-int
 literals, ``len()`` rather than ``.shape``, indexing and nothing else.
@@ -71,27 +72,19 @@ except ImportError:  # pragma: no cover - exercised only without numba
 @_jit
 def _carry(buf, nbuf):
     """Add one to the big-endian number buf[:nbuf], rippling through
-    trailing 0xFF bytes.
+    trailing 0xFF bytes (``RangeEncoder._propagate_carry``).
 
-    Returns the index of the last byte of buf[:nbuf] that is not 0xFF
-    afterwards (-1 if there is none), or -2 if the carry ran off the
-    front, which a correct coder never does (ERR_CARRY).
+    Returns OK, or ERR_CARRY if the carry ran off the front, which a
+    correct coder never does.
     """
     i = nbuf - 1
     while i >= 0 and buf[i] == 0xFF:
         buf[i] = 0
         i -= 1
     if i < 0:
-        return -2
+        return ERR_CARRY
     buf[i] += 1
-    if i < nbuf - 1:
-        return nbuf - 1
-    if buf[i] != 0xFF:
-        return i
-    i -= 1
-    while i >= 0 and buf[i] == 0xFF:
-        i -= 1
-    return i
+    return OK
 
 
 @_jit
@@ -101,13 +94,14 @@ def encode_kernel(symbols, rows, cum_rows, precision, buf):
 
     nbytes includes the 2-byte terminator; settled_pre_flush is the
     count of buffer bytes already immune to carries when the last
-    symbol had been coded (the shaper's deshape direction needs it).
+    symbol had been coded (the shaper's deshape direction needs it),
+    found after the loop by one backward scan under
+    ``RangeEncoder.settled_count``'s rule.  It is 0 on any status but OK.
     """
     total = 1 << precision
     low = 0
     rng = 1 << 32
     nbuf = 0
-    last_nonff = -1
     cap = len(buf)
     fixed_row = len(rows) == 0
 
@@ -117,21 +111,20 @@ def encode_kernel(symbols, rows, cum_rows, precision, buf):
     for t in range(len(symbols)):
         s = symbols[t]
         if s < 0 or s >= size:
-            return nbuf, max(last_nonff, 0), ERR_RANGE
+            return nbuf, 0, ERR_RANGE
         if not fixed_row:
             row = rows[t]
             if row < 0 or row >= n_rows:
-                return nbuf, max(last_nonff, 0), ERR_RANGE
+                return nbuf, 0, ERR_RANGE
             cum = cum_rows[row]
         start = cum[s]
         freq = cum[s + 1] - start
         if freq <= 0:
-            return nbuf, max(last_nonff, 0), ERR_ZERO_FREQ
+            return nbuf, 0, ERR_ZERO_FREQ
         r = rng >> precision
         low += r * start
         if low > _MASK32:
-            last_nonff = _carry(buf, nbuf)
-            if last_nonff == -2:
+            if _carry(buf, nbuf) != OK:
                 return nbuf, 0, ERR_CARRY
             low &= _MASK32
         if start + freq == total:
@@ -140,27 +133,28 @@ def encode_kernel(symbols, rows, cum_rows, precision, buf):
             rng = r * freq
         while rng < _TOP:
             if nbuf >= cap:
-                return nbuf, max(last_nonff, 0), NEED_MORE_BUF
-            b = (low >> 24) & 0xFF
-            buf[nbuf] = b
-            if b != 0xFF:
-                last_nonff = nbuf
+                return nbuf, 0, NEED_MORE_BUF
+            buf[nbuf] = (low >> 24) & 0xFF
             nbuf += 1
             low = (low << 8) & _MASK32
             rng <<= 8
 
-    settled = max(last_nonff, 0)
+    # A carry stops at the last byte that is not 0xFF, so every byte
+    # before that one is final.
+    settled = max(nbuf - 1, 0)
+    while settled > 0 and buf[settled] == 0xFF:
+        settled -= 1
 
     # Deterministic flush: round low up to a multiple of 2^23 (still
     # inside [low, low+range) since range >= 2^24) and emit its top two
     # bytes; the remaining bits of the terminator are zero by choice.
     z = ((low + (1 << 23) - 1) >> 23) << 23
     if z > _MASK32:
-        if _carry(buf, nbuf) == -2:
-            return nbuf, settled, ERR_CARRY
+        if _carry(buf, nbuf) != OK:
+            return nbuf, 0, ERR_CARRY
         z &= _MASK32
     if nbuf + 2 > cap:
-        return nbuf, settled, NEED_MORE_BUF
+        return nbuf, 0, NEED_MORE_BUF
     buf[nbuf] = (z >> 24) & 0xFF
     buf[nbuf + 1] = (z >> 16) & 0xFF
     return nbuf + 2, settled, OK

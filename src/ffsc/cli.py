@@ -245,13 +245,13 @@ def _cmd_decode(args) -> int:
         raise ConfigError(f"source offset {offset} is negative")
     oracle = FeedforwardOracle(source[offset:])
     result = decode(stream, oracle, cfg)
-    _write_symbols(args.out, result.xhat, args.format)
     rep = measure(source[offset:offset + result.n], result, d)
+    _write_symbols(args.out, result.xhat, args.format)
     report = {
         "n": result.n,
         "pass_lengths": result.pass_lengths,
         "rate": result.rate,
-        "mean_distortion": result.mean_distortion,
+        "mean_distortion": rep.mean_distortion,
         "rd_reference": rep.rd_reference,
         "gap": rep.gap,
         "causality_audit": "pass" if oracle.audit_clean() else "fail",
@@ -262,7 +262,7 @@ def _cmd_decode(args) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(
-        f"decoded n={result.n}, distortion {result.mean_distortion:.5f}, "
+        f"decoded n={result.n}, distortion {rep.mean_distortion:.5f}, "
         f"audit {'clean' if oracle.audit_clean() else 'VIOLATED'}, "
         f"backend {_BACKEND}\n"
     )

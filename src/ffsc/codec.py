@@ -11,8 +11,9 @@ The decoder unravels this with the unit-lag side information: the final
 frame decodes to the block that sits *first* in original time.  It
 emits those reconstructions, is then allowed to read the matching true
 samples, deshapes the pair to recover the previous frame, and repeats.
-The reconstruction therefore streams out in original time order, and
-every oracle read is strictly behind the emission high-water mark.
+The reconstruction therefore streams out in original time order, every
+oracle read is strictly behind the emission high-water mark, and the
+seed block, which is never deshaped, is never read.
 """
 
 from __future__ import annotations
@@ -158,8 +159,6 @@ class EncodeResult:
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
     xhat: np.ndarray
-    per_sample_distortion: np.ndarray
-    mean_distortion: float
     pass_lengths: list[int]
     n: int
     total_bits: int
@@ -183,12 +182,6 @@ def _sample_rows(rng: SplitMix64, cond: ConditionalModel, rows: np.ndarray):
     return (u[:, None] >= cum[:, 1:-1]).sum(axis=1, dtype=np.int64)
 
 
-def _check_alphabet(seq: np.ndarray, cfg: CodecConfig, what: str):
-    size = cfg.prior.alphabet.size
-    if seq.size and (seq.min() < 0 or seq.max() >= size):
-        raise CodingError(f"{what} symbol outside alphabet of size {size}")
-
-
 def _pack_header(cfg: CodecConfig, digest: int) -> bytes:
     return struct.pack(
         _HEADER_FMT, MAGIC, STREAM_VERSION, cfg.precision,
@@ -204,7 +197,9 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     or a ShapingError("side provider exhausted") is raised.
     """
     src = np.ascontiguousarray(source, dtype=np.int64)
-    _check_alphabet(src, cfg, "source")
+    size = cfg.prior.alphabet.size
+    if src.size and (src.min() < 0 or src.max() >= size):
+        raise CodingError(f"source symbol outside alphabet of size {size}")
     M = cfg.min_block
     if src.size < M:
         raise CodingError(
@@ -281,7 +276,10 @@ def _parse_header(stream: bytes, cfg: CodecConfig, digest: int):
 
 
 def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> DecodeResult:
-    """Invert encode() using unit-lag feedforward side information."""
+    """Invert encode() using unit-lag feedforward side information.
+
+    The oracle is read only to deshape blocks; ``measure`` scores the
+    reconstruction against the source."""
     marg, cond = cfg.quantized()
     _parse_header(stream, cfg, model_digest(marg, cond))
     frame_bytes = stream[HEADER_LEN:]
@@ -320,18 +318,12 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     chunk = block[::-1]
     chunks.append(chunk)
     oracle.emit(chunk.size)
-    base += chunk.size
 
     xhat = np.concatenate(chunks)
     n = int(xhat.size)
-    x = oracle.reveal_range(0, n)
-    _check_alphabet(x, cfg, "side information")
-    per_sample = cfg.distortion.entries[x, xhat]
     total_bits = 8 * len(stream)
     return DecodeResult(
         xhat=xhat,
-        per_sample_distortion=per_sample,
-        mean_distortion=float(per_sample.mean()) if n else 0.0,
         pass_lengths=lengths_rev[::-1],
         n=n,
         total_bits=total_bits,

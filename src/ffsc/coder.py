@@ -179,11 +179,6 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     sym = np.ascontiguousarray(symbols, dtype=np.int64)
     if sym.ndim != 1:
         raise CodingError("symbols must be one-dimensional")
-    if sym.size:
-        if sym.min() < 0 or sym.max() >= model.size:
-            raise CodingError(
-                f"symbol out of range for model of size {model.size}"
-            )
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, model.precision),
                    dtype=np.uint8)
     nbytes, _, status = _kernels.encode_kernel(
@@ -191,6 +186,9 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     )
     if status == _kernels.OK:
         return Frame(int(sym.size), buf[:nbytes].tobytes())
+    if status == _kernels.ERR_RANGE:
+        raise CodingError(
+            f"symbol out of range for model of size {model.size}")
     if status == _kernels.ERR_ZERO_FREQ:
         raise CodingError("symbol with zero model frequency")
     raise CodingError(f"encoder failed with status {status}")
@@ -207,7 +205,8 @@ def decode_frame_prefix(data, model: QuantizedModel,
     symbols, before reserving room for them: on a skewed model a few
     bytes can validly hold millions of symbols, so only the caller
     knows how many it can accept.  Raises TruncatedFrameError if
-    `data` cannot even hold the frame it declares.
+    `data` cannot even hold the frame it declares, and CodingError if
+    the frame's last byte is not one the flush can write.
     """
     raw = bytes(data)
     count, off = read_uvarint(raw)
@@ -229,4 +228,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
         )
     if status != _kernels.OK:
         raise CodingError(f"decoder failed with status {status}")
+    if raw[nbytes - 1] & 0x7F:
+        # the flush ends every frame with bits 16-23 of a multiple of 2^23
+        raise CodingError("frame does not end in a range-coder terminator")
     return out, nbytes

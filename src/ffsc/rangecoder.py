@@ -28,7 +28,8 @@ no probability mass is wasted on the truncation residue.
 
 The hot loops live in ``_kernels`` (numba-compiled when available);
 this module is the readable reference that the kernels are tested
-against, byte for byte.
+against, byte for byte.  ``_kernels.encode_kernel`` reports its settled
+prefix by ``RangeEncoder.settled_count``'s rule.
 """
 
 from __future__ import annotations

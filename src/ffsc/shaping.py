@@ -48,11 +48,8 @@ _PAD_BITS = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
 
 def _padded_stream(b: BitString, nbytes: int) -> np.ndarray:
     """b's bits followed by the repeating pad pattern, packed to bytes."""
-    m = len(b)
-    nbits = nbytes * 8
-    reps = -(-(nbits - m) // 64) if nbits > m else 0
-    bits = np.concatenate([b.to_array(), np.tile(_PAD_BITS, reps)[: nbits - m]])
-    return np.packbits(bits)
+    pad = np.resize(_PAD_BITS, nbytes * 8 - len(b))
+    return np.packbits(np.concatenate([b.to_array(), pad]))
 
 
 def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:

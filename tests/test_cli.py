@@ -195,6 +195,17 @@ def _negative_offset(tmp_path, coded_dir):
             "--offset", -n), f"source offset {-n} is negative"
 
 
+def _source_outside_alphabet(tmp_path, coded_dir):
+    # the last coded sample lies in the seed block, which decoding never
+    # reads; scoring the reconstruction against the source rejects it
+    src = bytearray((coded_dir / "source.bin").read_bytes())
+    src[-1] = 7
+    (tmp_path / "source.bin").write_bytes(bytes(src))
+    return ("decode", "--in", coded_dir / "out.ffsc",
+            "--source", tmp_path / "source.bin",
+            "--out", tmp_path / "x.bin"), "outside alphabet"
+
+
 def _missing_bitstream(tmp_path, coded_dir):
     return ("decode", "--in", tmp_path / "none.ffsc",
             "--source", coded_dir / "source.bin",
@@ -204,6 +215,7 @@ def _missing_bitstream(tmp_path, coded_dir):
 @pytest.mark.parametrize("case", [
     _ascii_symbol_x, _grid_without_count, _zero_trials,
     _sidecar_not_an_object, _negative_offset, _missing_bitstream,
+    _source_outside_alphabet,
 ])
 def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
                                                      tmp_path, capsys):

@@ -275,18 +275,25 @@ def test_header_digest_guards_model_swap():
         decode(res.bitstream, oracle, swapped)
 
 
-def test_out_of_alphabet_side_information_raises_coding_error():
-    # The seed block sits last in original time and is revealed only
-    # after every pass is deshaped, so a bad sample there reaches the
-    # distortion lookup instead of a shaping kernel.
+def test_out_of_alphabet_seed_block_sample_is_left_to_measure():
+    # The seed block sits last in original time and is never deshaped,
+    # so decode reads none of its samples: a bad one there still decodes
+    # exactly, with one oracle read per deshaped block, and only
+    # measure, which scores against the source, rejects it.
     cfg = bsc_config(seed=5, passes=3, min_block=2048)
     src = uniform_source(5, 40_000, 2)
     res = encode(src, cfg)
     coded = src[src.size - res.n:].copy()
     for bad in (7, -1):
         coded[-1] = bad
-        with pytest.raises(CodingError, match="side information"):
-            decode(res.bitstream, FeedforwardOracle(coded), cfg)
+        oracle = FeedforwardOracle(coded)
+        dec = decode(res.bitstream, oracle, cfg)
+        assert np.array_equal(dec.xhat, res.xhat)
+        assert len(oracle.audit_log) == cfg.passes - 1
+        assert all(stop <= res.n - cfg.min_block
+                   for _, _, stop in oracle.audit_log)
+        with pytest.raises(ConfigError, match="outside alphabet"):
+            measure(coded, dec, cfg.distortion)
 
 
 def test_truncated_stream_detected():
@@ -297,6 +304,22 @@ def test_truncated_stream_detected():
     with pytest.raises(StreamFormatError):
         decode(res.bitstream[:HEADER_LEN - 3], oracle, cfg)
     assert res.bitstream[:4] == MAGIC
+
+
+def test_final_frame_cut_by_one_byte_is_refused():
+    # On this skewed model the cut frame still decodes with status OK to
+    # a frame of exactly the cut length, one sample wrong; only its last
+    # byte, which no flush can write, gives the cut away.
+    prior = Pmf.from_probs([0.8, 0.2])
+    d = DistortionMatrix.hamming(2)
+    channel, _, _ = blahut_arimoto(prior, d, 0.15)
+    cfg = CodecConfig(prior=prior, channel=channel, distortion=d,
+                      min_block=83, passes=1, seed=51)
+    src = (np.random.default_rng(51083).random(166) < 0.2).astype(np.int64)
+    res = encode(src, cfg)
+    oracle = FeedforwardOracle(src[src.size - res.n:])
+    with pytest.raises(CodingError, match="terminator"):
+        decode(res.bitstream[:-1], oracle, cfg)
 
 
 def test_final_frame_longer_than_the_oracle_is_refused_before_decoding(
@@ -376,7 +399,8 @@ def test_measure_reports_gap_to_reference():
     res, dec, _ = run_pair(cfg, src)
     x = src[src.size - res.n:]
     rep = measure(x, dec, cfg.distortion)
-    assert rep.mean_distortion == pytest.approx(dec.mean_distortion)
+    assert rep.mean_distortion == pytest.approx(
+        cfg.distortion.entries[x, dec.xhat].mean())
     assert rep.rate == pytest.approx(dec.rate)
     assert 0 < rep.rd_reference < 1
     assert rep.gap == pytest.approx(rep.rate - rep.rd_reference)
@@ -397,9 +421,10 @@ def test_measure_rejects_out_of_alphabet_source():
 def test_distortion_matches_channel_level():
     cfg = bsc_config(seed=33)
     src = uniform_source(33, 200_000, 2)
-    _, dec, _ = run_pair(cfg, src)
-    assert 0.10 <= dec.mean_distortion <= 0.12
-    assert dec.per_sample_distortion.shape == (dec.n,)
-    assert dec.mean_distortion == pytest.approx(
-        float(dec.per_sample_distortion.mean())
-    )
+    res, dec, _ = run_pair(cfg, src)
+    x = src[src.size - res.n:]
+    rep = measure(x, dec, cfg.distortion)
+    assert 0.10 <= rep.mean_distortion <= 0.12
+    assert rep.per_sample_distortion.shape == (dec.n,)
+    assert rep.mean_distortion == pytest.approx(
+        cfg.distortion.entries[x, dec.xhat].mean())

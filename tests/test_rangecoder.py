@@ -153,6 +153,49 @@ def test_settled_prefix_is_stable_under_extension():
         assert final[:settled] == prefix
 
 
+def test_kernel_settled_matches_reference_settled_count():
+    """encode_kernel's settled count is RangeEncoder.settled_count()
+    taken before finish(), on carry-heavy inputs: skewed tables, runs of
+    the top symbol, precisions 2-24, with and without rows."""
+    rng = np.random.default_rng(2024)
+    scanned = 0
+    for case in range(400):
+        q = int(rng.integers(2, 25))
+        size = int(rng.integers(2, 5))
+        n_rows = int(rng.integers(1, 4))
+        freqs = []
+        for _ in range(n_rows):
+            # every symbol keeps at least one slot; the top one takes
+            # most of the rest, so runs of it push low toward a carry
+            f = np.ones(size, dtype=np.int64)
+            f[-1] += (1 << q) - size
+            spare = int(rng.integers(0, f[-1]))
+            f[:-1] += rng.multinomial(spare, np.ones(size - 1) / (size - 1))
+            f[-1] -= spare
+            freqs.append(f)
+        cum_rows = np.stack([np.concatenate(([0], np.cumsum(f)))
+                             for f in freqs]).astype(np.int64)
+        n = int(rng.integers(0, 300))
+        symbols = rng.integers(0, size, n)
+        symbols[rng.random(n) < 0.7] = size - 1
+        with_rows = case % 2 == 1
+        rows = (rng.integers(0, n_rows, n) if with_rows
+                else np.zeros(n, dtype=np.int64))
+        enc = RangeEncoder(q)
+        for s, r in zip(symbols, rows):
+            enc.encode(int(cum_rows[r, s]), int(freqs[r][s]))
+        expected = enc.settled_count()
+        scanned += expected < len(enc.buf) - 1
+        buf = np.empty(_kernels.encoded_bytes_bound(n, q), dtype=np.uint8)
+        nbytes, settled, status = _kernels.encode_kernel(
+            symbols.astype(np.int64), rows if with_rows else NO_ROWS,
+            cum_rows, q, buf)
+        assert status == _kernels.OK
+        assert settled == expected, case
+        assert buf[:nbytes].tobytes() == enc.finish()
+    assert scanned >= 20  # enough buffers end in a 0xFF run
+
+
 def test_decoder_reads_exactly_payload_plus_nothing():
     """Appending arbitrary garbage after the payload cannot change the
     decoded symbols (the flush leaves a safety margin)."""
