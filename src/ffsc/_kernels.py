@@ -8,6 +8,18 @@ decodes a frame's declared symbol count against one table, and
 payload is settled.  The encoder finds the bytes no carry can change
 once, after its symbol loop, by ``RangeEncoder.settled_count``'s rule.
 
+The decoder's step finds the symbol whose interval holds the scaled
+value v by table lookup, the decode table of rANS (Duda,
+arXiv:1311.2540) cut down to a few bits: ``slot_table`` splits the
+2^q values into 2^min(q, 8) equal buckets and records the symbol at
+each bucket's start, and the step reads that entry for v's bucket and
+scans forward while the next symbol starts at or below v.  Each scan
+step passes a symbol boundary inside v's bucket, so a symbol's work is
+bounded by the alphabet size, and only the buckets that hold a
+boundary scan at all: on the 2-4 symbol alphabets the codec serves,
+at most three buckets.  The models build their tables once
+(see ``coder.QuantizedModel``) and pass them in beside ``cum``.
+
 Each loop is written once, in a form numba can compile: plain-int
 literals, ``len()`` rather than ``.shape``, indexing and nothing else.
 With numba the public kernels are those functions compiled.  Without
@@ -18,7 +30,7 @@ numpy buffers, so nothing is copied back and a large output buffer is
 touched only where symbols land.  Arithmetic on numpy scalars and
 element writes into numpy arrays cost 2-4x more per step.  The fallback
 is bit-identical to the compiled kernels; on 2 cores one trial of the
-binary benchmark (n ~ 128k, encode and decode) takes about 0.3 s.
+binary benchmark (n ~ 128k, encode and decode) takes about 0.25 s.
 
 Kernels never raise: they return a status code so the compiled code
 stays allocation-free and exception-free.  Buffers are caller-allocated
@@ -44,6 +56,8 @@ from __future__ import annotations
 
 import types
 
+import numpy as np
+
 OK = 0
 ERR_ZERO_FREQ = 1
 ERR_CARRY = 2
@@ -56,6 +70,9 @@ TRUNCATED = 8
 
 _MASK32 = 0xFFFFFFFF
 _TOP = 1 << 24
+# The decoder's slot table has one entry per 2^(q - _SLOT_BITS) values
+# of a q-bit total, or one per value when q <= _SLOT_BITS.
+_SLOT_BITS = 8
 
 try:
     from numba import njit
@@ -171,11 +188,23 @@ def encoded_bytes_bound(count, precision):
     return count * -(-precision // 8) + 2
 
 
+def slot_table(cum, precision):
+    """The decoder's slot table for the cumulative table `cum` of total
+    2^precision: entry k is the symbol whose interval holds k * 2^sh,
+    sh = precision - min(precision, _SLOT_BITS), the first value of the
+    k-th equal bucket.  A symbol of frequency 0 is never an entry."""
+    sh = precision - min(precision, _SLOT_BITS)
+    starts = np.arange(1 << (precision - sh), dtype=np.int64) << sh
+    return np.searchsorted(cum, starts, "right") - 1
+
+
 @_jit
-def _decode_loop(data, count, side, cum_rows, precision, out, stop):
+def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
+                 stop):
     """Range-decode up to `count` symbols of `data` into `out`, symbol t
-    against cum_rows[side[t]] (row 0 for every symbol if side is
-    empty); bytes past the end of `data` read as 0.
+    against cum_rows[side[t]] and its slot table slot_rows[side[t]]
+    (row 0 for every symbol if side is empty); bytes past the end of
+    `data` read as 0.
 
     Returns (symbols, shifts, status).  The status is OK once the shift
     count passes `stop`, counting the symbol whose renormalisation
@@ -185,6 +214,7 @@ def _decode_loop(data, count, side, cum_rows, precision, out, stop):
     with neither.
     """
     total = 1 << precision
+    sh = precision - min(precision, _SLOT_BITS)
     rng = 1 << 32
     code = 0
     pos = 0
@@ -201,35 +231,33 @@ def _decode_loop(data, count, side, cum_rows, precision, out, stop):
 
     fixed_row = len(side) == 0
     n_rows = len(cum_rows)
-    size = len(cum_rows[0]) - 1
     cum = cum_rows[0]
+    slots = slot_rows[0]
     for t in range(count):
         if not fixed_row:
             x = side[t]
             if x < 0 or x >= n_rows:
                 return t, shifts, ERR_RANGE
             cum = cum_rows[x]
+            slots = slot_rows[x]
         r = rng >> precision
         v = code // r
         if v >= total:
             v = total - 1
-        lo = 0
-        hi = size + 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if cum[mid] <= v:
-                lo = mid + 1
-            else:
-                hi = mid
-        s = lo - 1
+        # The slot's bucket names the last symbol starting at or below
+        # the bucket's first value; v lies in it or in a later one.
+        s = slots[v >> sh]
+        end = cum[s + 1]
+        while end <= v:
+            s += 1
+            end = cum[s + 1]
         start = cum[s]
-        freq = cum[s + 1] - start
         out[t] = s
         code -= r * start
-        if start + freq == total:
+        if end == total:
             rng -= r * start
         else:
-            rng = r * freq
+            rng = r * (end - start)
         while rng < _TOP:
             b = data[pos] if pos < dlen else 0
             code = ((code << 8) | b) & _MASK32
@@ -244,9 +272,10 @@ def _decode_loop(data, count, side, cum_rows, precision, out, stop):
 
 
 @_jit
-def decode_kernel(data, count, cum, precision, out):
-    """Decode up to `count` symbols against the 1-D table `cum`; bytes
-    past the end of `data` read as 0.
+def decode_kernel(data, count, cum, slots, precision, out):
+    """Decode up to `count` symbols against the 1-D table `cum` and its
+    slot table `slots` (``slot_table``); bytes past the end of `data`
+    read as 0.
 
     Returns (shifts, status).  A frame's payload is exactly shifts+2
     bytes, so the decoder stops with TRUNCATED as soon as shifts+2
@@ -256,15 +285,17 @@ def decode_kernel(data, count, cum, precision, out):
     """
     # cum[:0] is an empty side (row 0 throughout) of a type both backends
     # take; a stop at len(data) never fires, as TRUNCATED comes first.
-    _, shifts, _ = _decode_loop(data, count, cum[:0], (cum,), precision,
-                                out, len(data))
+    _, shifts, _ = _decode_loop(data, count, cum[:0], (cum,), (slots,),
+                                precision, out, len(data))
     return shifts, TRUNCATED if shifts + 2 > len(data) else OK
 
 
 @_jit
-def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym):
+def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
+                 out_sym):
     """Decode symbols from `stream` against per-position rows keyed by
-    `side` until the first `m_bits` bits of the stream are settled.
+    `side` (cum_rows and their slot tables, slot_rows) until the first
+    `m_bits` bits of the stream are settled.
 
     Returns (nsym, status).  The bits are settled after the first
     symbol whose renormalisation takes the shift count past
@@ -277,8 +308,8 @@ def shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym):
     if len(stream) < 4:
         return 0, NEED_MORE_STREAM
     nsym, _, status = _decode_loop(stream, min(len(out_sym), len(side)),
-                                   side, cum_rows, precision, out_sym,
-                                   (m_bits + 7) >> 3)
+                                   side, cum_rows, slot_rows, precision,
+                                   out_sym, (m_bits + 7) >> 3)
     if status == TRUNCATED:
         return nsym, NEED_MORE_STREAM
     if status == NEED_MORE_SYM and nsym < len(out_sym):
@@ -309,16 +340,18 @@ def python_encode_kernel(symbols, rows, cum_rows, precision, buf):
                       int(precision), memoryview(buf))
 
 
-def python_decode_kernel(data, count, cum, precision, out):
+def python_decode_kernel(data, count, cum, slots, precision, out):
     """decode_kernel run as plain Python on Python ints."""
     return _py_decode(data.tobytes(), int(count), cum.tolist(),
-                      int(precision), memoryview(out))
+                      slots.tolist(), int(precision), memoryview(out))
 
 
-def python_shape_kernel(stream, m_bits, side, cum_rows, precision, out_sym):
+def python_shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
+                        out_sym):
     """shape_kernel run as plain Python on Python ints."""
     return _py_shape(stream.tobytes(), int(m_bits), side.tolist(),
-                     cum_rows.tolist(), int(precision), memoryview(out_sym))
+                     cum_rows.tolist(), slot_rows.tolist(), int(precision),
+                     memoryview(out_sym))
 
 
 if not HAVE_NUMBA:  # pragma: no cover - exercised only without numba

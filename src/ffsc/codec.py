@@ -94,9 +94,22 @@ class CodecConfig:
         growth_factor(self.prior, self.channel)  # rejects degenerate channels
 
     def quantized(self) -> tuple[QuantizedModel, ConditionalModel]:
-        marg = quantize(self.channel.marginal(self.prior), self.precision)
-        cond = quantize_channel(self.channel, self.precision)
-        return marg, cond
+        """The marginal and conditional coding tables, built on the first
+        call and shared by every later one (the models are read-only)."""
+        tables = self.__dict__.get("_tables")
+        if tables is None:
+            tables = (quantize(self.channel.marginal(self.prior), self.precision),
+                      quantize_channel(self.channel, self.precision))
+            # setdefault is atomic, so racing threads still share one pair
+            tables = self.__dict__.setdefault("_tables", tables)
+        return tables
+
+    def __getstate__(self):
+        # The tables are rebuilt on demand rather than pickled: configs
+        # travel to worker processes, which build their own.
+        state = dict(self.__dict__)
+        state.pop("_tables", None)
+        return state
 
 
 class FeedforwardOracle:

@@ -43,12 +43,15 @@ class QuantizedModel:
 
     Symbols whose true probability is positive always get frequency
     >= 1 (so they stay codable); true zeros stay zero (so impossible
-    symbols are detected instead of silently coded).
+    symbols are detected instead of silently coded).  ``cum`` is the
+    cumulative table and ``slots`` the decoder's slot table
+    (``_kernels.slot_table``), both built once and read-only.
     """
 
     freq: np.ndarray
     precision: int
     cum: np.ndarray = field(init=False)
+    slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.freq, dtype=np.int64)
@@ -65,8 +68,11 @@ class QuantizedModel:
         cum = np.zeros(f.size + 1, dtype=np.int64)
         np.cumsum(f, out=cum[1:])
         cum.setflags(write=False)
+        slots = _kernels.slot_table(cum, self.precision)
+        slots.setflags(write=False)
         object.__setattr__(self, "freq", f)
         object.__setattr__(self, "cum", cum)
+        object.__setattr__(self, "slots", slots)
 
     @property
     def size(self) -> int:
@@ -89,9 +95,10 @@ class ConditionalModel:
         sizes = {r.size for r in self.rows}
         if len(precisions) != 1 or len(sizes) != 1:
             raise QuantizationError("conditional rows must share shape/precision")
-        cum = np.stack([r.cum for r in self.rows])
-        cum.setflags(write=False)
-        object.__setattr__(self, "_cum_matrix", cum)
+        for name, attr in (("_cum_matrix", "cum"), ("_slot_matrix", "slots")):
+            table = np.stack([getattr(r, attr) for r in self.rows])
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def precision(self) -> int:
@@ -103,6 +110,9 @@ class ConditionalModel:
 
     def cum_matrix(self) -> np.ndarray:
         return self._cum_matrix
+
+    def slot_matrix(self) -> np.ndarray:
+        return self._slot_matrix
 
 
 def quantize(p: Pmf, precision: int = 16) -> QuantizedModel:
@@ -218,7 +228,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
         np.frombuffer(raw, dtype=np.uint8)[off:], count, model.cum,
-        model.precision, out,
+        model.slots, model.precision, out,
     )
     nbytes = off + int(shifts) + 2
     if status == _kernels.TRUNCATED:

@@ -76,6 +76,7 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
         return np.zeros(0, dtype=np.int64), 0
     side_arr = np.asarray(side, dtype=np.int64)
     cum = cm.cum_matrix()
+    slots = cm.slot_matrix()
     q = cm.precision
 
     # The shaper reads four stream bytes, then one per shift, and stops
@@ -86,8 +87,8 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     sym_cap = max(256, 2 * m + 64)
     while True:
         out_sym = np.empty(sym_cap, dtype=np.int64)
-        nsym, status = _kernels.shape_kernel(stream, m, side_arr, cum, q,
-                                             out_sym)
+        nsym, status = _kernels.shape_kernel(stream, m, side_arr, cum,
+                                             slots, q, out_sym)
         if status == _kernels.OK:
             return out_sym[:nsym].copy(), int(nsym)
         if status == _kernels.NEED_MORE_SYM:

@@ -1,4 +1,6 @@
 import hashlib
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +55,62 @@ def run_pair(cfg, src):
     oracle = FeedforwardOracle(src[src.size - res.n:])
     dec = decode(res.bitstream, oracle, cfg)
     return res, dec, oracle
+
+
+def table_arrays(tables):
+    """Every array of a quantized() pair: the marginal's and each row's
+    freq/cum/slots, and the conditional model's stacked tables."""
+    marg, cond = tables
+    arrays = [cond.cum_matrix(), cond.slot_matrix()]
+    for m in (marg, *cond.rows):
+        arrays += [m.freq, m.cum, m.slots]
+    return arrays
+
+
+# ---------------------------------------------------------------------------
+# coding tables, built once per config
+
+
+def test_quantized_returns_the_same_tables_on_every_call():
+    cfg = bsc_config()
+    marg, cond = cfg.quantized()
+    for _ in range(3):
+        again = cfg.quantized()
+        assert again[0] is marg and again[1] is cond
+
+
+def test_quantized_tables_are_read_only():
+    for array in table_arrays(bsc_config().quantized()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_replaced_config_gets_its_own_tables():
+    cfg = bsc_config()
+    marg, cond = cfg.quantized()
+    other = replace(cfg, precision=12)
+    marg12, cond12 = other.quantized()
+    assert marg12 is not marg and cond12 is not cond
+    assert marg12.precision == cond12.precision == 12
+    assert marg12.cum[-1] == 1 << 12
+    assert marg.precision == 16  # the original's tables are untouched
+
+
+def test_pickled_config_carries_no_tables():
+    cfg = bsc_config()
+    tables = cfg.quantized()
+    blob = pickle.dumps(cfg)
+    clone = pickle.loads(blob)
+    assert "_tables" not in vars(clone)
+    assert clone.precision == cfg.precision and clone.seed == cfg.seed
+    rebuilt = clone.quantized()
+    assert rebuilt[0] is not tables[0]
+    for a, b in zip(table_arrays(rebuilt), table_arrays(tables)):
+        assert not a.flags.writeable
+        assert np.array_equal(a, b)
+    # the pickle is the same size as one taken before any tables existed
+    assert len(blob) == len(pickle.dumps(bsc_config()))
 
 
 # ---------------------------------------------------------------------------

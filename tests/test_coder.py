@@ -231,7 +231,8 @@ def test_decode_work_is_bounded_by_frame_length(count, header):
     assert time.perf_counter() - t0 < 0.25
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(frame[header:], dtype=np.uint8), count, m.cum, 16, out
+        np.frombuffer(frame[header:], dtype=np.uint8), count, m.cum, m.slots,
+        16, out
     )
     assert (shifts, status) == (9, _kernels.TRUNCATED)
 

@@ -82,5 +82,5 @@ def test_shape_retries_need_more_sym_with_a_doubled_buffer(monkeypatch):
                  [(0, _kernels.NEED_MORE_SYM), (2, _kernels.OK)])
     symbols, used = run()
     assert used == 2 and symbols.size == 2
-    first, second = (len(args[5]) for args in calls)
+    first, second = (len(args[-1]) for args in calls)
     assert second == 2 * first

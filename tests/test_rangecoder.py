@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from ffsc import _kernels
 from ffsc.bits import BitString
-from ffsc.coder import ConditionalModel, quantize
+from ffsc.coder import ConditionalModel, QuantizedModel, quantize
 from ffsc.model import Pmf
 from ffsc.rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
 from ffsc.shaping import PAD_PATTERN, shape
@@ -24,16 +24,21 @@ def encode_reference(symbols, freq, precision):
     return bytes(enc.finish())
 
 
+def decode_reference_rows(data, side, cum_rows, precision):
+    """RangeDecoder over `data`, symbol t against cum_rows[side[t]]."""
+    dec = RangeDecoder(bytes(data), precision)
+    out = []
+    for x in side:
+        cum = cum_rows[x]
+        s = int(np.searchsorted(cum, dec.decode_value(), side="right")) - 1
+        out.append(s)
+        dec.consume(int(cum[s]), int(cum[s + 1] - cum[s]))
+    return out
+
+
 def decode_reference(data, count, freq, precision):
     cum = np.concatenate(([0], np.cumsum(freq)))
-    dec = RangeDecoder(data, precision)
-    out = []
-    for _ in range(count):
-        v = dec.decode_value()
-        s = int(np.searchsorted(cum, v, side="right")) - 1
-        out.append(s)
-        dec.consume(int(cum[s]), int(freq[s]))
-    return out
+    return decode_reference_rows(data, [0] * count, [cum], precision)
 
 
 NO_ROWS = np.empty(0, dtype=np.int64)  # fixed-row mode: row 0 for every symbol
@@ -53,7 +58,8 @@ def kernel_decode(data, count, freq, precision):
     cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     arr = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(count, dtype=np.int64)
-    shifts, status = _kernels.decode_kernel(arr, count, cum, precision, out)
+    shifts, status = _kernels.decode_kernel(
+        arr, count, cum, _kernels.slot_table(cum, precision), precision, out)
     assert status == _kernels.OK
     return out.tolist(), shifts
 
@@ -232,14 +238,15 @@ def test_shape_kernel_status_contract():
     """Each way shape_kernel can stop, called directly: what shape()'s
     retry and error mapping rely on."""
     cm_cum = np.array([[0, 58327, 65536], [0, 7209, 65536]], dtype=np.int64)
+    cm_slots = np.stack([_kernels.slot_table(c, 16) for c in cm_cum])
     m = 2000
     rng = np.random.default_rng(12)
     stream = rng.integers(0, 256, m // 8 + 8).astype(np.uint8)
     side = rng.integers(0, 2, 3 * m).astype(np.int64)
 
     def run(stream, m_bits, side, cap):
-        return _kernels.shape_kernel(stream, m_bits, side, cm_cum, 16,
-                                     np.empty(cap, dtype=np.int64))
+        return _kernels.shape_kernel(stream, m_bits, side, cm_cum, cm_slots,
+                                     16, np.empty(cap, dtype=np.int64))
 
     assert run(stream, 0, side, 8) == (0, _kernels.OK)
     assert run(stream[:3], m, side, 8) == (0, _kernels.NEED_MORE_STREAM)
@@ -272,51 +279,168 @@ def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     stream = np.packbits(np.concatenate([bits,
                                          np.resize(pad, 8 * nbytes - m)]))
     out = np.empty(nsym, dtype=np.int64)
-    _, status = _kernels.decode_kernel(stream, nsym, model.cum, 16, out)
+    _, status = _kernels.decode_kernel(stream, nsym, model.cum, model.slots,
+                                       16, out)
     assert status == _kernels.OK
     assert np.array_equal(out, symbols)
+
+
+SLOT_PRECISIONS = [2, 7, 8, 9, 12, 16, 24]
+
+
+def random_freq(rng, size, precision, zeros):
+    """A table of `size` symbols and total 2^precision whose symbols at
+    `zeros` have frequency 0 and all others at least 1, skewed at random."""
+    live = np.setdiff1d(np.arange(size), zeros)
+    if live.size > 1 << precision:  # keep only as many as fit
+        live = np.sort(rng.choice(live, 1 << precision, replace=False))
+    freq = np.zeros(size, dtype=np.int64)
+    freq[live] = 1 + rng.multinomial((1 << precision) - live.size,
+                                     rng.dirichlet(np.full(live.size, 0.5)))
+    return freq
+
+
+def slot_cases(precision):
+    """Tables at one precision: a 4-symbol table with a zero frequency at
+    its start, middle or end (one alphabet, so they also serve as rows
+    of one conditional model), and a 300-symbol table with zeros."""
+    rng = np.random.default_rng(precision)
+    rows = [random_freq(rng, 4, precision, zeros) for zeros in ([0], [1, 2], [3])]
+    return rows, random_freq(rng, 300, precision, [0, 1, 150, 298, 299])
+
+
+@pytest.mark.parametrize("precision", SLOT_PRECISIONS)
+def test_slot_table_and_scan_find_every_symbol(precision):
+    """The decoder's step, slots[v >> sh] and then a forward scan while
+    cum[s + 1] <= v, lands on searchsorted(cum, v, "right") - 1 for every
+    value v (sampled at q = 24), never on a zero-frequency symbol."""
+    rows, wide = slot_cases(precision)
+    total = 1 << precision
+    rng = np.random.default_rng(precision)
+    for freq in rows + [wide]:
+        model = QuantizedModel(freq, precision)
+        slots, cum = model.slots, model.cum
+        assert not slots.flags.writeable
+        assert slots.size <= total and total % slots.size == 0
+        sh = precision - (slots.size.bit_length() - 1)
+        if precision <= 16:
+            v = np.arange(total)
+        else:
+            edges = np.concatenate([np.arange(slots.size) << sh, cum])
+            v = np.concatenate([edges - 1, edges, edges + 1,
+                                rng.integers(0, total, 50_000)])
+            v = v[(v >= 0) & (v < total)]
+        s = slots[v >> sh]
+        for _ in range(freq.size):
+            behind = cum[s + 1] <= v
+            if not behind.any():
+                break
+            s[behind] += 1
+        assert not (cum[s + 1] <= v).any()
+        assert np.array_equal(s, np.searchsorted(cum, v, "right") - 1)
+        assert (freq[s] > 0).all()
+
+
+@pytest.mark.parametrize("precision", SLOT_PRECISIONS)
+def test_decode_kernel_matches_reference_with_zero_frequencies(precision):
+    """decode_kernel with the model's tables decodes what RangeDecoder
+    decodes, on coded symbols and on random bytes (values anywhere in
+    the table), including zero-frequency symbols and 300 symbols."""
+    rows, wide = slot_cases(precision)
+    rng = np.random.default_rng(100 + precision)
+    for freq in rows + [wide]:
+        model = QuantizedModel(freq, precision)
+        symbols = rng.choice(freq.size, size=600, p=freq / freq.sum())
+        coded = encode_reference(symbols.tolist(), freq, precision)
+        noise = rng.integers(0, 256, 3 * 600 + 16).astype(np.uint8).tobytes()
+        for data, want in ((coded, symbols.tolist()), (noise, None)):
+            ref = decode_reference(data, 600, freq, precision)
+            out = np.empty(600, dtype=np.int64)
+            _, status = _kernels.decode_kernel(
+                np.frombuffer(data, dtype=np.uint8), 600, model.cum,
+                model.slots, precision, out)
+            assert status == _kernels.OK
+            assert out.tolist() == ref
+            assert want is None or ref == want
+
+
+@pytest.mark.parametrize("precision", SLOT_PRECISIONS)
+def test_shape_kernel_matches_reference_over_rows(precision):
+    """shape_kernel with a conditional model's stacked slot tables
+    decodes what RangeDecoder decodes row by row: three 4-symbol rows
+    with zero frequencies in different places, and two 300-symbol rows."""
+    rows, wide = slot_cases(precision)
+    rng = np.random.default_rng(200 + precision)
+    wide_rows = [wide, wide[::-1].copy()]
+    for freqs in (rows, wide_rows):
+        cm = ConditionalModel(tuple(QuantizedModel(f, precision) for f in freqs))
+        side = rng.integers(0, len(freqs), 4000)
+        stream = rng.integers(0, 256, 8 + 600 // 8).astype(np.uint8)
+        out = np.empty(side.size, dtype=np.int64)
+        nsym, status = _kernels.shape_kernel(
+            stream, 600, side, cm.cum_matrix(), cm.slot_matrix(), precision,
+            out)
+        assert status == _kernels.OK and nsym > 0
+        ref = decode_reference_rows(stream.tobytes(), side[:nsym],
+                                    cm.cum_matrix(), precision)
+        assert out[:nsym].tolist() == ref
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="fallback already in use")
 def test_pure_python_fallback_matches_jit():
     """The compiled kernels and the list-form path that runs without
-    numba agree on every return value and every byte written."""
-    freq = [58327, 7209]
+    numba agree on every return value and every byte written: a binary
+    channel at q = 16, and a ternary one with zero frequencies at a q
+    below the slot table's bits (one slot per value)."""
+    cases = (([[58327, 7209], [7209, 58327]], 16),
+             ([[40, 0, 24], [8, 50, 6], [0, 20, 44]], 6))
     rng = np.random.default_rng(3)
-    sym = rng.choice(2, size=800, p=[0.89, 0.11]).astype(np.int64)
-    cum = np.zeros((1, 3), dtype=np.int64)
-    cum[0, 1:] = np.cumsum(freq)
-    cm_cum = np.array([[0, 58327, 65536], [0, 7209, 65536]], dtype=np.int64)
-    side = rng.integers(0, 2, 4000).astype(np.int64)
+    for freqs, q in cases:
+        cm = ConditionalModel(tuple(QuantizedModel(np.array(f), q)
+                                    for f in freqs))
+        row0 = cm.rows[0]
+        side = rng.integers(0, len(freqs), 4000).astype(np.int64)
+        # symbols drawn from their own row, so rows-mode encodes them
+        probs = np.array(freqs) / (1 << q)
+        sym = np.array([rng.choice(len(freqs[0]), p=probs[x])
+                        for x in side[:800]], dtype=np.int64)
+        fixed = rng.choice(len(freqs[0]), size=800, p=probs[0]).astype(np.int64)
 
-    for rows, table in ((NO_ROWS, cum), (side[:sym.size], cm_cum)):
-        buf_a = np.zeros(8192, dtype=np.uint8)
-        buf_b = np.zeros(8192, dtype=np.uint8)
-        res_a = _kernels.encode_kernel(sym, rows, table, 16, buf_a)
-        res_b = _kernels.python_encode_kernel(sym, rows, table, 16, buf_b)
-        assert res_a == res_b
-        assert np.array_equal(buf_a, buf_b)
-        if rows is NO_ROWS:
-            payload = buf_a[:res_a[0]]
+        for symbols, rows, table in ((fixed, NO_ROWS, row0.cum_matrix()),
+                                     (sym, side[:sym.size], cm.cum_matrix())):
+            buf_a = np.zeros(8192, dtype=np.uint8)
+            buf_b = np.zeros(8192, dtype=np.uint8)
+            res_a = _kernels.encode_kernel(symbols, rows, table, q, buf_a)
+            res_b = _kernels.python_encode_kernel(symbols, rows, table, q, buf_b)
+            assert res_a == res_b and res_a[2] == _kernels.OK
+            assert np.array_equal(buf_a, buf_b)
+            if rows is NO_ROWS:
+                payload = buf_a[:res_a[0]]
 
-    # The decoder reads one table; a payload cut in half ends in TRUNCATED.
-    for data, want in ((payload, _kernels.OK),
-                       (payload[:payload.size // 2], _kernels.TRUNCATED)):
-        out_a = np.zeros(sym.size, dtype=np.int64)
-        out_b = np.zeros(sym.size, dtype=np.int64)
-        res_a = _kernels.decode_kernel(data, sym.size, cum[0], 16, out_a)
-        res_b = _kernels.python_decode_kernel(data, sym.size, cum[0], 16, out_b)
-        assert res_a == res_b and res_a[1] == want
-        assert np.array_equal(out_a, out_b)
+        # The decoder reads one table; a payload cut in half ends in TRUNCATED.
+        for data, want in ((payload, _kernels.OK),
+                           (payload[:payload.size // 2], _kernels.TRUNCATED)):
+            out_a = np.zeros(fixed.size, dtype=np.int64)
+            out_b = np.zeros(fixed.size, dtype=np.int64)
+            res_a = _kernels.decode_kernel(data, fixed.size, row0.cum,
+                                           row0.slots, q, out_a)
+            res_b = _kernels.python_decode_kernel(data, fixed.size, row0.cum,
+                                                  row0.slots, q, out_b)
+            assert res_a == res_b and res_a[1] == want
+            assert np.array_equal(out_a, out_b)
 
-    stream = rng.integers(0, 256, 600).astype(np.uint8)
-    for sym_cap in (64, 4000):  # NEED_MORE_SYM, then OK
-        out_a = np.zeros(sym_cap, dtype=np.int64)
-        out_b = np.zeros(sym_cap, dtype=np.int64)
-        res_a = _kernels.shape_kernel(stream, 2000, side, cm_cum, 16, out_a)
-        res_b = _kernels.python_shape_kernel(stream, 2000, side, cm_cum, 16, out_b)
-        assert res_a == res_b
-        assert np.array_equal(out_a, out_b)
+        stream = rng.integers(0, 256, 600).astype(np.uint8)
+        for sym_cap, want in ((64, _kernels.NEED_MORE_SYM),
+                              (4000, _kernels.OK)):
+            out_a = np.zeros(sym_cap, dtype=np.int64)
+            out_b = np.zeros(sym_cap, dtype=np.int64)
+            res_a = _kernels.shape_kernel(stream, 2000, side, cm.cum_matrix(),
+                                          cm.slot_matrix(), q, out_a)
+            res_b = _kernels.python_shape_kernel(
+                stream, 2000, side, cm.cum_matrix(), cm.slot_matrix(), q,
+                out_b)
+            assert res_a == res_b and res_a[1] == want
+            assert np.array_equal(out_a, out_b)
 
 
 def test_python_decode_kernel_writes_only_where_symbols_land():
@@ -329,7 +453,8 @@ def test_python_decode_kernel_writes_only_where_symbols_land():
     cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     out = np.full(len(symbols) + 8, -1, dtype=np.int64)
     shifts, status = _kernels.python_decode_kernel(
-        np.frombuffer(data, dtype=np.uint8), len(symbols), cum, 16, out
+        np.frombuffer(data, dtype=np.uint8), len(symbols), cum,
+        _kernels.slot_table(cum, 16), 16, out
     )
     assert status == _kernels.OK and shifts + 2 == len(data)
     assert out[:len(symbols)].tolist() == symbols
