@@ -16,25 +16,10 @@ from .errors import StreamFormatError
 
 __all__ = [
     "BitString",
-    "pack_bits",
-    "unpack_bits",
     "write_uvarint",
     "read_uvarint",
     "fnv1a64",
 ]
-
-
-def pack_bits(bits: np.ndarray) -> bytes:
-    """Pack a 0/1 array into bytes, MSB-first, zero-padding the tail."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    return np.packbits(arr).tobytes()
-
-
-def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
-    """Unpack `nbits` bits from MSB-first packed bytes."""
-    if nbits > 8 * len(data):
-        raise ValueError(f"need {nbits} bits but have only {8 * len(data)}")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,7 @@ class BitString:
             arr = arr.ravel()
         if arr.size and (arr.max() > 1):
             raise ValueError("bits must be 0 or 1")
-        return cls(pack_bits(arr), int(arr.size))
+        return cls(np.packbits(arr).tobytes(), int(arr.size))
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int | None = None) -> "BitString":
@@ -99,9 +84,8 @@ class BitString:
 
     def to_array(self) -> np.ndarray:
         """Return the bits as a uint8 array of exactly `length` entries."""
-        if self.length == 0:
-            return np.zeros(0, dtype=np.uint8)
-        return unpack_bits(self.data, self.length)
+        return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8),
+                             count=self.length)
 
     def __repr__(self) -> str:
         head = "".join(str(self[i]) for i in range(min(self.length, 24)))
@@ -126,11 +110,12 @@ def write_uvarint(value: int) -> bytes:
             return bytes(out)
 
 
-def read_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a LEB128 varint; returns (value, next_offset)."""
+def read_uvarint(data: bytes) -> tuple[int, int]:
+    """Decode the LEB128 varint at the start of `data`; returns (value,
+    its length in bytes)."""
     value = 0
     shift = 0
-    pos = offset
+    pos = 0
     while True:
         if pos >= len(data):
             raise StreamFormatError("truncated varint")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -71,16 +72,32 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _config_args(p: argparse.ArgumentParser, with_channel: bool = True):
-    if with_channel:
-        p.add_argument("--target-d", "--d0", dest="target_d", type=float,
-                       default=0.11,
-                       help="distortion level; the test channel is the "
-                            "solver's channel at this level")
-    p.add_argument("--min-block", type=int, default=4096)
-    p.add_argument("--passes", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--precision", type=int, default=16)
+_CODEC_DEFAULTS = {f.name: f.default for f in fields(CodecConfig)}
+_CODEC_FLAGS = ("min_block", "passes", "seed", "precision")
+
+
+def _config_args(p: argparse.ArgumentParser, *names: str):
+    """A flag per named CodecConfig field.  An unset flag stays off the
+    namespace, so CodecConfig's own default applies."""
+    for name in names:
+        default = _CODEC_DEFAULTS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=argparse.SUPPRESS,
+                       help=f"CodecConfig.{name} (default {default})")
+
+
+def _target_d_arg(p: argparse.ArgumentParser):
+    p.add_argument("--target-d", "--d0", dest="target_d", type=float,
+                   default=0.11,
+                   help="distortion level; the test channel is the "
+                        "solver's channel at this level")
+
+
+def _experiment_args(p: argparse.ArgumentParser):
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--out", default="-")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _config_args(p, *_CODEC_FLAGS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,10 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bytes", "ascii"), default="bytes")
-    p.add_argument("--delta", type=float, default=0.02,
-                   help="typicality tolerance behind the stats sidecar's "
-                        "atypical_blocks")
-    _config_args(p)
+    _target_d_arg(p)
+    _config_args(p, *_CODEC_FLAGS, "delta")
 
     p = sub.add_parser("decode", help="reconstruct from a bitstream")
     p.add_argument("--model", default="binary_hamming")
@@ -121,23 +136,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--format", choices=("bytes", "ascii"), default="bytes")
-    p.add_argument("--target-d", "--d0", dest="target_d", type=float,
-                   default=0.11)
+    _target_d_arg(p)
 
     p = sub.add_parser("exp-hamming",
                        help="binary symmetric benchmark (seeded trials)")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _config_args(p, with_channel=False)
+    _experiment_args(p)
 
     p = sub.add_parser("exp-general",
                        help="general-model benchmark at a target distortion")
     p.add_argument("--model", default="ternary_hamming")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _config_args(p)
+    _experiment_args(p)
+    _target_d_arg(p)
     p.set_defaults(target_d=0.15)
 
     p = sub.add_parser("exp-beq", help="erasure-quantization worked example")
@@ -176,18 +185,15 @@ def _cmd_rd(args) -> int:
     return 0
 
 
-def _cfg_from_args(args, prior, d, channel, **extra) -> CodecConfig:
-    return CodecConfig(
-        prior=prior, channel=channel, distortion=d,
-        min_block=args.min_block, passes=args.passes,
-        precision=args.precision, seed=args.seed, **extra,
-    )
+def _cfg_from_args(args, prior, d, channel) -> CodecConfig:
+    given = {k: v for k, v in vars(args).items() if k in _CODEC_DEFAULTS}
+    return CodecConfig(prior=prior, channel=channel, distortion=d, **given)
 
 
 def _cmd_encode(args) -> int:
     _, prior, d = load_model(args.model)
     channel, _, _ = blahut_arimoto(prior, d, args.target_d)
-    cfg = _cfg_from_args(args, prior, d, channel, delta=args.delta)
+    cfg = _cfg_from_args(args, prior, d, channel)
     source = _read_symbols(args.infile, args.format)
     result = encode(source, cfg)
     with open(args.out, "wb") as fh:
@@ -272,7 +278,8 @@ def _cmd_decode(args) -> int:
 def _run_experiment(args, spec: ExperimentSpec) -> int:
     """Run spec, write its report, and list each violation on stderr."""
     report = run_codec_experiment(spec)
-    _emit(report.render(args.format), args.out)
+    _emit(report.to_json() if args.format == "json" else report.to_csv(),
+          args.out)
     for v in report.violations:
         sys.stderr.write(f"violation: {v}\n")
     return 1 if report.violations else 0
@@ -313,7 +320,11 @@ def _cmd_exp_beq(args) -> int:
 
 
 def _cmd_exp_duality(args) -> int:
-    erasures = tuple(int(x) for x in args.erasures.split(",") if x)
+    try:
+        erasures = tuple(int(x) for x in args.erasures.split(",") if x)
+    except ValueError:
+        raise ConfigError(f"--erasures {args.erasures!r} is not a "
+                          f"comma-separated list of integers") from None
     res = run_duality_example(args.message, erasures)
     text = (
         f"message={res['message']} erasures={','.join(map(str, res['erasures']))}\n"

@@ -81,10 +81,11 @@ class CodecConfig:
     delta: float = 0.02
 
     def __post_init__(self):
-        if self.min_block < 1:
-            raise ConfigError("min_block must be >= 1")
-        if self.passes < 1:
-            raise ConfigError("passes must be >= 1")
+        # the header carries M in 4 bytes and K in 2
+        if not 1 <= self.min_block < 2**32:
+            raise ConfigError("min_block outside [1, 2^32 - 1]")
+        if not 1 <= self.passes < 2**16:
+            raise ConfigError("passes outside [1, 65535]")
         if not 2 <= self.precision <= 24:
             raise ConfigError("precision outside [2, 24]")
         if not 0 < self.delta < 1:
@@ -129,7 +130,7 @@ class FeedforwardOracle:
     def __len__(self) -> int:
         return int(self._src.size)
 
-    def emit(self, count: int = 1):
+    def emit(self, count: int):
         if count < 0:
             raise CausalityError("cannot emit a negative number of samples")
         if self.emitted + count > self._src.size:
@@ -191,7 +192,7 @@ def _sample_rows(rng: SplitMix64, cond: ConditionalModel, rows: np.ndarray):
     """One inverse-CDF draw from cond.rows[rows[i]] per position."""
     q = cond.precision
     u = (rng.fill_u64(rows.size) >> np.uint64(64 - q)).astype(np.int64)
-    cum = cond.cum_matrix()[rows]          # (n, out_size + 1)
+    cum = cond.cum[rows]  # (n, output alphabet size + 1)
     return (u[:, None] >= cum[:, 1:-1]).sum(axis=1, dtype=np.int64)
 
 
@@ -369,8 +370,13 @@ def plan_passes(cfg: CodecConfig, target_n: int) -> int:
 
 
 def estimate_total_samples(cfg: CodecConfig) -> int:
-    """Predicted n for a full K-pass run (geometric block growth)."""
-    return int(next(islice(_pass_totals(cfg), cfg.passes - 1, None)))
+    """Predicted n for a full K-pass run (geometric block growth).
+    Raises ConfigError if the prediction overflows a float."""
+    total = next(islice(_pass_totals(cfg), cfg.passes - 1, None))
+    if total == float("inf"):
+        raise ConfigError(f"{cfg.passes} passes predict more samples than "
+                          f"a float can count")
+    return int(total)
 
 
 def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:

@@ -78,15 +78,15 @@ class QuantizedModel:
     def size(self) -> int:
         return int(self.freq.size)
 
-    def cum_matrix(self) -> np.ndarray:
-        return self.cum.reshape(1, -1)
-
 
 @dataclass(frozen=True, eq=False)
 class ConditionalModel:
-    """One quantized row per conditioning symbol."""
+    """One quantized row per conditioning symbol.  ``cum`` and ``slots``
+    stack the rows' tables, built once and read-only."""
 
     rows: tuple[QuantizedModel, ...]
+    cum: np.ndarray = field(init=False)
+    slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -95,8 +95,8 @@ class ConditionalModel:
         sizes = {r.size for r in self.rows}
         if len(precisions) != 1 or len(sizes) != 1:
             raise QuantizationError("conditional rows must share shape/precision")
-        for name, attr in (("_cum_matrix", "cum"), ("_slot_matrix", "slots")):
-            table = np.stack([getattr(r, attr) for r in self.rows])
+        for name in ("cum", "slots"):
+            table = np.stack([getattr(r, name) for r in self.rows])
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -104,18 +104,8 @@ class ConditionalModel:
     def precision(self) -> int:
         return self.rows[0].precision
 
-    @property
-    def out_size(self) -> int:
-        return self.rows[0].size
 
-    def cum_matrix(self) -> np.ndarray:
-        return self._cum_matrix
-
-    def slot_matrix(self) -> np.ndarray:
-        return self._slot_matrix
-
-
-def quantize(p: Pmf, precision: int = 16) -> QuantizedModel:
+def quantize(p: Pmf, precision: int) -> QuantizedModel:
     """Largest-remainder rounding of a pmf to integer frequencies.
 
     Positive-probability symbols are guaranteed frequency >= 1, taking
@@ -150,7 +140,7 @@ def quantize(p: Pmf, precision: int = 16) -> QuantizedModel:
     return QuantizedModel(freq, precision)
 
 
-def quantize_channel(ch: TestChannel, precision: int = 16) -> ConditionalModel:
+def quantize_channel(ch: TestChannel, precision: int) -> ConditionalModel:
     rows = tuple(
         quantize(Pmf(ch.output_alphabet, row), precision) for row in ch.rows
     )
@@ -192,7 +182,7 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, model.precision),
                    dtype=np.uint8)
     nbytes, _, status = _kernels.encode_kernel(
-        sym, _EMPTY_ROWS, model.cum_matrix(), model.precision, buf
+        sym, _EMPTY_ROWS, model.cum.reshape(1, -1), model.precision, buf
     )
     if status == _kernels.OK:
         return Frame(int(sym.size), buf[:nbytes].tobytes())
@@ -205,7 +195,7 @@ def compress(symbols, model: QuantizedModel) -> Frame:
 
 
 def decode_frame_prefix(data, model: QuantizedModel,
-                        limit: int = 2**31) -> tuple[np.ndarray, int]:
+                        limit: int) -> tuple[np.ndarray, int]:
     """Decode a frame embedded at the start of `data`.
 
     Returns (symbols, total frame length in bytes).  Bytes after the

@@ -10,12 +10,11 @@ wall-time column.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,15 +50,11 @@ __all__ = [
     "uniform_source",
 ]
 
-_COLUMNS = ("trial", "seed", "n", "K", "rate", "distortion", "rd_ref", "gap",
-            "wall_s")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
     cfg: CodecConfig
-    trials: int = 20
+    trials: int
     rate_bounds: tuple[float, float] | None = None
     distortion_bounds: tuple[float, float] | None = None
 
@@ -81,6 +76,13 @@ class TrialRow:
     wall_s: float
 
 
+# The report's columns, in order; the summary rows average every column
+# but those that label a trial.
+_COLUMNS = tuple(f.name for f in fields(TrialRow))
+_SUMMARY_COLUMNS = tuple(c for c in _COLUMNS
+                         if c not in ("trial", "seed", "K"))
+
+
 @dataclass(frozen=True)
 class Report:
     experiment: str
@@ -89,17 +91,12 @@ class Report:
     violations: list[str]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(_COLUMNS) + "\n")
-        for r in self.rows:
-            buf.write(_csv_row(r.trial, r.seed, r.n, r.K, r.rate, r.distortion,
-                               r.rd_ref, r.gap, r.wall_s))
+        rows = [_COLUMNS]
+        rows += [[getattr(r, c) for c in _COLUMNS] for r in self.rows]
         for label in ("mean", "std"):
             s = self.summary[label]
-            buf.write(_csv_row(label, "", s["n"], "", s["rate"],
-                               s["distortion"], s["rd_ref"], s["gap"],
-                               s["wall_s"]))
-        return buf.getvalue()
+            rows.append([label, *(s.get(c, "") for c in _COLUMNS[1:])])
+        return "".join(_csv_row(*cells) for cells in rows)
 
     def to_json(self) -> str:
         doc = {
@@ -109,9 +106,6 @@ class Report:
             "violations": self.violations,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    def render(self, fmt: str) -> str:
-        return self.to_json() if fmt == "json" else self.to_csv()
 
 
 def _csv_row(*cells) -> str:
@@ -137,12 +131,27 @@ def uniform_source(seed: int, count: int, size: int) -> np.ndarray:
 _SOURCE_SEED_SALT = 0x5EED_0F5E_ED00_0001
 
 
+def _trial_source_len(cfg: CodecConfig) -> int:
+    """Samples a trial draws: the predicted n with 10% to spare, plus
+    four seed blocks.  Raises ConfigError, before anything is allocated,
+    if they cannot fit in physical memory at 16 bytes each (the 64-bit
+    draws and the int64 symbols)."""
+    need = int(1.10 * estimate_total_samples(cfg)) + 4 * cfg.min_block
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf here: no bound
+        return need
+    if 16 * need > memory:
+        raise ConfigError(f"a trial needs {need:.3g} source samples, more "
+                          f"than {memory / 2**30:.3g} GiB of memory holds")
+    return need
+
+
 def _run_trial(cfg: CodecConfig, trial: int) -> tuple[TrialRow, list[str]]:
     t0 = time.perf_counter()
     seed = cfg.seed + trial
     cfg_t = replace(cfg, seed=seed)
-    need = int(1.10 * estimate_total_samples(cfg_t)) + 4 * cfg_t.min_block
-    source = uniform_source(seed ^ _SOURCE_SEED_SALT, need,
+    source = uniform_source(seed ^ _SOURCE_SEED_SALT, _trial_source_len(cfg_t),
                             cfg_t.prior.alphabet.size)
     enc = encode(source, cfg_t)
     coded = source[source.size - enc.n:]
@@ -180,7 +189,9 @@ def run_codec_experiment(spec: ExperimentSpec) -> Report:
     trials at once: threads with the numba kernels, which release the
     GIL, and spawned processes with the pure-Python fallback, which does
     not (so a script that calls this keeps its top-level code under
-    ``if __name__ == "__main__":``)."""
+    ``if __name__ == "__main__":``).  Raises ConfigError before any trial
+    starts if a trial's source cannot fit in memory."""
+    _trial_source_len(spec.cfg)
     workers = harness_workers(spec.trials)
     if workers == 1:
         results = [_run_trial(spec.cfg, i) for i in range(spec.trials)]
@@ -208,10 +219,7 @@ def run_codec_experiment(spec: ExperimentSpec) -> Report:
 
     summary = {}
     for label, reducer in (("mean", np.mean), ("std", np.std)):
-        summary[label] = {
-            k: float(reducer(col(k)))
-            for k in ("n", "rate", "distortion", "rd_ref", "gap", "wall_s")
-        }
+        summary[label] = {c: float(reducer(col(c))) for c in _SUMMARY_COLUMNS}
 
     mean_rate = summary["mean"]["rate"]
     mean_dist = summary["mean"]["distortion"]
@@ -233,7 +241,7 @@ def run_codec_experiment(spec: ExperimentSpec) -> Report:
 
 # -- worked erasure examples -------------------------------------------
 
-def run_beq_example(source_str: str = "0**10**1") -> dict:
+def run_beq_example(source_str: str) -> dict:
     """Erasure quantization end to end, with the unit-lag audit."""
     src = ErasureSource.from_string(source_str)
     message = beq_encode(src)
@@ -256,10 +264,11 @@ def run_beq_example(source_str: str = "0**10**1") -> dict:
     }
 
 
-def run_duality_example(
-    message_str: str = "0101", erasures: tuple[int, ...] = (2, 3, 6, 7)
-) -> dict:
+def run_duality_example(message_str: str, erasures: tuple[int, ...]) -> dict:
     """Feedback transmission over an erasure channel, plus its dual."""
+    if set(message_str) - {"0", "1"}:
+        raise ConfigError(f"message {message_str!r} is not a string of 0s "
+                          f"and 1s")
     message = BitString.from_bits([int(c) for c in message_str])
     pattern = ErasurePattern.of(*erasures)
     sent, uses = bec_feedback_send(message, pattern)
@@ -277,7 +286,6 @@ def run_duality_example(
         "received": seen.to_string(),
         "recovered": _bitstr(recovered),
         "rate": f"{n}/{uses}",
-        "rate_value": n / uses if uses else 0.0,
         "ok": ok,
     }
 

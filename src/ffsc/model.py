@@ -242,6 +242,13 @@ def is_jointly_typical(
 # is far below any mass that can move a rate or a distortion.
 _Q_FLOOR = 1e-300
 
+# Convergence tolerance: on the functional's last change in each slope
+# solve (bits), and on the distortion width of the slope search's final
+# bracket.  A slope solve that has not met it after _MAX_ITER iterations
+# raises ModelError.
+_TOL = 1e-9
+_MAX_ITER = 10_000
+
 # Share of the uniform pmf mixed into every starting marginal.  Exact
 # zeros (or floored underflows) in a warm start would otherwise stay
 # (nearly) dead at every later slope, as multiplicative updates cannot
@@ -250,13 +257,12 @@ _WARM_MIX = 0.01
 
 
 def _ba_solve_slope(
-    prior: np.ndarray, d: np.ndarray, beta: float, q0: np.ndarray,
-    tol: float, max_iter: int,
+    prior: np.ndarray, d: np.ndarray, beta: float, q0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blahut's fixed-slope iteration.  Returns (channel rows, marginal).
 
     Starts from q0 mixed with 1% of the uniform pmf and stops once the
-    Lagrangian functional (in bits) moves by at most ``tol`` in one
+    Lagrangian functional (in bits) moves by at most ``_TOL`` in one
     iteration.  Each row's kernel 2^(-beta*d) is scaled so that its
     largest entry is 1, which leaves the channel unchanged and keeps
     every iterate to a handful of array operations.
@@ -265,9 +271,9 @@ def _ba_solve_slope(
     with np.errstate(over="ignore"):
         kern = np.exp2(-beta * (d - d_min))
     q = (1.0 - _WARM_MIX) * q0 + _WARM_MIX / q0.size
-    tol_nat = tol * _LOG2
+    tol_nat = _TOL * _LOG2
     prev_f = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = q * kern
         z = w.sum(axis=1)
         w /= z[:, None]
@@ -280,7 +286,7 @@ def _ba_solve_slope(
         prev_f = f
     last = beta * float(prior @ d_min[:, 0]) - prev_f / _LOG2
     raise ModelError(
-        f"rate-distortion solver did not converge in {max_iter} iterations "
+        f"rate-distortion solver did not converge in {_MAX_ITER} iterations "
         f"(last functional {last:.12g}, slope {beta:.6g})"
     )
 
@@ -298,11 +304,7 @@ def _channel_rate_distortion(
 
 
 def blahut_arimoto(
-    prior: Pmf,
-    d: DistortionMatrix,
-    target_D: float,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
+    prior: Pmf, d: DistortionMatrix, target_D: float
 ) -> tuple[TestChannel, float, float]:
     """Rate-distortion point at the requested distortion level.
 
@@ -314,7 +316,7 @@ def blahut_arimoto(
     falsi on D(slope) - target_D, with a bisection step whenever the
     secant point leaves the open bracket.  Each slope solve starts from
     the previous one's output marginal, mixed with 1% of the uniform
-    pmf.  ``tol`` bounds both the functional's last change in every
+    pmf.  ``_TOL`` bounds both the functional's last change in every
     slope solve (bits) and the distortion width of the final bracket;
     the result is the convex mixture of the bracket's two channels that
     meets the target.  Returns ``(channel, R, D)`` with R in bits/symbol.
@@ -351,7 +353,7 @@ def blahut_arimoto(
     weighted_d = p[:, None] * dm
 
     def solve(beta, q_start):
-        w, q_out = _ba_solve_slope(p, dm, beta, q_start, tol, max_iter)
+        w, q_out = _ba_solve_slope(p, dm, beta, q_start)
         return w, q_out, float(np.vdot(weighted_d, w))
 
     # Bracket the slope: distortion is non-increasing in beta.  Keep the
@@ -377,12 +379,11 @@ def blahut_arimoto(
     # Illinois steps on g(beta) = D(beta) - target_D, positive at lo and
     # non-positive at hi.  When the same end moves twice running, the
     # other end's g is halved, so both ends close in.
-    d_tol = max(tol, 1e-12)
     g_above = d_above - target_D
     g_below = d_below - target_D
     last_side = 0
     for _ in range(200):
-        if d_above - d_below <= d_tol or hi - lo <= 1e-15 * max(1.0, hi):
+        if d_above - d_below <= _TOL or hi - lo <= 1e-15 * max(1.0, hi):
             break
         beta = lo + (hi - lo) * g_above / (g_above - g_below)
         if not lo < beta < hi:

@@ -75,9 +75,6 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
     side_arr = np.asarray(side, dtype=np.int64)
-    cum = cm.cum_matrix()
-    slots = cm.slot_matrix()
-    q = cm.precision
 
     # The shaper reads four stream bytes, then one per shift, and stops
     # after the symbol whose renormalisation takes the shift count past
@@ -87,8 +84,8 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     sym_cap = max(256, 2 * m + 64)
     while True:
         out_sym = np.empty(sym_cap, dtype=np.int64)
-        nsym, status = _kernels.shape_kernel(stream, m, side_arr, cum,
-                                             slots, q, out_sym)
+        nsym, status = _kernels.shape_kernel(stream, m, side_arr, cm.cum,
+                                             cm.slots, cm.precision, out_sym)
         if status == _kernels.OK:
             return out_sym[:nsym].copy(), int(nsym)
         if status == _kernels.NEED_MORE_SYM:
@@ -118,7 +115,7 @@ def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, cm.precision),
                    dtype=np.uint8)
     nbytes, settled, status = _kernels.encode_kernel(
-        sym, rows, cm.cum_matrix(), cm.precision, buf
+        sym, rows, cm.cum, cm.precision, buf
     )
     if status == _kernels.OK:
         return buf[:nbytes].tobytes(), 8 * int(settled)

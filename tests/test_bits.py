@@ -6,9 +6,7 @@ import hypothesis.strategies as st
 from ffsc.bits import (
     BitString,
     fnv1a64,
-    pack_bits,
     read_uvarint,
-    unpack_bits,
     write_uvarint,
 )
 from ffsc.errors import StreamFormatError
@@ -16,14 +14,15 @@ from ffsc.errors import StreamFormatError
 
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_pack_unpack_roundtrip(bits):
-    arr = np.array(bits, dtype=np.uint8)
-    packed = pack_bits(arr)
-    assert np.array_equal(unpack_bits(packed, len(bits)), arr)
+    packed = BitString.from_bits(np.array(bits, dtype=np.uint8))
+    assert len(packed.data) == (len(bits) + 7) // 8
+    assert BitString.from_bytes(packed.data, len(bits)).to_array().tolist() == bits
 
 
 def test_pack_bits_msb_first():
-    assert pack_bits(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)) == b"\x81"
-    assert pack_bits(np.array([1], dtype=np.uint8)) == b"\x80"
+    assert BitString.from_bits([1, 0, 0, 0, 0, 0, 0, 1]).data == b"\x81"
+    assert BitString.from_bits([1]).data == b"\x80"
+    assert BitString(b"\x81", 8).to_array().tolist() == [1, 0, 0, 0, 0, 0, 0, 1]
 
 
 @given(st.lists(st.integers(0, 1), max_size=200))

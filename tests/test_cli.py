@@ -5,7 +5,9 @@ import pytest
 
 from ffsc import _kernels
 from ffsc.cli import main
+from ffsc.codec import CodecConfig, encode
 from ffsc.experiments import uniform_source
+from ffsc.model import blahut_arimoto, load_model
 
 BINARY_RATE_011 = 0.500084041835
 BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
@@ -73,6 +75,19 @@ def test_encode_outputs(coded_dir):
     assert stats["total_bits"] == 8 * (coded_dir / "out.ffsc").stat().st_size
     assert 0.4 < stats["rate"] < 0.7
     assert stats["backend"] == BACKEND
+
+
+def test_encode_defaults_are_the_library_defaults(tmp_path):
+    src = tmp_path / "source.bin"
+    sym = write_source(src, 150_000)
+    out = tmp_path / "out.ffsc"
+    assert run("encode", "--in", src, "--out", out) == 0
+    _, prior, d = load_model("binary_hamming")
+    channel, _, _ = blahut_arimoto(prior, d, 0.11)
+    expected = encode(sym, CodecConfig(prior, channel, d))
+    assert out.read_bytes() == expected.bitstream
+    stats = json.loads((tmp_path / "out.ffsc.stats.json").read_text())
+    assert stats["atypical_blocks"] == expected.atypical_blocks
 
 
 def test_encode_is_deterministic(coded_dir, tmp_path):
@@ -206,6 +221,36 @@ def _source_outside_alphabet(tmp_path, coded_dir):
             "--out", tmp_path / "x.bin"), "outside alphabet"
 
 
+def _duality_message_012(tmp_path, coded_dir):
+    return ("exp-duality", "--message", "012"), "message '012'"
+
+
+def _duality_message_abc(tmp_path, coded_dir):
+    return ("exp-duality", "--message", "abc"), "message 'abc'"
+
+
+def _duality_erasures_a_b(tmp_path, coded_dir):
+    return ("exp-duality", "--erasures", "a,b"), "--erasures 'a,b'"
+
+
+# Each trial source below is one numpy refuses at once (over 2^63 bytes),
+# so a missing check fails fast instead of filling memory.
+def _passes_2000(tmp_path, coded_dir):
+    return ("exp-hamming", "--passes", 2000), "2000 passes"
+
+
+def _passes_100(tmp_path, coded_dir):
+    return ("exp-hamming", "--passes", 100), "source samples"
+
+
+def _passes_50(tmp_path, coded_dir):
+    return ("exp-general", "--passes", 50), "source samples"
+
+
+def _min_block_over_header_field(tmp_path, coded_dir):
+    return ("exp-hamming", "--passes", 1, "--min-block", 2**62), "min_block"
+
+
 def _missing_bitstream(tmp_path, coded_dir):
     return ("decode", "--in", tmp_path / "none.ffsc",
             "--source", coded_dir / "source.bin",
@@ -215,7 +260,9 @@ def _missing_bitstream(tmp_path, coded_dir):
 @pytest.mark.parametrize("case", [
     _ascii_symbol_x, _grid_without_count, _zero_trials,
     _sidecar_not_an_object, _negative_offset, _missing_bitstream,
-    _source_outside_alphabet,
+    _source_outside_alphabet, _duality_message_012, _duality_message_abc,
+    _duality_erasures_a_b, _passes_2000, _passes_100, _passes_50,
+    _min_block_over_header_field,
 ])
 def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
                                                      tmp_path, capsys):

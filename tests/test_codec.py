@@ -61,7 +61,7 @@ def table_arrays(tables):
     """Every array of a quantized() pair: the marginal's and each row's
     freq/cum/slots, and the conditional model's stacked tables."""
     marg, cond = tables
-    arrays = [cond.cum_matrix(), cond.slot_matrix()]
+    arrays = [cond.cum, cond.slots]
     for m in (marg, *cond.rows):
         arrays += [m.freq, m.cum, m.slots]
     return arrays
@@ -311,6 +311,17 @@ def test_read_header_round_trips_the_packed_header():
         12, 7, 1000, 2**64 - 3, 0x0123456789ABCDEF)
     with pytest.raises(StreamFormatError, match="shorter"):
         read_header(header[:-1])
+
+
+def test_config_refuses_what_the_header_cannot_carry():
+    """K has a 2-byte header field and M a 4-byte one."""
+    cfg = bsc_config(passes=2**16 - 1, min_block=2**32 - 1)
+    header = _pack_header(cfg, 0)
+    assert read_header(header)[1:3] == (2**16 - 1, 2**32 - 1)
+    with pytest.raises(ConfigError, match="passes"):
+        bsc_config(passes=2**16)
+    with pytest.raises(ConfigError, match="min_block"):
+        bsc_config(min_block=2**32)
 
 
 def test_header_config_mismatch_detected():

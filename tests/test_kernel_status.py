@@ -39,7 +39,7 @@ CALLS = {
                     "encode_kernel", lambda st: (0, 0, st)),
     "shape": (lambda: shape(BitString.from_bits([1, 0, 1]), SIDE, CHANNEL),
               "shape_kernel", lambda st: (0, st)),
-    "decode_frame_prefix": (lambda: decode_frame_prefix(bytes(64), MODEL),
+    "decode_frame_prefix": (lambda: decode_frame_prefix(bytes(64), MODEL, 0),
                             "decode_kernel", lambda st: (0, st)),
 }
 

@@ -378,11 +378,11 @@ def test_shape_kernel_matches_reference_over_rows(precision):
         stream = rng.integers(0, 256, 8 + 600 // 8).astype(np.uint8)
         out = np.empty(side.size, dtype=np.int64)
         nsym, status = _kernels.shape_kernel(
-            stream, 600, side, cm.cum_matrix(), cm.slot_matrix(), precision,
+            stream, 600, side, cm.cum, cm.slots, precision,
             out)
         assert status == _kernels.OK and nsym > 0
         ref = decode_reference_rows(stream.tobytes(), side[:nsym],
-                                    cm.cum_matrix(), precision)
+                                    cm.cum, precision)
         assert out[:nsym].tolist() == ref
 
 
@@ -406,8 +406,8 @@ def test_pure_python_fallback_matches_jit():
                         for x in side[:800]], dtype=np.int64)
         fixed = rng.choice(len(freqs[0]), size=800, p=probs[0]).astype(np.int64)
 
-        for symbols, rows, table in ((fixed, NO_ROWS, row0.cum_matrix()),
-                                     (sym, side[:sym.size], cm.cum_matrix())):
+        for symbols, rows, table in ((fixed, NO_ROWS, row0.cum.reshape(1, -1)),
+                                     (sym, side[:sym.size], cm.cum)):
             buf_a = np.zeros(8192, dtype=np.uint8)
             buf_b = np.zeros(8192, dtype=np.uint8)
             res_a = _kernels.encode_kernel(symbols, rows, table, q, buf_a)
@@ -434,10 +434,10 @@ def test_pure_python_fallback_matches_jit():
                               (4000, _kernels.OK)):
             out_a = np.zeros(sym_cap, dtype=np.int64)
             out_b = np.zeros(sym_cap, dtype=np.int64)
-            res_a = _kernels.shape_kernel(stream, 2000, side, cm.cum_matrix(),
-                                          cm.slot_matrix(), q, out_a)
+            res_a = _kernels.shape_kernel(stream, 2000, side, cm.cum,
+                                          cm.slots, q, out_a)
             res_b = _kernels.python_shape_kernel(
-                stream, 2000, side, cm.cum_matrix(), cm.slot_matrix(), q,
+                stream, 2000, side, cm.cum, cm.slots, q,
                 out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
