@@ -32,7 +32,6 @@ from .erasure import (
     ErasurePattern,
     ErasureSource,
     apply_erasures,
-    bec_feedback_receive,
     bec_feedback_send,
     beq_decode,
     beq_encode,
@@ -54,20 +53,18 @@ from .model import (
     DistortionMatrix,
     Pmf,
     TestChannel,
-    binary_entropy,
     blahut_arimoto,
     bundled_model_names,
     conditional_entropy,
     entropy,
     expected_distortion,
     growth_factor,
-    is_jointly_typical,
     is_strongly_typical,
     load_model,
     mutual_information,
 )
 from .rng import SplitMix64
-from .shaping import deshape, deshape_raw, shape, shaped_length
+from .shaping import deshape_raw, shape
 
 __version__ = "0.1.0"
 
@@ -99,25 +96,21 @@ __all__ = [
     "TestChannel",
     "TruncatedFrameError",
     "apply_erasures",
-    "bec_feedback_receive",
     "bec_feedback_send",
     "beq_decode",
     "beq_encode",
-    "binary_entropy",
     "blahut_arimoto",
     "bundled_model_names",
     "compress",
     "conditional_entropy",
     "decode",
     "decode_frame_prefix",
-    "deshape",
     "deshape_raw",
     "encode",
     "entropy",
     "erasure_distortion",
     "expected_distortion",
     "growth_factor",
-    "is_jointly_typical",
     "is_strongly_typical",
     "load_model",
     "measure",
@@ -127,5 +120,4 @@ __all__ = [
     "quantize",
     "quantize_channel",
     "shape",
-    "shaped_length",
 ]

@@ -63,14 +63,8 @@ class BitString:
         return cls(np.packbits(arr).tobytes(), int(arr.size))
 
     @classmethod
-    def from_bytes(cls, data: bytes, length: int | None = None) -> "BitString":
-        if length is None:
-            length = 8 * len(data)
-        return cls(bytes(data[: (length + 7) // 8]), length)
-
-    @classmethod
-    def empty(cls) -> "BitString":
-        return cls(b"", 0)
+    def from_bytes(cls, data: bytes) -> "BitString":
+        return cls(bytes(data), 8 * len(data))
 
     # -- accessors ---------------------------------------------------
 

@@ -140,9 +140,6 @@ class FeedforwardOracle:
             )
         self.emitted += count
 
-    def reveal(self, i: int) -> int:
-        return int(self.reveal_range(i, i + 1)[0])
-
     def reveal_range(self, start: int, stop: int) -> np.ndarray:
         if start < 0 or stop < start:
             raise CausalityError(f"bad reveal range [{start}, {stop})")

@@ -8,7 +8,7 @@ mirror image of sending bits over an erasure channel with feedback:
   only after the feedforward sample shows the step was constrained.
 * The channel's transmitter repeats the current message bit until the
   (feedback-known) channel delivers it; the receiver keeps the
-  delivered symbols.
+  delivered symbols, which is the quantizer's encoder, ``beq_encode``.
 
 Both sides of the pair touch n + e channel uses / n source samples for
 an n-bit message with e erasures, and both transcripts coincide on the
@@ -37,7 +37,6 @@ __all__ = [
     "beq_encode",
     "beq_decode",
     "bec_feedback_send",
-    "bec_feedback_receive",
     "apply_erasures",
 ]
 
@@ -123,7 +122,7 @@ def beq_decode(m: BitString, oracle: FeedforwardOracle) -> np.ndarray:
     for i in range(n):
         out[i] = m[k] if k < len(m) else 0
         oracle.emit(1)
-        x_i = oracle.reveal(i)
+        x_i = oracle.reveal_range(i, i + 1)[0]
         if x_i != ERASED:
             if k >= len(m):
                 raise CodingError(
@@ -155,11 +154,6 @@ def bec_feedback_send(
             k += 1
         t += 1
     return BitString.from_bits(np.array(inputs, dtype=np.uint8)), len(inputs)
-
-
-def bec_feedback_receive(outputs: ErasureSource) -> BitString:
-    """Keep the delivered symbols: the mirror image of beq_encode."""
-    return beq_encode(outputs)
 
 
 def apply_erasures(inputs: BitString, pattern: ErasurePattern) -> ErasureSource:

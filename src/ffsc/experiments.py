@@ -32,10 +32,10 @@ from .erasure import (
     ErasurePattern,
     ErasureSource,
     apply_erasures,
-    bec_feedback_receive,
     bec_feedback_send,
     beq_decode,
     beq_encode,
+    erasure_distortion,
 )
 from .errors import ConfigError
 
@@ -247,8 +247,7 @@ def run_beq_example(source_str: str) -> dict:
     message = beq_encode(src)
     oracle = FeedforwardOracle(src.seq)
     recon = beq_decode(message, oracle)
-    constrained = src.seq != 2
-    distortion = int(np.sum(recon[constrained] != src.seq[constrained]))
+    distortion = int(erasure_distortion().entries[src.seq, recon].sum())
     ok = (len(message) == src.n - src.e and distortion == 0
           and oracle.audit_clean())
     return {
@@ -273,7 +272,9 @@ def run_duality_example(message_str: str, erasures: tuple[int, ...]) -> dict:
     pattern = ErasurePattern.of(*erasures)
     sent, uses = bec_feedback_send(message, pattern)
     seen = apply_erasures(sent, pattern)
-    recovered = bec_feedback_receive(seen)
+    # The receiver keeps the delivered symbols: it is the quantizer's
+    # encoder, which is the duality itself.
+    recovered = beq_encode(seen)
     n = len(message)
     e = sum(1 for i in pattern.indices if i <= uses)
     ok = (recovered.data == message.data and len(recovered) == n

@@ -27,9 +27,7 @@ __all__ = [
     "expected_distortion",
     "blahut_arimoto",
     "is_strongly_typical",
-    "is_jointly_typical",
     "growth_factor",
-    "binary_entropy",
     "load_model",
     "bundled_model_names",
 ]
@@ -157,12 +155,6 @@ def entropy(p: Pmf) -> float:
     return float(-(q * np.log(q)).sum() / _LOG2)
 
 
-def binary_entropy(p: float) -> float:
-    if p <= 0 or p >= 1:
-        return 0.0
-    return float(-(p * np.log(p) + (1 - p) * np.log(1 - p)) / _LOG2)
-
-
 def conditional_entropy(ch: TestChannel, prior: Pmf) -> float:
     """H(output | input) under the given input distribution, in bits."""
     _check_match(prior, ch)
@@ -216,22 +208,6 @@ def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
         return False
     n = max(seq.size, 1)
     return bool(np.all(np.abs(counts / n - p.probs) <= delta))
-
-
-def is_jointly_typical(
-    x_seq, xhat_seq, prior: Pmf, ch: TestChannel, delta: float
-) -> bool:
-    """Strong typicality of the pair sequence w.r.t. p(x)·p(x_hat|x)."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    xhat_seq = np.asarray(xhat_seq, dtype=np.int64)
-    if x_seq.shape != xhat_seq.shape:
-        raise ModelError("paired sequences must have equal length")
-    _check_match(prior, ch)
-    out_size = ch.output_alphabet.size
-    joint = (prior.probs[:, None] * ch.rows).ravel()
-    pair_seq = x_seq * out_size + xhat_seq
-    pair_pmf = Pmf(Alphabet(joint.size), joint)
-    return is_strongly_typical(pair_seq, pair_pmf, delta)
 
 
 # -- Blahut-Arimoto ----------------------------------------------------
@@ -291,18 +267,6 @@ def _ba_solve_slope(
     )
 
 
-def _channel_rate_distortion(
-    prior: np.ndarray, w: np.ndarray, d: np.ndarray
-) -> tuple[float, float]:
-    qout = prior @ w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w > 0, w / qout[None, :], 1.0)
-        t = np.where(w > 0, w * np.log(ratio), 0.0)
-    rate = float((prior @ t.sum(axis=1)) / _LOG2)
-    dist = float(prior @ (w * d).sum(axis=1))
-    return rate, dist
-
-
 def blahut_arimoto(
     prior: Pmf, d: DistortionMatrix, target_D: float
 ) -> tuple[TestChannel, float, float]:
@@ -319,7 +283,8 @@ def blahut_arimoto(
     pmf.  ``_TOL`` bounds both the functional's last change in every
     slope solve (bits) and the distortion width of the final bracket;
     the result is the convex mixture of the bracket's two channels that
-    meets the target.  Returns ``(channel, R, D)`` with R in bits/symbol.
+    meets the target.  Returns ``(channel, R, D)``: R is the channel's
+    ``mutual_information`` in bits/symbol and D its ``expected_distortion``.
     """
     p = prior.probs
     dm = np.asarray(d.entries, dtype=np.float64)
@@ -345,8 +310,8 @@ def blahut_arimoto(
     if target_D <= d_floor + 1e-15:
         w = np.zeros((p.size, n_out))
         w[np.arange(p.size), row_best] = 1.0
-        rate, dist = _channel_rate_distortion(p, w, dm)
-        return TestChannel(prior.alphabet, out_alpha, w), rate, dist
+        ch = TestChannel(prior.alphabet, out_alpha, w)
+        return ch, mutual_information(prior, ch), expected_distortion(prior, ch, d)
 
     # A channel w's distortion is vdot(weighted_d, w); the search needs no
     # rate until the end.
@@ -406,8 +371,8 @@ def blahut_arimoto(
         w = lam * w_above + (1.0 - lam) * w_below
     else:
         w = w_below
-    rate, dist = _channel_rate_distortion(p, w, dm)
-    return TestChannel(prior.alphabet, out_alpha, w), rate, dist
+    ch = TestChannel(prior.alphabet, out_alpha, w)
+    return ch, mutual_information(prior, ch), expected_distortion(prior, ch, d)
 
 
 # -- model files -------------------------------------------------------
@@ -421,14 +386,15 @@ def bundled_model_names() -> list[str]:
 def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
     """Load a model file: a path, or the name of a bundled model.
 
-    Schema: JSON object with fields ``name`` (string), ``alphabet_size``
-    (int), ``probs`` (list of floats), ``distortion`` (list of rows).
+    Schema: UTF-8 JSON object with fields ``name`` (string),
+    ``alphabet_size`` (a JSON integer), ``probs`` (list of floats),
+    ``distortion`` (list of rows).
     """
     import os
 
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(ref, "rb") as fh:
+            raw = fh.read()
     else:
         candidate = resources.files("ffsc") / "models" / f"{ref}.json"
         if not candidate.is_file():
@@ -436,15 +402,25 @@ def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
                 f"model {ref!r} is neither a file nor a bundled model "
                 f"(bundled: {', '.join(bundled_model_names())})"
             )
-        doc = json.loads(candidate.read_text(encoding="utf-8"))
+        raw = candidate.read_bytes()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(
+            f"model file {ref!r} is not UTF-8 JSON: {exc}"
+        ) from None
 
     try:
-        size = int(doc["alphabet_size"])
+        size = doc["alphabet_size"]
         probs = np.asarray(doc["probs"], dtype=np.float64)
         dist = np.asarray(doc["distortion"], dtype=np.float64)
         name = str(doc.get("name", ref))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model file {ref!r}: {exc}") from exc
+    if type(size) is not int:
+        raise ModelError(
+            f"model {name!r}: alphabet_size {size!r} is not an integer"
+        )
     if probs.shape != (size,) or dist.shape != (size, size):
         raise ModelError(
             f"model {name!r}: probs/distortion shapes do not match "

@@ -4,8 +4,10 @@ symbol sequence, exactly invertibly.
 ``shape`` runs the range *decoder* over the input bits against a
 per-position conditional model keyed by the side sequence — the same
 trick as bits-back coding: uniform bits in, model-distributed symbols
-out.  ``deshape`` is then just a plain re-encode of the symbols (keyed
-by the same side samples) truncated to ``m`` bits.
+out.  Unshaping is a plain re-encode of the symbols keyed by the same
+side samples: ``deshape_raw`` returns the re-encoded bytes and their
+settled bit count, and ``check_unshaped`` checks them against the
+payload length ``m``, whose bits are the first ``m`` of those bytes.
 
 Shaping stops at the first symbol after which all ``m`` payload bits
 are settled, and the decoder's shift count alone tells when that is.
@@ -22,9 +24,8 @@ count first exceeds ceil(m/8).
 The input is padded with a fixed repeating 64-bit pattern rather than
 zeros.  The pad serves two jobs: it gives the decoder bits to chew on
 past the payload, and its known values make corruption detectable —
-``check_unshaped``, which both ``deshape`` and the codec's decoder
-call, verifies that every settled bit beyond position ``m`` matches
-the pad.
+``check_unshaped`` verifies that every settled bit beyond position
+``m`` matches the pad.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from . import _kernels
 from .bits import BitString
 from .coder import ConditionalModel
 from .errors import ShapingError
-from .model import Pmf, TestChannel, conditional_entropy
 
 __all__ = [
-    "PAD_PATTERN", "shape", "deshape", "deshape_raw", "check_unshaped",
-    "pad_mismatch", "shaped_length",
+    "PAD_PATTERN", "shape", "deshape_raw", "check_unshaped", "pad_mismatch",
 ]
 
 PAD_PATTERN = b"\xb4\x5a\x1c\xe3\x8f\x26\xd9\x71"
@@ -104,9 +103,10 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
 def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     """Re-encode (xhat, x) and return (all flushed bytes, settled bit count).
 
-    The first `settled` bits are exactly the bits shape() consumed; the
-    caller slices its payload out of them.  Used directly by the codec,
-    which discovers the payload length only while parsing it.
+    The first `settled` bits are exactly the bits shape() consumed.  The
+    caller learns the payload length m from those bytes (the codec parses
+    a frame out of them), checks it with ``check_unshaped``, and takes
+    the payload as their first m bits.
     """
     sym = np.asarray(xhat, dtype=np.int64)
     rows = np.asarray(x, dtype=np.int64)
@@ -142,31 +142,3 @@ def check_unshaped(data: bytes, settled: int, m: int):
             f"pad mismatch at bit {bad}: (xhat, x) does not deshape to "
             f"an m={m} bit string"
         )
-
-
-def deshape(xhat, x, cm: ConditionalModel, m: int) -> BitString:
-    """Recover the m bits that shape() embedded into (xhat, x)."""
-    if m < 0:
-        raise ShapingError("negative bit count")
-    if m == 0:
-        return BitString.empty()
-    data, settled = deshape_raw(xhat, x, cm)
-    check_unshaped(data, settled, m)
-    return BitString.from_bytes(data, m)
-
-
-def shaped_length(m: int, prior: Pmf, ch: TestChannel) -> float:
-    """Predicted symbol count when shaping m bits: m / H(out|in).
-
-    Planning-only accuracy (about ±10%); the codec never relies on it.
-    """
-    if m < 0:
-        raise ShapingError("negative bit count")
-    if m == 0:
-        return 0.0
-    h = conditional_entropy(ch, prior)
-    if h <= 0:
-        raise ShapingError(
-            "deterministic channel: shaping would never consume its input"
-        )
-    return m / h

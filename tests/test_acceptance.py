@@ -43,13 +43,13 @@ from ffsc.model import (
     DistortionMatrix,
     Pmf,
     TestChannel,
-    binary_entropy,
     blahut_arimoto,
     entropy,
     growth_factor,
     mutual_information,
 )
-from ffsc.shaping import deshape, shape
+from ffsc.shaping import shape
+from testlib import h2, unshape
 
 BENCH_N = 1.27e5  # nominal samples for M=4096, K=5 on the binary benchmark
 
@@ -212,7 +212,7 @@ def test_criterion_5_property_suites():
         out, used = decode_frame_prefix(raw, qm, syms.size)
         assert np.array_equal(out, syms) and used == len(raw)
 
-    # shape/deshape round trip, 10^4 cases over two conditional models
+    # shape/unshape round trip, 10^4 cases over two conditional models
     cms = [
         quantize_channel(TestChannel.bsc(0.11), 16),
         quantize_channel(
@@ -228,7 +228,7 @@ def test_criterion_5_property_suites():
         bits = BitString(rng.bytes((m + 7) // 8), m)
         side = rng.integers(0, len(cm.rows), 4 * m + 200)
         xhat, used = shape(bits, side, cm)
-        assert deshape(xhat, side[:used], cm, m) == bits
+        assert unshape(xhat, side[:used], cm, m) == bits
 
     # transport identity, 200 full encode/decode pairs, audit every one
     cfgs = {
@@ -296,7 +296,7 @@ def test_criterion_7_solver_against_closed_form():
     errs = []
     for target in (0.05, 0.11, 0.25):
         _, rate, dist = blahut_arimoto(prior, d, target)
-        errs.append(abs(rate - (1.0 - binary_entropy(dist))))
+        errs.append(abs(rate - (1.0 - h2(dist))))
     closed_ok = all(e <= 1e-4 for e in errs)
 
     _, r0, d0 = blahut_arimoto(prior, d, 0.0)

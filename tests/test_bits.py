@@ -16,7 +16,7 @@ from ffsc.errors import StreamFormatError
 def test_pack_unpack_roundtrip(bits):
     packed = BitString.from_bits(np.array(bits, dtype=np.uint8))
     assert len(packed.data) == (len(bits) + 7) // 8
-    assert BitString.from_bytes(packed.data, len(bits)).to_array().tolist() == bits
+    assert BitString(packed.data, len(bits)).to_array().tolist() == bits
 
 
 def test_pack_bits_msb_first():

@@ -189,6 +189,24 @@ def _grid_without_count(tmp_path, coded_dir):
     return ("rd", "--grid", "0:0.5"), "--grid '0:0.5'"
 
 
+def _model_not_json(tmp_path, coded_dir):
+    (tmp_path / "bad.json").write_text('{"alphabet_size": 2,')
+    return ("rd", "--model", tmp_path / "bad.json"), "is not UTF-8 JSON"
+
+
+def _model_not_utf8(tmp_path, coded_dir):
+    (tmp_path / "bad.json").write_bytes(b'{"name": "\xff"}')
+    return ("rd", "--model", tmp_path / "bad.json"), "can't decode byte 0xff"
+
+
+def _model_fractional_alphabet_size(tmp_path, coded_dir):
+    (tmp_path / "bad.json").write_text(json.dumps({
+        "alphabet_size": 2.7, "probs": [0.5, 0.5],
+        "distortion": [[0, 1], [1, 0]],
+    }))
+    return ("rd", "--model", tmp_path / "bad.json"), "alphabet_size 2.7"
+
+
 def _zero_trials(tmp_path, coded_dir):
     return ("exp-hamming", "--trials", 0), "trial count"
 
@@ -258,7 +276,8 @@ def _missing_bitstream(tmp_path, coded_dir):
 
 
 @pytest.mark.parametrize("case", [
-    _ascii_symbol_x, _grid_without_count, _zero_trials,
+    _ascii_symbol_x, _grid_without_count, _model_not_json, _model_not_utf8,
+    _model_fractional_alphabet_size, _zero_trials,
     _sidecar_not_an_object, _negative_offset, _missing_bitstream,
     _source_outside_alphabet, _duality_message_012, _duality_message_abc,
     _duality_erasures_a_b, _passes_2000, _passes_100, _passes_50,

@@ -29,10 +29,10 @@ from ffsc.model import (
     DistortionMatrix,
     Pmf,
     TestChannel,
-    binary_entropy,
     blahut_arimoto,
     growth_factor,
 )
+from testlib import h2
 
 RHO_011 = 2.000336223856
 
@@ -120,9 +120,9 @@ def test_pickled_config_carries_no_tables():
 def test_oracle_rejects_reading_ahead():
     oracle = FeedforwardOracle(np.array([0, 1, 0, 1], dtype=np.int64))
     oracle.emit(1)
-    oracle.reveal(0)
+    oracle.reveal_range(0, 1)
     with pytest.raises(CausalityError):
-        oracle.reveal(1)  # sample 1 not emitted yet
+        oracle.reveal_range(1, 2)  # sample 1 not emitted yet
 
 
 def test_oracle_range_reveal():
@@ -137,7 +137,7 @@ def test_oracle_audit_records_violation_free_log():
     oracle = FeedforwardOracle(np.arange(5, dtype=np.int64))
     for i in range(5):
         oracle.emit(1)
-        oracle.reveal(i)
+        oracle.reveal_range(i, i + 1)
     assert oracle.audit_clean()
     # one (emitted, start, stop) record per reveal
     assert len(oracle.audit_log) == 5
@@ -263,7 +263,7 @@ def test_plan_passes_growth_factor_three_halves():
     lo, hi = 0.1, 0.3
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < 2 / 3:
+        if h2(mid) < 2 / 3:
             lo = mid
         else:
             hi = mid

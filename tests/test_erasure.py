@@ -10,7 +10,6 @@ from ffsc.erasure import (
     ErasurePattern,
     ErasureSource,
     apply_erasures,
-    bec_feedback_receive,
     bec_feedback_send,
     beq_decode,
     beq_encode,
@@ -54,7 +53,7 @@ def test_worked_example_channel():
     assert uses == 8
     outputs = apply_erasures(inputs, pattern)
     assert outputs.to_string() == "0**10**1"
-    assert bec_feedback_receive(outputs) == message
+    assert beq_encode(outputs) == message  # the receiver is the encoder
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_duality_exhaustive(n):
         assert inputs.to_array().tolist() == recon[:uses].tolist()
         received = apply_erasures(inputs, pattern)
         assert received.to_string() == src.to_string()[:uses]
-        assert bec_feedback_receive(received) == m
+        assert beq_encode(received) == m
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,17 @@ from ffsc.model import (
     DistortionMatrix,
     Pmf,
     TestChannel,
-    binary_entropy,
     blahut_arimoto,
     bundled_model_names,
     conditional_entropy,
     entropy,
     expected_distortion,
     growth_factor,
-    is_jointly_typical,
     is_strongly_typical,
     load_model,
     mutual_information,
 )
+from testlib import h2
 
 # closed-form reference values, frozen to 12 decimals
 H_COND_011 = 0.499915958165  # H(out|in) for symmetric binary crossover 0.11
@@ -45,7 +44,6 @@ def test_entropy_basics():
     assert entropy(Pmf.from_probs([0.5, 0.5])) == pytest.approx(1.0)
     assert entropy(Pmf.from_probs([1.0, 0.0])) == pytest.approx(0.0)
     assert entropy(Pmf.uniform(8)) == pytest.approx(3.0)
-    assert binary_entropy(0.11) == pytest.approx(H_COND_011, abs=1e-12)
 
 
 def test_conditional_entropy_and_mi():
@@ -177,7 +175,7 @@ def test_solver_survives_a_never_seen_input(target):
     ch, rate, dist = blahut_arimoto(prior, d, target)
     assert np.all(np.isfinite(ch.rows))
     assert dist == pytest.approx(target, rel=1e-12)
-    ref = binary_entropy(0.3) - binary_entropy(target / 1e4)
+    ref = h2(0.3) - h2(target / 1e4)
     assert rate == pytest.approx(ref, abs=1e-8)
 
 
@@ -332,16 +330,6 @@ def test_strongly_typical_statistical_acceptance():
         for _ in range(40)
     )
     assert fails / 40 < 0.05
-
-
-def test_jointly_typical_matched_pair():
-    rng = np.random.default_rng(8)
-    x = rng.integers(0, 2, size=20000)
-    flips = rng.random(20000) < 0.11
-    y = np.where(flips, 1 - x, x)
-    prior, ch, _ = bsc_setup()
-    assert is_jointly_typical(x, y, prior, ch, 0.02)
-    assert not is_jointly_typical(x, x, prior, ch, 0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,11 @@ import hypothesis.strategies as st
 from ffsc.bits import BitString
 from ffsc.coder import quantize_channel
 from ffsc.errors import ShapingError
-from ffsc.model import Pmf, TestChannel, is_jointly_typical
-from ffsc.shaping import (
-    PAD_PATTERN,
-    deshape,
-    deshape_raw,
-    pad_mismatch,
-    shape,
-    shaped_length,
+from ffsc.model import (
+    Pmf, TestChannel, conditional_entropy, is_strongly_typical,
 )
+from ffsc.shaping import PAD_PATTERN, deshape_raw, pad_mismatch, shape
+from testlib import unshape
 
 BSC11 = quantize_channel(TestChannel.bsc(0.11), 16)
 UNIFORM_ROWS = quantize_channel(
@@ -39,7 +35,7 @@ def test_roundtrip_property(m, salt):
     bits, side = random_case(rng, m)
     xhat, used = shape(bits, side, BSC11)
     assert xhat.size == used
-    assert deshape(xhat, side[:used], BSC11, m) == bits
+    assert unshape(xhat, side[:used], BSC11, m) == bits
 
 
 def test_roundtrip_bulk_seeded():
@@ -48,21 +44,22 @@ def test_roundtrip_bulk_seeded():
         m = int(rng.integers(1, 4000))
         bits, side = random_case(rng, m)
         xhat, used = shape(bits, side, BSC11)
-        assert deshape(xhat, side[:used], BSC11, m) == bits
+        assert unshape(xhat, side[:used], BSC11, m) == bits
 
 
 def test_roundtrip_long_input():
     rng = np.random.default_rng(77)
     bits, side = random_case(rng, 100_000, side_factor=2.5)
     xhat, used = shape(bits, side, BSC11)
-    assert deshape(xhat, side[:used], BSC11, len(bits)) == bits
+    assert unshape(xhat, side[:used], BSC11, len(bits)) == bits
 
 
 def test_m_zero_is_empty():
     side = np.zeros(10, dtype=np.int64)
-    xhat, used = shape(BitString.empty(), side, BSC11)
+    empty = BitString.from_bits([])
+    xhat, used = shape(empty, side, BSC11)
     assert used == 0 and xhat.size == 0
-    assert deshape(xhat, side[:0], BSC11, 0) == BitString.empty()
+    assert unshape(xhat, side[:0], BSC11, 0) == empty
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +69,13 @@ def test_m_zero_is_empty():
 def test_sample_count_near_prediction():
     rng = np.random.default_rng(11)
     m = 5000
-    predicted = shaped_length(m, Pmf.from_probs([0.5, 0.5]), TestChannel.bsc(0.11))
+    predicted = m / conditional_entropy(TestChannel.bsc(0.11),
+                                        Pmf.from_probs([0.5, 0.5]))
     assert predicted == pytest.approx(10001.68, abs=0.02)
     for _ in range(10):
         bits, side = random_case(rng, m)
         _, used = shape(bits, side, BSC11)
         assert 9500 <= used <= 10500
-
-
-def test_shaped_length_edge_values():
-    uniform = TestChannel.from_rows([[0.5, 0.5], [0.5, 0.5]])
-    p = Pmf.from_probs([0.5, 0.5])
-    assert shaped_length(0, p, uniform) == 0.0
-    assert shaped_length(1234, p, uniform) == pytest.approx(1234.0)
-
-
-def test_shaped_length_rejects_deterministic_rows():
-    ident = TestChannel.from_rows([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ShapingError):
-        shaped_length(100, Pmf.from_probs([0.5, 0.5]), ident)
 
 
 def test_uniform_rows_pass_bits_through():
@@ -102,7 +87,7 @@ def test_uniform_rows_pass_bits_through():
         xhat, used = shape(bits, side, UNIFORM_ROWS)
         assert m <= used <= m + 96
         assert np.array_equal(xhat[:m], bits.to_array().astype(np.int64))
-        assert deshape(xhat, side[:used], UNIFORM_ROWS, m) == bits
+        assert unshape(xhat, side[:used], UNIFORM_ROWS, m) == bits
 
 
 def test_all_ones_input_still_settles():
@@ -113,7 +98,7 @@ def test_all_ones_input_still_settles():
     side = np.zeros(4 * m, dtype=np.int64)
     xhat, used = shape(bits, side, UNIFORM_ROWS)
     assert used <= m + 96
-    assert deshape(xhat, side[:used], UNIFORM_ROWS, m) == bits
+    assert unshape(xhat, side[:used], UNIFORM_ROWS, m) == bits
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +115,15 @@ def test_crossover_fraction_matches_channel():
 
 
 def test_joint_typicality_of_output():
-    prior = Pmf.from_probs([0.5, 0.5])
-    ch = TestChannel.bsc(0.11)
+    # strong typicality of the pair sequence under p(x) p(xhat | x)
+    joint = Pmf.from_probs((0.5 * TestChannel.bsc(0.11).rows).ravel())
     delta = 0.02
     rng = np.random.default_rng(31)
     passes = 0
     for _ in range(20):
         bits, side = random_case(rng, 10_000)
         xhat, used = shape(bits, side, BSC11)
-        passes += is_jointly_typical(side[:used], xhat, prior, ch, delta)
+        passes += is_strongly_typical(2 * side[:used] + xhat, joint, delta)
     assert passes >= 18
 
 
@@ -181,7 +166,7 @@ def test_side_symbol_out_of_range_raises():
 
 
 def test_deshape_never_silently_returns_wrong_input_as_right():
-    """Tampering with x-hat violates deshape's precondition; the promise
+    """Tampering with x-hat violates the unshape precondition; the promise
     is only that it cannot reproduce the original bits as if nothing
     happened -- it either raises (pad-tail mismatch, inconsistent
     length) or returns visibly different bits."""
@@ -192,7 +177,7 @@ def test_deshape_never_silently_returns_wrong_input_as_right():
         bad = xhat.copy()
         bad[int(rng.integers(0, used // 2))] ^= 1
         try:
-            got = deshape(bad, side[:used], BSC11, len(bits))
+            got = unshape(bad, side[:used], BSC11, len(bits))
         except ShapingError:
             continue
         assert got != bits
@@ -213,7 +198,7 @@ def test_deshape_rejects_m_beyond_settled():
     bits, side = random_case(rng, 1000)
     xhat, used = shape(bits, side, BSC11)
     with pytest.raises(ShapingError):
-        deshape(xhat, side[:used], BSC11, len(bits) + 5000)
+        unshape(xhat, side[:used], BSC11, len(bits) + 5000)
 
 
 def test_pad_pattern_shape():
@@ -244,7 +229,7 @@ def test_constant_payloads_round_trip(m, precision):
         for fill in (0, 1):
             bits = BitString.from_bits([fill] * m)
             xhat, used = shape(bits, side, cm)
-            assert deshape(xhat, side[:used], cm, m) == bits
+            assert unshape(xhat, side[:used], cm, m) == bits
 
 
 @pytest.mark.parametrize("precision", [4, 16, 24])
@@ -252,7 +237,7 @@ def test_shape_stops_at_the_shortest_settling_prefix(precision):
     """The symbols shape() returns settle all m bits when re-encoded,
     and the same symbols less the last one do not.  Round trips cannot
     see a shaper that stops late, since the extra symbols carry pad,
-    which deshape accepts."""
+    which unshaping accepts."""
     rng = np.random.default_rng(precision)
     for rows in ([[0.89, 0.11], [0.11, 0.89]],
                  [[0.99, 0.01], [0.01, 0.99]],

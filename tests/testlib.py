@@ -1,0 +1,20 @@
+"""Helpers shared by several test modules."""
+
+import math
+
+from ffsc.bits import BitString
+from ffsc.shaping import check_unshaped, deshape_raw
+
+
+def h2(p: float) -> float:
+    """Binary entropy in bits, written out so that closed-form references
+    do not rest on ``ffsc.model.entropy``."""
+    return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+
+
+def unshape(xhat, x, cm, m: int) -> BitString:
+    """The m bits that shape() embedded into (xhat, x), recovered the way
+    the codec's decoder does: ``deshape_raw``, then ``check_unshaped``."""
+    data, settled = deshape_raw(xhat, x, cm)
+    check_unshaped(data, settled, m)
+    return BitString(data[: (m + 7) // 8], m)
