@@ -227,6 +227,8 @@ def _sidecar_offset(path: str) -> int:
         return 0
     except ValueError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path} nests too deeply") from None
     offset = stats.get("source_offset", 0) if isinstance(stats, dict) else None
     if type(offset) is not int:
         raise ConfigError(f"{path} has no integer source_offset")

@@ -122,7 +122,9 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
         )
     raw = probs * total
     freq = np.floor(raw).astype(np.int64)
-    remainder = raw - freq
+    # Remainders that agree to 1e-9 are ties, and ties go to the lowest
+    # index, so an ulp of solver noise cannot move a unit between symbols.
+    remainder = np.round(raw - freq, 9)
     deficit = total - int(freq.sum())
     if deficit:
         order = np.argsort(-remainder, kind="stable")

@@ -220,8 +220,8 @@ _Q_FLOOR = 1e-300
 
 # Convergence tolerance: on the functional's last change in each slope
 # solve (bits), and on the distortion width of the slope search's final
-# bracket.  A slope solve that has not met it after _MAX_ITER iterations
-# raises ModelError.
+# bracket or that width times its slope width.  A slope solve that has
+# not met it after _MAX_ITER iterations raises ModelError.
 _TOL = 1e-9
 _MAX_ITER = 10_000
 
@@ -267,6 +267,36 @@ def _ba_solve_slope(
     )
 
 
+def _one_step_slope(
+    weighted_d: np.ndarray, d: np.ndarray, target_D: float
+) -> float:
+    """Slope at which one Blahut update from the uniform marginal meets
+    ``target_D``, to about 1e-3 relative.
+
+    That update's channel is the row-normalised kernel 2^(-beta*d); its
+    distortion falls as beta grows, and it is the exact optimum when the
+    optimal output marginal is uniform, as in symmetric problems.
+    Doubling brackets the crossing and bisection narrows it; no Blahut
+    iterations are run.
+    """
+    d_rel = d - d.min(axis=1, keepdims=True)
+
+    def dist(beta):
+        k = np.exp2(-beta * d_rel)
+        return float(np.vdot(weighted_d, k / k.sum(axis=1, keepdims=True)))
+
+    lo, hi = 0.0, 1.0
+    while dist(hi) > target_D and hi < 2.0**60:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if dist(mid) > target_D:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def blahut_arimoto(
     prior: Pmf, d: DistortionMatrix, target_D: float
 ) -> tuple[TestChannel, float, float]:
@@ -275,16 +305,25 @@ def blahut_arimoto(
     Runs Blahut's alternating minimisation in the Lagrangian (slope)
     parameterisation and searches the slope until the achieved
     distortion matches ``min(target_D, distortion of the zero-rate
-    point)``.  The search doubles the slope until it brackets the
-    target, then closes the bracket by the Illinois variant of regula
-    falsi on D(slope) - target_D, with a bisection step whenever the
-    secant point leaves the open bracket.  Each slope solve starts from
-    the previous one's output marginal, mixed with 1% of the uniform
-    pmf.  ``_TOL`` bounds both the functional's last change in every
-    slope solve (bits) and the distortion width of the final bracket;
-    the result is the convex mixture of the bracket's two channels that
-    meets the target.  Returns ``(channel, R, D)``: R is the channel's
-    ``mutual_information`` in bits/symbol and D its ``expected_distortion``.
+    point)``.  The first slope solve, from the uniform pmf, is at the
+    slope where one Blahut update from the uniform marginal meets the
+    target (``_one_step_slope``), which is the answer for symmetric
+    problems; the zero-rate channel at slope 0 is the bracket's other
+    end.  The search doubles the slope until it brackets the target,
+    then closes the bracket by the Illinois variant of regula falsi on
+    D(slope) - target_D, with a bisection step whenever the secant point
+    leaves the open bracket.  Each later slope solve starts from the
+    previous one's output marginal, mixed with 1% of the uniform pmf.
+
+    The search stops once the bracket's distortion width is at most
+    ``_TOL``, or once that width times its slope width is.  R(D) is
+    convex with slopes -lo and -hi at the bracket's ends, so in the
+    second case the chord between them, and with it the rate of the
+    convex mixture of the two channels that meets the target, is within
+    ``_TOL/4`` bits of the curve.  ``_TOL`` also bounds the functional's
+    last change in every slope solve (bits).  Returns ``(channel, R,
+    D)``: R is the channel's ``mutual_information`` in bits/symbol and D
+    its ``expected_distortion``.
     """
     p = prior.probs
     dm = np.asarray(d.entries, dtype=np.float64)
@@ -330,7 +369,7 @@ def blahut_arimoto(
     w_above[:, j_star] = 1.0
     d_above = d_zero
     lo = 0.0
-    hi = 1.0
+    hi = _one_step_slope(weighted_d, dm, target_D)
     w_hi, q, dist = solve(hi, np.full(n_out, 1.0 / n_out))
     while dist > target_D:
         w_above, d_above = w_hi, dist
@@ -348,7 +387,9 @@ def blahut_arimoto(
     g_below = d_below - target_D
     last_side = 0
     for _ in range(200):
-        if d_above - d_below <= _TOL or hi - lo <= 1e-15 * max(1.0, hi):
+        if (d_above - d_below <= _TOL
+                or (d_above - d_below) * (hi - lo) <= _TOL
+                or hi - lo <= 1e-15 * max(1.0, hi)):
             break
         beta = lo + (hi - lo) * g_above / (g_above - g_below)
         if not lo < beta < hi:
@@ -409,6 +450,8 @@ def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
         raise ModelError(
             f"model file {ref!r} is not UTF-8 JSON: {exc}"
         ) from None
+    except RecursionError:
+        raise ModelError(f"model file {ref!r} nests too deeply") from None
 
     try:
         size = doc["alphabet_size"]

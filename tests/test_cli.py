@@ -207,6 +207,14 @@ def _model_fractional_alphabet_size(tmp_path, coded_dir):
     return ("rd", "--model", tmp_path / "bad.json"), "alphabet_size 2.7"
 
 
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _model_nested_too_deeply(tmp_path, coded_dir):
+    (tmp_path / "deep.json").write_text(_DEEP_JSON)
+    return ("rd", "--model", tmp_path / "deep.json"), "nests too deeply"
+
+
 def _zero_trials(tmp_path, coded_dir):
     return ("exp-hamming", "--trials", 0), "trial count"
 
@@ -217,6 +225,14 @@ def _sidecar_not_an_object(tmp_path, coded_dir):
     (tmp_path / "out.ffsc.stats.json").write_text("[1, 2]")
     return ("decode", "--in", stream, "--source", coded_dir / "source.bin",
             "--out", tmp_path / "x.bin"), "source_offset"
+
+
+def _sidecar_nested_too_deeply(tmp_path, coded_dir):
+    stream = tmp_path / "out.ffsc"
+    stream.write_bytes((coded_dir / "out.ffsc").read_bytes())
+    (tmp_path / "out.ffsc.stats.json").write_text(_DEEP_JSON)
+    return ("decode", "--in", stream, "--source", coded_dir / "source.bin",
+            "--out", tmp_path / "x.bin"), "nests too deeply"
 
 
 def _negative_offset(tmp_path, coded_dir):
@@ -277,11 +293,11 @@ def _missing_bitstream(tmp_path, coded_dir):
 
 @pytest.mark.parametrize("case", [
     _ascii_symbol_x, _grid_without_count, _model_not_json, _model_not_utf8,
-    _model_fractional_alphabet_size, _zero_trials,
-    _sidecar_not_an_object, _negative_offset, _missing_bitstream,
-    _source_outside_alphabet, _duality_message_012, _duality_message_abc,
-    _duality_erasures_a_b, _passes_2000, _passes_100, _passes_50,
-    _min_block_over_header_field,
+    _model_fractional_alphabet_size, _model_nested_too_deeply, _zero_trials,
+    _sidecar_not_an_object, _sidecar_nested_too_deeply, _negative_offset,
+    _missing_bitstream, _source_outside_alphabet, _duality_message_012,
+    _duality_message_abc, _duality_erasures_a_b, _passes_2000, _passes_100,
+    _passes_50, _min_block_over_header_field,
 ])
 def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
                                                      tmp_path, capsys):

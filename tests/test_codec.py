@@ -378,10 +378,15 @@ def test_truncated_stream_detected():
 def test_final_frame_cut_by_one_byte_is_refused():
     # On this skewed model the cut frame still decodes with status OK to
     # a frame of exactly the cut length, one sample wrong; only its last
-    # byte, which no flush can write, gives the cut away.
+    # byte, which no flush can write, gives the cut away.  The channel is
+    # the solver's at D = 0.15, given by fixed rows: the solver is only
+    # accurate to about 5e-6 here, and a unit moved in the quantized
+    # tables changes these bytes.
     prior = Pmf.from_probs([0.8, 0.2])
     d = DistortionMatrix.hamming(2)
-    channel, _, _ = blahut_arimoto(prior, d, 0.15)
+    channel = TestChannel.from_rows(
+        [[0.9866034847160634, 0.013396515283936754],
+         [0.696413938864253, 0.30358606113574704]])
     cfg = CodecConfig(prior=prior, channel=channel, distortion=d,
                       min_block=83, passes=1, seed=51)
     src = (np.random.default_rng(51083).random(166) < 0.2).astype(np.int64)

@@ -35,6 +35,16 @@ def test_quantize_benchmark_row():
     assert q.freq.sum() == 1 << 16
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_quantize_ties_go_to_the_lowest_index(index):
+    # the spare unit of a uniform ternary pmf must not follow an ulp of
+    # solver noise to whichever entry carries it
+    probs = np.full(3, 1 / 3)
+    probs[index] = np.nextafter(probs[index], 1.0)
+    q = quantize(Pmf.from_probs(probs), 16)
+    assert q.freq.tolist() == [21846, 21845, 21845]
+
+
 def test_quantize_point_mass():
     q = quantize(Pmf.from_probs([1.0, 0.0]), 16)
     assert q.freq.tolist() == [65536, 0]

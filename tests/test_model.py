@@ -240,25 +240,31 @@ def _measure_style_prior(counts):
     return Pmf.from_probs(counts / counts.sum())
 
 
-def test_slope_search_makes_few_solves(monkeypatch):
-    """A prior like the ones ``codec.measure`` builds: 2304 uniform
-    ternary samples, scored at D = 0.15."""
+@pytest.mark.parametrize("counts, target", [
+    ([746, 764, 794], 0.15),
+    ([685, 702, 727], 322 / 2114),
+    ([690, 647, 644, 643], 386 / 2624),
+])
+def test_slope_search_makes_few_solves(monkeypatch, counts, target):
+    """Priors like the ones ``codec.measure`` builds from short uniform
+    ternary and 4-ary streams, scored at their measured distortion."""
     calls = []
     solve = model._ba_solve_slope
     monkeypatch.setattr(model, "_ba_solve_slope",
                         lambda *a: calls.append(a[2]) or solve(*a))
-    prior = _measure_style_prior([746, 764, 794])
-    blahut_arimoto(prior, DistortionMatrix.hamming(3), 0.15)
-    assert len(calls) <= 16
+    prior = _measure_style_prior(counts)
+    blahut_arimoto(prior, DistortionMatrix.hamming(len(counts)), target)
+    assert len(calls) <= 8
 
 
-# (sample counts or bundled model, target D, R, D): the points the
-# bisecting slope search returned
+# (sample counts or bundled model, target D, R, D): the points earlier
+# slope searches returned
 _RECORDED_POINTS = [
     ([746, 764, 794], 0.1471, 0.834849006941817, 0.1471),
     ([746, 764, 794], 0.15, 0.824643920223643, 0.15),
     ([746, 764, 794], 0.1532, 0.813493517675124, 0.1532),
     ([767, 782, 755], 0.15, 0.8249730804066878, 0.15),
+    ([685, 702, 727], 322 / 2114, 0.8166025662447632, 322 / 2114),
     ([575, 590, 552, 587], 0.1471, 1.1638276902314806, 0.1471),
     ([575, 590, 552, 587], 0.15, 1.1519262122612155, 0.15),
     ([575, 590, 552, 587], 0.1532, 1.1389039297103887, 0.1532),
