@@ -264,7 +264,6 @@ _RECORDED_POINTS = [
     ([746, 764, 794], 0.15, 0.824643920223643, 0.15),
     ([746, 764, 794], 0.1532, 0.813493517675124, 0.1532),
     ([767, 782, 755], 0.15, 0.8249730804066878, 0.15),
-    ([685, 702, 727], 322 / 2114, 0.8166025662447632, 322 / 2114),
     ([575, 590, 552, 587], 0.1471, 1.1638276902314806, 0.1471),
     ([575, 590, 552, 587], 0.15, 1.1519262122612155, 0.15),
     ([575, 590, 552, 587], 0.1532, 1.1389039297103887, 0.1532),
@@ -275,6 +274,7 @@ _RECORDED_POINTS = [
     ("ternary_hamming", 0.05, 1.2485655436052001, 0.05),
     ("ternary_hamming", 0.15, 0.825122196004756, 0.15),
     ("ternary_hamming", 0.25, 0.5236843762620232, 0.25),
+    ([685, 702, 727], 322 / 2114, 0.8166025662447632, 322 / 2114),
 ]
 
 
