@@ -34,8 +34,6 @@ __all__ = [
     "model_digest",
 ]
 
-_EMPTY_ROWS = np.zeros(0, dtype=np.int64)
-
 
 @dataclass(frozen=True, eq=False)
 class QuantizedModel:
@@ -183,9 +181,8 @@ def compress(symbols, model: QuantizedModel) -> Frame:
         raise CodingError("symbols must be one-dimensional")
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, model.precision),
                    dtype=np.uint8)
-    nbytes, _, status = _kernels.encode_kernel(
-        sym, _EMPTY_ROWS, model.cum.reshape(1, -1), model.precision, buf
-    )
+    nbytes, _, status = _kernels.encode_kernel(sym, model.cum,
+                                               model.precision, buf)
     if status == _kernels.OK:
         return Frame(int(sym.size), buf[:nbytes].tobytes())
     if status == _kernels.ERR_RANGE:

@@ -70,10 +70,12 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     each emitted symbol consumes exactly one side sample.  Raises
     ShapingError if the side buffer runs out before all of b settles.
     """
+    side_arr = np.asarray(side, dtype=np.int64)
+    if side_arr.ndim != 1:
+        raise ShapingError("side must be 1-D")
     m = len(b)
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
-    side_arr = np.asarray(side, dtype=np.int64)
 
     # The shaper reads four stream bytes, then one per shift, and stops
     # after the symbol whose renormalisation takes the shift count past
@@ -83,8 +85,10 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     sym_cap = max(256, 2 * m + 64)
     while True:
         out_sym = np.empty(sym_cap, dtype=np.int64)
-        nsym, status = _kernels.shape_kernel(stream, m, side_arr, cm.cum,
-                                             cm.slots, cm.precision, out_sym)
+        # The kernel reads at most sym_cap samples; the fallback copies all.
+        nsym, status = _kernels.shape_kernel(
+            stream, m, side_arr[:sym_cap], cm.cum, cm.slots, cm.precision,
+            out_sym)
         if status == _kernels.OK:
             return out_sym[:nsym].copy(), int(nsym)
         if status == _kernels.NEED_MORE_SYM:
@@ -110,19 +114,21 @@ def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     """
     sym = np.asarray(xhat, dtype=np.int64)
     rows = np.asarray(x, dtype=np.int64)
-    if sym.shape != rows.shape:
-        raise ShapingError("xhat and x must have equal length")
+    if sym.ndim != 1 or sym.shape != rows.shape:
+        raise ShapingError("xhat and x must be 1-D, of equal length")
+    # The kernel guards the flat index x * (size + 1) + xhat, not these.
+    n_rows, width = cm.cum.shape
+    if sym.size and (sym.min() < 0 or sym.max() >= width - 1
+                     or rows.min() < 0 or rows.max() >= n_rows):
+        raise ShapingError("symbol outside the conditional model")
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, cm.precision),
                    dtype=np.uint8)
     nbytes, settled, status = _kernels.encode_kernel(
-        sym, rows, cm.cum, cm.precision, buf
-    )
+        rows * width + sym, cm.cum.ravel(), cm.precision, buf)
     if status == _kernels.OK:
         return buf[:nbytes].tobytes(), 8 * int(settled)
     if status == _kernels.ERR_ZERO_FREQ:
         raise ShapingError("(xhat, x) pair with zero quantized probability")
-    if status == _kernels.ERR_RANGE:
-        raise ShapingError("symbol outside the conditional model")
     raise ShapingError(f"deshaper failed with status {status}")
 
 

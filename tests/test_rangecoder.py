@@ -14,14 +14,22 @@ from ffsc.rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
 from ffsc.shaping import PAD_PATTERN, shape
 
 
-def encode_reference(symbols, freq, precision):
-    total = 1 << precision
-    cum = np.concatenate(([0], np.cumsum(freq)))
-    assert cum[-1] == total
+def encode_reference_rows(symbols, side, cum_rows, precision):
+    """RangeEncoder over `symbols`, symbol t against cum_rows[side[t]].
+    Returns (bytes, settled count taken before the flush)."""
     enc = RangeEncoder(precision)
-    for s in symbols:
-        enc.encode(int(cum[s]), int(freq[s]))
-    return bytes(enc.finish())
+    for s, x in zip(symbols, side):
+        cum = cum_rows[x]
+        enc.encode(int(cum[s]), int(cum[s + 1] - cum[s]))
+    settled = enc.settled_count()
+    return bytes(enc.finish()), settled
+
+
+def encode_reference(symbols, freq, precision):
+    cum = np.concatenate(([0], np.cumsum(freq)))
+    assert cum[-1] == 1 << precision
+    return encode_reference_rows(symbols, [0] * len(symbols), [cum],
+                                 precision)[0]
 
 
 def decode_reference_rows(data, side, cum_rows, precision):
@@ -41,15 +49,19 @@ def decode_reference(data, count, freq, precision):
     return decode_reference_rows(data, [0] * count, [cum], precision)
 
 
-NO_ROWS = np.empty(0, dtype=np.int64)  # fixed-row mode: row 0 for every symbol
+def flat_codes(symbols, side, cum_rows):
+    """encode_kernel's codes and table for symbol t against
+    cum_rows[side[t]]: x * (size + 1) + s into the rows laid end to end."""
+    cum_rows = np.asarray(cum_rows, dtype=np.int64)
+    codes = np.asarray(side, dtype=np.int64) * cum_rows.shape[1]
+    return codes + np.asarray(symbols, dtype=np.int64), cum_rows.ravel()
 
 
 def kernel_encode(symbols, freq, precision):
     sym = np.asarray(symbols, dtype=np.int64)
-    cum = np.zeros((1, len(freq) + 1), dtype=np.int64)
-    cum[0, 1:] = np.cumsum(freq)
+    cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     buf = np.empty(sym.size * 4 + 64, dtype=np.uint8)
-    nbytes, settled, status = _kernels.encode_kernel(sym, NO_ROWS, cum, precision, buf)
+    nbytes, settled, status = _kernels.encode_kernel(sym, cum, precision, buf)
     assert status == _kernels.OK
     return bytes(buf[:nbytes].tobytes()), settled
 
@@ -162,7 +174,8 @@ def test_settled_prefix_is_stable_under_extension():
 def test_kernel_settled_matches_reference_settled_count():
     """encode_kernel's settled count is RangeEncoder.settled_count()
     taken before finish(), on carry-heavy inputs: skewed tables, runs of
-    the top symbol, precisions 2-24, with and without rows."""
+    the top symbol, precisions 2-24, against one row's table and against
+    rows through flat codes."""
     rng = np.random.default_rng(2024)
     scanned = 0
     for case in range(400):
@@ -187,19 +200,31 @@ def test_kernel_settled_matches_reference_settled_count():
         with_rows = case % 2 == 1
         rows = (rng.integers(0, n_rows, n) if with_rows
                 else np.zeros(n, dtype=np.int64))
-        enc = RangeEncoder(q)
-        for s, r in zip(symbols, rows):
-            enc.encode(int(cum_rows[r, s]), int(freqs[r][s]))
-        expected = enc.settled_count()
-        scanned += expected < len(enc.buf) - 1
+        want, expected = encode_reference_rows(symbols, rows, cum_rows, q)
+        scanned += expected < len(want) - 3
+        codes, table = (flat_codes(symbols, rows, cum_rows) if with_rows
+                        else (symbols.astype(np.int64), cum_rows[0]))
         buf = np.empty(_kernels.encoded_bytes_bound(n, q), dtype=np.uint8)
-        nbytes, settled, status = _kernels.encode_kernel(
-            symbols.astype(np.int64), rows if with_rows else NO_ROWS,
-            cum_rows, q, buf)
+        nbytes, settled, status = _kernels.encode_kernel(codes, table, q, buf)
         assert status == _kernels.OK
         assert settled == expected, case
-        assert buf[:nbytes].tobytes() == enc.finish()
+        assert buf[:nbytes].tobytes() == want
     assert scanned >= 20  # enough buffers end in a 0xFF run
+
+
+def test_encode_kernel_guards_the_flat_index():
+    """The kernel's two checks on a code c: ERR_RANGE outside
+    0 <= c < len(cum) - 1, and ERR_ZERO_FREQ on an empty interval, which
+    includes a code at a row's last entry of a flat conditional table."""
+    cum_rows = np.array([[0, 40, 40, 64], [0, 10, 30, 64]], dtype=np.int64)
+    table = cum_rows.ravel()
+    buf = np.empty(64, dtype=np.uint8)
+    for code, want in ((-1, _kernels.ERR_RANGE), (7, _kernels.ERR_RANGE),
+                       (1, _kernels.ERR_ZERO_FREQ),
+                       (3, _kernels.ERR_ZERO_FREQ),
+                       (6, _kernels.OK)):
+        codes = np.array([0, 5, code], dtype=np.int64)
+        assert _kernels.encode_kernel(codes, table, 6, buf)[2] == want, code
 
 
 def test_decoder_reads_exactly_payload_plus_nothing():
@@ -219,12 +244,12 @@ def test_decoder_reads_exactly_payload_plus_nothing():
 def test_encoded_bytes_bound_holds_at_minimum_frequency(precision):
     """Symbols of frequency 1 shift out the most bytes per symbol; a
     buffer of exactly encoded_bytes_bound still holds their frame."""
-    cum = np.array([[0, 1, 1 << precision]], dtype=np.int64)
+    cum = np.array([0, 1, 1 << precision], dtype=np.int64)
     for count in (0, 1, 2, 7, 300):
         cap = _kernels.encoded_bytes_bound(count, precision)
         buf = np.empty(cap, dtype=np.uint8)
         nbytes, _, status = _kernels.encode_kernel(
-            np.zeros(count, dtype=np.int64), NO_ROWS, cum, precision, buf
+            np.zeros(count, dtype=np.int64), cum, precision, buf
         )
         assert status == _kernels.OK and nbytes <= cap
 
@@ -400,21 +425,25 @@ def test_pure_python_fallback_matches_jit():
                                     for f in freqs))
         row0 = cm.rows[0]
         side = rng.integers(0, len(freqs), 4000).astype(np.int64)
-        # symbols drawn from their own row, so rows-mode encodes them
+        # symbols drawn from their own row, so the flat codes encode them
         probs = np.array(freqs) / (1 << q)
         sym = np.array([rng.choice(len(freqs[0]), p=probs[x])
                         for x in side[:800]], dtype=np.int64)
         fixed = rng.choice(len(freqs[0]), size=800, p=probs[0]).astype(np.int64)
 
-        for symbols, rows, table in ((fixed, NO_ROWS, row0.cum.reshape(1, -1)),
-                                     (sym, side[:sym.size], cm.cum)):
+        for symbols, rows in ((fixed, np.zeros(800, dtype=np.int64)),
+                              (sym, side[:sym.size])):
+            codes, table = ((symbols, row0.cum) if symbols is fixed
+                            else flat_codes(symbols, rows, cm.cum))
             buf_a = np.zeros(8192, dtype=np.uint8)
             buf_b = np.zeros(8192, dtype=np.uint8)
-            res_a = _kernels.encode_kernel(symbols, rows, table, q, buf_a)
-            res_b = _kernels.python_encode_kernel(symbols, rows, table, q, buf_b)
+            res_a = _kernels.encode_kernel(codes, table, q, buf_a)
+            res_b = _kernels.python_encode_kernel(codes, table, q, buf_b)
             assert res_a == res_b and res_a[2] == _kernels.OK
             assert np.array_equal(buf_a, buf_b)
-            if rows is NO_ROWS:
+            want, settled = encode_reference_rows(symbols, rows, cm.cum, q)
+            assert buf_a[:res_a[0]].tobytes() == want and res_a[1] == settled
+            if symbols is fixed:
                 payload = buf_a[:res_a[0]]
 
         # The decoder reads one table; a payload cut in half ends in TRUNCATED.

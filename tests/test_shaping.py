@@ -157,6 +157,24 @@ def test_side_exhaustion_raises():
         shape(bits, short_side, BSC11)
 
 
+def test_side_that_ends_at_the_needed_count_is_enough():
+    """shape() hands the kernel at most its symbol buffer's worth of
+    side samples; a side exactly as long as the symbols it needs still
+    shapes, across buffer doublings, and one sample fewer is exhausted."""
+    rng = np.random.default_rng(15)
+    retried = 0
+    for _ in range(8):
+        m = int(rng.integers(100, 3000))
+        bits, side = random_case(rng, m)
+        xhat, used = shape(bits, side, BSC11)
+        retried += used > 2 * m + 64
+        got, got_used = shape(bits, side[:used], BSC11)
+        assert got_used == used and np.array_equal(got, xhat)
+        with pytest.raises(ShapingError):
+            shape(bits, side[:used - 1], BSC11)
+    assert retried >= 2
+
+
 def test_side_symbol_out_of_range_raises():
     rng = np.random.default_rng(2)
     bits = BitString.from_bits(rng.integers(0, 2, size=64))
@@ -191,6 +209,46 @@ def test_deshape_rejects_impossible_pair():
     x = np.array([0], dtype=np.int64)
     with pytest.raises(ShapingError):
         deshape_raw(xhat, x, asym)
+
+
+def test_deshape_rejects_symbols_outside_the_model():
+    """deshape_raw refuses an xhat or x outside the alphabet, including
+    pairs whose flat index x * (size + 1) + xhat lands inside the table
+    (x = 1, xhat = -2 is row 0's symbol 1 under BSC(0.11))."""
+    n_rows, size = len(BSC11.rows), BSC11.rows[0].size
+    xhat = np.array([0, 1, 1, 0], dtype=np.int64)
+    x = np.array([0, 1, 0, 1], dtype=np.int64)
+    deshape_raw(xhat, x, BSC11)
+    for bad_xhat in (-1, -2, size):
+        for t in range(xhat.size):
+            with pytest.raises(ShapingError, match="outside"):
+                deshape_raw(np.where(np.arange(4) == t, bad_xhat, xhat), x,
+                            BSC11)
+    for bad_x in (-1, n_rows):
+        for t in range(x.size):
+            with pytest.raises(ShapingError, match="outside"):
+                deshape_raw(xhat, np.where(np.arange(4) == t, bad_x, x),
+                            BSC11)
+    with pytest.raises(ShapingError, match="outside"):
+        deshape_raw([-2], [1], BSC11)
+    assert deshape_raw([], [], BSC11) == (b"\x00\x00", 0)
+
+
+def test_shape_refuses_a_two_dimensional_side():
+    rng = np.random.default_rng(16)
+    bits, side = random_case(rng, 200)
+    for b in (bits, BitString.from_bits([])):
+        with pytest.raises(ShapingError, match="1-D"):
+            shape(b, side[:600].reshape(2, -1), BSC11)
+
+
+def test_deshape_refuses_two_dimensional_input():
+    rng = np.random.default_rng(16)
+    bits, side = random_case(rng, 200)
+    xhat, used = shape(bits, side, BSC11)
+    for a, b in ((xhat[None], side[None, :used]), ([[0, 1]], [[0, 1]])):
+        with pytest.raises(ShapingError, match="1-D"):
+            deshape_raw(a, b, BSC11)
 
 
 def test_deshape_rejects_m_beyond_settled():
