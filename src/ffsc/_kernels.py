@@ -26,18 +26,21 @@ at most three buckets.  The models build their tables once
 
 Each loop is written once, in a form numba can compile: plain-int
 literals, ``len()`` rather than ``.shape``, indexing and nothing else.
-With numba the public kernels are those functions compiled.  Without
-it they are thin wrappers that run the same source as plain Python on
-Python ints: inputs go in as lists (``.tolist()``) or ``bytes``, and
-outputs are written through ``memoryview``s straight into the caller's
-numpy buffers, so nothing is copied back and a large output buffer is
-touched only where symbols land.  Arithmetic on numpy scalars and
-element writes into numpy arrays cost 2-4x more per step.  The fallback
-is bit-identical to the compiled kernels; on 2 cores one trial of the
-binary benchmark (n ~ 128k, encode and decode) takes about 0.16 s.
+Two loops are compiled, ``encode_kernel`` and ``_decode_loop`` (with
+``_carry``); the entry points ``decode_kernel`` and ``shape_kernel`` are
+the same plain Python on both backends and call the module's
+``_decode_loop``.  Without numba each loop runs its own source as plain
+Python on Python ints (``python_encode_kernel``, ``python_decode_loop``):
+inputs go in as lists (``.tolist()``) or ``bytes``, and outputs are
+written through ``memoryview``s straight into the caller's numpy
+buffers, so nothing is copied back and a large output buffer is touched
+only where symbols land.  Arithmetic on numpy scalars and element writes
+into numpy arrays cost 2-4x more per step.  The fallback is
+bit-identical to the compiled loops; on 2 cores one trial of the binary
+benchmark (n ~ 128k, encode and decode) takes about 0.16 s.
 
-Kernels never raise: they return a status code so the compiled code
-stays allocation-free and exception-free.  Buffers are caller-allocated
+Kernels never raise: they return a status code so the compiled loops
+stay allocation-free and exception-free.  Buffers are caller-allocated
 and bounds-checked by the kernels themselves.  The encoder's output
 never exceeds ``encoded_bytes_bound``, and the shaper's stream has a
 closed-form size too (see ``shaping.shape``), so their callers
@@ -57,8 +60,6 @@ suite checks these kernels against it byte for byte.
 """
 
 from __future__ import annotations
-
-import types
 
 import numpy as np
 
@@ -267,7 +268,11 @@ def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
     return count, shifts, NEED_MORE_SYM
 
 
-@_jit
+# decode_kernel's side: empty, so every symbol reads row 0.  Every call
+# shares it, so it is read-only (np.frombuffer of immutable bytes).
+_NO_SIDE = np.frombuffer(b"", dtype=np.int64)
+
+
 def decode_kernel(data, count, cum, slots, precision, out):
     """Decode up to `count` symbols against the 1-D table `cum` and its
     slot table `slots` (``slot_table``); bytes past the end of `data`
@@ -279,14 +284,12 @@ def decode_kernel(data, count, cum, slots, precision, out):
     the terminator; the caller compares shifts+2 with the payload
     length to detect oversized frames.
     """
-    # cum[:0] is an empty side (row 0 throughout) of a type both backends
-    # take; a stop at len(data) never fires, as TRUNCATED comes first.
-    _, shifts, _ = _decode_loop(data, count, cum[:0], (cum,), (slots,),
-                                precision, out, len(data))
+    # A stop at len(data) never fires, as TRUNCATED comes first.
+    _, shifts, _ = _decode_loop(data, count, _NO_SIDE, cum[None],
+                                slots[None], precision, out, len(data))
     return shifts, TRUNCATED if shifts + 2 > len(data) else OK
 
 
-@_jit
 def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
                  out_sym):
     """Decode symbols from `stream` against per-position rows keyed by
@@ -313,21 +316,9 @@ def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
     return nsym, status
 
 
-# The same sources as plain Python, whether or not numba compiled them.
+# The loops' sources as plain Python, whether or not numba compiled them.
 _py_encode = getattr(encode_kernel, "py_func", encode_kernel)
 _py_loop = getattr(_decode_loop, "py_func", _decode_loop)
-
-
-def _plain(kernel):
-    """kernel's plain-Python source, bound to call the plain decode loop
-    (its own globals name the compiled one when numba is present)."""
-    fn = getattr(kernel, "py_func", kernel)
-    return types.FunctionType(fn.__code__,
-                              {**fn.__globals__, "_decode_loop": _py_loop})
-
-
-_py_decode = _plain(decode_kernel)
-_py_shape = _plain(shape_kernel)
 
 
 def python_encode_kernel(codes, cum, precision, buf):
@@ -336,21 +327,14 @@ def python_encode_kernel(codes, cum, precision, buf):
                       memoryview(buf))
 
 
-def python_decode_kernel(data, count, cum, slots, precision, out):
-    """decode_kernel run as plain Python on Python ints."""
-    return _py_decode(data.tobytes(), int(count), cum.tolist(),
-                      slots.tolist(), int(precision), memoryview(out))
-
-
-def python_shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
-                        out_sym):
-    """shape_kernel run as plain Python on Python ints."""
-    return _py_shape(stream.tobytes(), int(m_bits), side.tolist(),
-                     cum_rows.tolist(), slot_rows.tolist(), int(precision),
-                     memoryview(out_sym))
+def python_decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
+                       stop):
+    """_decode_loop run as plain Python on Python ints."""
+    return _py_loop(data.tobytes(), int(count), side.tolist(),
+                    cum_rows.tolist(), slot_rows.tolist(), int(precision),
+                    memoryview(out), int(stop))
 
 
 if not HAVE_NUMBA:  # pragma: no cover - exercised only without numba
     encode_kernel = python_encode_kernel
-    decode_kernel = python_decode_kernel
-    shape_kernel = python_shape_kernel
+    _decode_loop = python_decode_loop

@@ -45,6 +45,8 @@ from .experiments import (
 from .model import TestChannel, blahut_arimoto, load_model
 
 _BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
+# Most points `rd --grid` accepts; each is one solver call.
+_MAX_GRID = 1_000_000
 
 
 def _read_symbols(path: str, fmt: str) -> np.ndarray:
@@ -167,11 +169,15 @@ def _cmd_rd(args) -> int:
     if args.grid:
         try:
             lo, hi, count = args.grid.split(":")
-            targets = np.linspace(float(lo), float(hi), int(count))
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             raise ConfigError(
                 f"--grid {args.grid!r} is not lo:hi:count with count >= 0"
             ) from None
+        if not 0 <= count <= _MAX_GRID:
+            raise ConfigError(f"--grid {args.grid!r} count is outside "
+                              f"[0, {_MAX_GRID}]")
+        targets = np.linspace(lo, hi, count)
     elif args.target_d:
         targets = np.array(args.target_d, dtype=np.float64)
     else:

@@ -200,6 +200,20 @@ def _pack_header(cfg: CodecConfig, digest: int) -> bytes:
     )
 
 
+def _symbols(source, size: int, error: type[Exception]) -> np.ndarray:
+    """`source` as a contiguous int64 array of symbols in [0, size).
+    Raises `error` if it is not 1-D, not of integer or bool dtype (a
+    float would be truncated without a word), or holds a symbol outside
+    the alphabet."""
+    arr = np.asarray(source)
+    if arr.ndim != 1 or arr.dtype.kind not in "biu":
+        raise error(f"source must be 1-D integer symbols, not a "
+                    f"{arr.ndim}-D {arr.dtype} array")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise error(f"source symbol outside alphabet of size {size}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def encode(source, cfg: CodecConfig) -> EncodeResult:
     """Compress a source prefix; consumes a data-dependent n samples.
 
@@ -207,10 +221,7 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     where rho is the growth factor; the supplied buffer must cover it
     or a ShapingError("side provider exhausted") is raised.
     """
-    src = np.ascontiguousarray(source, dtype=np.int64)
-    size = cfg.prior.alphabet.size
-    if src.size and (src.min() < 0 or src.max() >= size):
-        raise CodingError(f"source symbol outside alphabet of size {size}")
+    src = _symbols(source, cfg.prior.alphabet.size, CodingError)
     M = cfg.min_block
     if src.size < M:
         raise CodingError(
@@ -384,12 +395,10 @@ def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:
     answers: how far is this run from the best possible rate for what
     it actually delivered?
     """
-    x = np.ascontiguousarray(x, dtype=np.int64)
+    size = d.entries.shape[0]
+    x = _symbols(x, size, ConfigError)
     if x.size != result.xhat.size:
         raise ConfigError("source length does not match the reconstruction")
-    size = d.entries.shape[0]
-    if x.size and (x.min() < 0 or x.max() >= size):
-        raise ConfigError(f"source symbol outside alphabet of size {size}")
     per_sample = d.entries[x, result.xhat]
     mean_d = float(per_sample.mean()) if x.size else 0.0
     counts = np.bincount(x, minlength=size).astype(np.float64)

@@ -7,7 +7,6 @@ fixed here on purpose — do not tune them to make a regression pass.
 """
 
 import itertools
-import statistics
 import time
 from dataclasses import replace
 
@@ -267,24 +266,27 @@ def test_criterion_5_property_suites():
 
 def test_criterion_6_linear_time_scaling():
     cfg = bsc_cfg(seed=61)
-    walls, sizes = {}, {}
-    for target in (1_000_000, 2_000_000):
+    targets = (1_000_000, 2_000_000)
+    pairs, runs, sizes = {}, {t: [] for t in targets}, {}
+    for target in targets:
         cfg_k = replace(cfg, passes=plan_passes(cfg, target))
-        source = sized_source(cfg_k, 61 + target)
-        run_pair(source, cfg_k)  # untimed: fault in pages at this size
-        runs = []
-        for _ in range(3):
+        pairs[target] = (sized_source(cfg_k, 61 + target), cfg_k)
+        run_pair(*pairs[target])  # untimed: fault in pages at this size
+    # The sizes alternate, so a slow stretch of the host hits both; as
+    # contention only adds time, each size's fastest run is its cost.
+    for _ in range(3):
+        for target in targets:
             t0 = time.perf_counter()
-            enc, dec, oracle = run_pair(source, cfg_k)
-            runs.append(time.perf_counter() - t0)
+            enc, dec, oracle = run_pair(*pairs[target])
+            runs[target].append(time.perf_counter() - t0)
             assert np.array_equal(dec.xhat, enc.xhat)
             assert oracle.audit_clean()
-        walls[target] = statistics.median(runs)
-        sizes[target] = enc.n
+            sizes[target] = enc.n
+    walls = {target: min(r) for target, r in runs.items()}
     ratio = walls[2_000_000] / walls[1_000_000]
     report(
         6, "doubling n costs at most 2.5x wall time", ratio <= 2.5,
-        f"median encode+decode {walls[1_000_000]*1e3:.0f} ms at "
+        f"fastest encode+decode {walls[1_000_000]*1e3:.0f} ms at "
         f"n={sizes[1_000_000]} vs {walls[2_000_000]*1e3:.0f} ms at "
         f"n={sizes[2_000_000]} (ratio {ratio:.2f})",
     )

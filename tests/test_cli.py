@@ -189,6 +189,10 @@ def _grid_without_count(tmp_path, coded_dir):
     return ("rd", "--grid", "0:0.5"), "--grid '0:0.5'"
 
 
+def _grid_too_large(tmp_path, coded_dir):
+    return ("rd", "--grid", "0:0.5:100000000000"), "outside [0, 1000000]"
+
+
 def _model_not_json(tmp_path, coded_dir):
     (tmp_path / "bad.json").write_text('{"alphabet_size": 2,')
     return ("rd", "--model", tmp_path / "bad.json"), "is not UTF-8 JSON"
@@ -297,7 +301,7 @@ def _missing_bitstream(tmp_path, coded_dir):
     _sidecar_not_an_object, _sidecar_nested_too_deeply, _negative_offset,
     _missing_bitstream, _source_outside_alphabet, _duality_message_012,
     _duality_message_abc, _duality_erasures_a_b, _passes_2000, _passes_100,
-    _passes_50, _min_block_over_header_field,
+    _passes_50, _min_block_over_header_field, _grid_too_large,
 ])
 def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
                                                      tmp_path, capsys):

@@ -209,6 +209,16 @@ def test_encode_rejects_out_of_range_symbols():
         encode(src, cfg)
 
 
+def test_encode_refuses_source_that_is_not_1d_integers():
+    cfg = bsc_config()
+    src = uniform_source(1, 150_000, 2)
+    # a float source would otherwise be truncated: 0.7s encode as zeros
+    for bad in (np.zeros((400, 400), dtype=np.int64), src[:, None],
+                np.full(150_000, 0.7), src.astype(np.float64)):
+        with pytest.raises(CodingError, match="1-D integer"):
+            encode(bad, cfg)
+
+
 # ---------------------------------------------------------------------------
 # rate accounting and block growth
 
@@ -490,6 +500,16 @@ def test_measure_rejects_out_of_alphabet_source():
         x[0] = bad
         with pytest.raises(ConfigError, match="alphabet"):
             measure(x, dec, cfg.distortion)
+
+
+def test_measure_refuses_source_that_is_not_1d_integers():
+    cfg = bsc_config(seed=5, passes=2, min_block=1024)
+    src = uniform_source(5, 20_000, 2)
+    res, dec, _ = run_pair(cfg, src)
+    x = src[src.size - res.n:]
+    for bad in (x[:, None], x[None, :], x + 0.7, x.astype(np.float64)):
+        with pytest.raises(ConfigError, match="1-D integer"):
+            measure(bad, dec, cfg.distortion)
 
 
 def test_distortion_matches_channel_level():

@@ -411,10 +411,19 @@ def test_shape_kernel_matches_reference_over_rows(precision):
         assert out[:nsym].tolist() == ref
 
 
+def on_python_loop(monkeypatch, kernel, *args):
+    """`kernel`(*args) with ``_decode_loop`` swapped for the list-form
+    ``python_decode_loop`` that runs without numba."""
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "_decode_loop", _kernels.python_decode_loop)
+        return getattr(_kernels, kernel)(*args)
+
+
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="fallback already in use")
-def test_pure_python_fallback_matches_jit():
-    """The compiled kernels and the list-form path that runs without
-    numba agree on every return value and every byte written: a binary
+def test_pure_python_fallback_matches_jit(monkeypatch):
+    """The compiled loops and the list-form loops that run without numba
+    agree on every return value and every byte written, with
+    decode_kernel and shape_kernel run over each decode loop: a binary
     channel at q = 16, and a ternary one with zero frequencies at a q
     below the slot table's bits (one slot per value)."""
     cases = (([[58327, 7209], [7209, 58327]], 16),
@@ -453,8 +462,8 @@ def test_pure_python_fallback_matches_jit():
             out_b = np.zeros(fixed.size, dtype=np.int64)
             res_a = _kernels.decode_kernel(data, fixed.size, row0.cum,
                                            row0.slots, q, out_a)
-            res_b = _kernels.python_decode_kernel(data, fixed.size, row0.cum,
-                                                  row0.slots, q, out_b)
+            res_b = on_python_loop(monkeypatch, "decode_kernel", data,
+                                   fixed.size, row0.cum, row0.slots, q, out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
 
@@ -465,25 +474,25 @@ def test_pure_python_fallback_matches_jit():
             out_b = np.zeros(sym_cap, dtype=np.int64)
             res_a = _kernels.shape_kernel(stream, 2000, side, cm.cum,
                                           cm.slots, q, out_a)
-            res_b = _kernels.python_shape_kernel(
-                stream, 2000, side, cm.cum, cm.slots, q,
-                out_b)
+            res_b = on_python_loop(monkeypatch, "shape_kernel", stream, 2000,
+                                   side, cm.cum, cm.slots, q, out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
 
 
-def test_python_decode_kernel_writes_only_where_symbols_land():
-    """The pure-Python decode path fills the caller's own buffer in
-    place, so a large output buffer is touched only up to `count`."""
+def test_python_decode_kernel_writes_only_where_symbols_land(monkeypatch):
+    """decode_kernel over the pure-Python decode loop fills the caller's
+    own buffer in place, so a large output buffer is touched only up to
+    `count`."""
     freq = [58327, 7209]
     rng = np.random.default_rng(4)
     symbols = rng.choice(2, size=500, p=[0.89, 0.11]).tolist()
     data, _ = kernel_encode(symbols, freq, 16)
     cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     out = np.full(len(symbols) + 8, -1, dtype=np.int64)
-    shifts, status = _kernels.python_decode_kernel(
-        np.frombuffer(data, dtype=np.uint8), len(symbols), cum,
-        _kernels.slot_table(cum, 16), 16, out
+    shifts, status = on_python_loop(
+        monkeypatch, "decode_kernel", np.frombuffer(data, dtype=np.uint8),
+        len(symbols), cum, _kernels.slot_table(cum, 16), 16, out
     )
     assert status == _kernels.OK and shifts + 2 == len(data)
     assert out[:len(symbols)].tolist() == symbols
