@@ -5,7 +5,6 @@ source symbol; the encoder exploits that causal reveal to reach the
 rate-distortion bound with a fixed number of linear passes.
 """
 
-from .bits import BitString
 from .codec import (
     CodecConfig,
     DecodeResult,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BitString",
     "CausalityError",
     "CodecConfig",
     "CodingError",

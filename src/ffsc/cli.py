@@ -47,6 +47,8 @@ from .model import TestChannel, blahut_arimoto, load_model
 _BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
 # Most points `rd --grid` accepts; each is one solver call.
 _MAX_GRID = 1_000_000
+# Most alphabet symbols each symbol-file format holds: a byte, or 0, 1, *.
+_FORMAT_SYMBOLS = {"bytes": 256, "ascii": 3}
 
 
 def _read_symbols(path: str, fmt: str) -> np.ndarray:
@@ -196,9 +198,22 @@ def _cfg_from_args(args, prior, d, channel) -> CodecConfig:
     return CodecConfig(prior=prior, channel=channel, distortion=d, **given)
 
 
-def _cmd_encode(args) -> int:
+def _symbol_file_model(args):
+    """(prior, distortion, test channel) for encode and decode.  Raises
+    ConfigError, before any coding, if the symbol-file format cannot
+    hold the model's alphabet, which would make decode write a wrong
+    reconstruction."""
     _, prior, d = load_model(args.model)
+    size, most = prior.alphabet.size, _FORMAT_SYMBOLS[args.format]
+    if size > most:
+        raise ConfigError(f"--format {args.format} holds at most {most} "
+                          f"symbols, but the model has {size}")
     channel, _, _ = blahut_arimoto(prior, d, args.target_d)
+    return prior, d, channel
+
+
+def _cmd_encode(args) -> int:
+    prior, d, channel = _symbol_file_model(args)
     cfg = _cfg_from_args(args, prior, d, channel)
     source = _read_symbols(args.infile, args.format)
     result = encode(source, cfg)
@@ -242,8 +257,7 @@ def _sidecar_offset(path: str) -> int:
 
 
 def _cmd_decode(args) -> int:
-    _, prior, d = load_model(args.model)
-    channel, _, _ = blahut_arimoto(prior, d, args.target_d)
+    prior, d, channel = _symbol_file_model(args)
     with open(args.infile, "rb") as fh:
         stream = fh.read()
     q, k, m, seed, _ = read_header(stream)

@@ -24,7 +24,6 @@ from itertools import islice
 
 import numpy as np
 
-from .bits import BitString
 from .coder import (
     ConditionalModel,
     QuantizedModel,
@@ -239,7 +238,7 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
         rev[:M], cfg.prior, cfg.delta) else []
 
     for pass_idx in range(2, cfg.passes + 1):
-        bits = BitString.from_bytes(frame.to_bytes())
+        bits = np.unpackbits(np.frombuffer(frame.to_bytes(), np.uint8))
         symbols, consumed = shape(bits, rev[pos:], cond)
         if not is_strongly_typical(rev[pos:pos + consumed], cfg.prior,
                                    cfg.delta):

@@ -16,6 +16,7 @@ worked 8-sample instance tested in the acceptance suite.
 
 The don't-care symbol is the value 2 in a 3-ary alphabet; reconstructions
 are binary.  Distortion charges nothing for don't-care positions.
+Messages and channel inputs are bits: 1-D ``uint8`` arrays of 0s and 1s.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import BitString
 from .codec import FeedforwardOracle
 from .errors import CodingError, ModelError
 from .model import DistortionMatrix
@@ -101,14 +101,14 @@ class ErasurePattern:
         return cls(frozenset(indices))
 
 
-def beq_encode(src: ErasureSource) -> BitString:
+def beq_encode(src: ErasureSource) -> np.ndarray:
     """Keep the constrained values, in order: exactly n - e bits."""
-    values = src.seq[src.seq != ERASED]
-    return BitString.from_bits(values.astype(np.uint8))
+    return src.seq[src.seq != ERASED].astype(np.uint8)
 
 
-def beq_decode(m: BitString, oracle: FeedforwardOracle) -> np.ndarray:
-    """Reconstruct a {0,1,*} source from its constrained bits.
+def beq_decode(m: np.ndarray, oracle: FeedforwardOracle) -> np.ndarray:
+    """Reconstruct a {0,1,*} source from its constrained bits m, a 1-D
+    array of 0s and 1s.
 
     At each step the current message bit is emitted; the feedforward
     sample then tells the decoder whether that step was constrained
@@ -116,34 +116,38 @@ def beq_decode(m: BitString, oracle: FeedforwardOracle) -> np.ndarray:
     constrained position because the emitted bit *was* that position's
     value.  Exhausted messages emit 0 — any bit is free on don't-cares.
     """
+    m = np.asarray(m)
+    if m.ndim != 1 or ((m != 0) & (m != 1)).any():
+        raise CodingError("message must be a 1-D array of 0s and 1s")
     n = len(oracle)
     out = np.zeros(n, dtype=np.int64)
     k = 0
     for i in range(n):
-        out[i] = m[k] if k < len(m) else 0
+        out[i] = m[k] if k < m.size else 0
         oracle.emit(1)
         x_i = oracle.reveal_range(i, i + 1)[0]
         if x_i != ERASED:
-            if k >= len(m):
+            if k >= m.size:
                 raise CodingError(
                     f"message exhausted at sample {i}: more constrained "
                     f"positions than message bits"
                 )
             k += 1
-    if k != len(m):
+    if k != m.size:
         raise CodingError(
-            f"message has {len(m)} bits but only {k} constrained positions"
+            f"message has {m.size} bits but only {k} constrained positions"
         )
     return out
 
 
 def bec_feedback_send(
-    message: BitString, pattern: ErasurePattern
-) -> tuple[BitString, int]:
+    message: np.ndarray, pattern: ErasurePattern
+) -> tuple[np.ndarray, int]:
     """Repeat each bit until the channel delivers it; feedback tells when.
 
-    Returns (channel inputs, number of channel uses).  Uses equal
-    message length plus the number of erasures that actually occurred.
+    Returns (channel inputs as a uint8 bit array, number of channel
+    uses).  Uses equal message length plus the number of erasures that
+    actually occurred.
     """
     inputs = []
     t = 1
@@ -153,12 +157,12 @@ def bec_feedback_send(
         if t not in pattern.indices:
             k += 1
         t += 1
-    return BitString.from_bits(np.array(inputs, dtype=np.uint8)), len(inputs)
+    return np.array(inputs, dtype=np.uint8), len(inputs)
 
 
-def apply_erasures(inputs: BitString, pattern: ErasurePattern) -> ErasureSource:
+def apply_erasures(inputs: np.ndarray, pattern: ErasurePattern) -> ErasureSource:
     """Channel action: replace erased uses with * (1-based indices)."""
-    seq = inputs.to_array().astype(np.int64)
+    seq = np.array(inputs, dtype=np.int64)
     for i in pattern.indices:
         if i <= seq.size:
             seq[i - 1] = ERASED

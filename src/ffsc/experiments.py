@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _kernels
-from .bits import BitString
 from .codec import (
     CodecConfig,
     FeedforwardOracle,
@@ -268,7 +267,7 @@ def run_duality_example(message_str: str, erasures: tuple[int, ...]) -> dict:
     if set(message_str) - {"0", "1"}:
         raise ConfigError(f"message {message_str!r} is not a string of 0s "
                           f"and 1s")
-    message = BitString.from_bits([int(c) for c in message_str])
+    message = np.array([int(c) for c in message_str], dtype=np.uint8)
     pattern = ErasurePattern.of(*erasures)
     sent, uses = bec_feedback_send(message, pattern)
     seen = apply_erasures(sent, pattern)
@@ -277,8 +276,7 @@ def run_duality_example(message_str: str, erasures: tuple[int, ...]) -> dict:
     recovered = beq_encode(seen)
     n = len(message)
     e = sum(1 for i in pattern.indices if i <= uses)
-    ok = (recovered.data == message.data and len(recovered) == n
-          and uses == n + e)
+    ok = np.array_equal(recovered, message) and uses == n + e
     return {
         "message": message_str,
         "erasures": sorted(pattern.indices),
@@ -291,5 +289,5 @@ def run_duality_example(message_str: str, erasures: tuple[int, ...]) -> dict:
     }
 
 
-def _bitstr(b: BitString) -> str:
-    return "".join(str(b[i]) for i in range(len(b)))
+def _bitstr(bits: np.ndarray) -> str:
+    return "".join(map(str, bits.tolist()))

@@ -1,5 +1,5 @@
-"""Bit shaping: embed a bit string into a conditionally-distributed
-symbol sequence, exactly invertibly.
+"""Bit shaping: embed bits, a 1-D array of 0s and 1s, into a
+conditionally-distributed symbol sequence, exactly invertibly.
 
 ``shape`` runs the range *decoder* over the input bits against a
 per-position conditional model keyed by the side sequence — the same
@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .bits import BitString
 from .coder import ConditionalModel
 from .errors import ShapingError
 
@@ -45,10 +44,10 @@ PAD_PATTERN = b"\xb4\x5a\x1c\xe3\x8f\x26\xd9\x71"
 _PAD_BITS = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
 
 
-def _padded_stream(b: BitString, nbytes: int) -> np.ndarray:
-    """b's bits followed by the repeating pad pattern, packed to bytes."""
-    pad = np.resize(_PAD_BITS, nbytes * 8 - len(b))
-    return np.packbits(np.concatenate([b.to_array(), pad]))
+def _padded_stream(bits: np.ndarray, nbytes: int) -> np.ndarray:
+    """The bits followed by the repeating pad pattern, packed to bytes."""
+    pad = np.resize(_PAD_BITS, nbytes * 8 - bits.size)
+    return np.packbits(np.concatenate([bits, pad]))
 
 
 def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
@@ -63,17 +62,23 @@ def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
     return m_bits + int(bad[0]) if bad.size else None
 
 
-def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
-    """Turn bits into symbols distributed per cm's rows, keyed by side.
+def shape(bits, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
+    """Turn bits, a 1-D array of 0s and 1s, into symbols distributed per
+    cm's rows, keyed by side.
 
     Returns (symbols, consumed_side_count); the two counts are equal —
     each emitted symbol consumes exactly one side sample.  Raises
-    ShapingError if the side buffer runs out before all of b settles.
+    ShapingError on bits that are not 1-D 0s and 1s, or if the side
+    buffer runs out before all of the bits settle.
     """
+    bits = np.asarray(bits)
+    # packbits would read any nonzero value as a 1, without a word.
+    if bits.ndim != 1 or ((bits != 0) & (bits != 1)).any():
+        raise ShapingError("bits must be a 1-D array of 0s and 1s")
     side_arr = np.asarray(side, dtype=np.int64)
     if side_arr.ndim != 1:
         raise ShapingError("side must be 1-D")
-    m = len(b)
+    m = bits.size
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
 
@@ -81,7 +86,7 @@ def shape(b: BitString, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     # after the symbol whose renormalisation takes the shift count past
     # ceil(m/8); that renormalisation shifts at most ceil(q/8) <= 3
     # bytes, so it reads at most 4 + ceil(m/8) + 3 <= m//8 + 8 bytes.
-    stream = _padded_stream(b, m // 8 + 8)
+    stream = _padded_stream(bits.astype(np.uint8, copy=False), m // 8 + 8)
     sym_cap = max(256, 2 * m + 64)
     while True:
         out_sym = np.empty(sym_cap, dtype=np.int64)

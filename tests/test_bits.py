@@ -1,51 +1,13 @@
-import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from ffsc.bits import (
-    BitString,
     fnv1a64,
     read_uvarint,
     write_uvarint,
 )
 from ffsc.errors import StreamFormatError
-
-
-@given(st.lists(st.integers(0, 1), max_size=300))
-def test_pack_unpack_roundtrip(bits):
-    packed = BitString.from_bits(np.array(bits, dtype=np.uint8))
-    assert len(packed.data) == (len(bits) + 7) // 8
-    assert BitString(packed.data, len(bits)).to_array().tolist() == bits
-
-
-def test_pack_bits_msb_first():
-    assert BitString.from_bits([1, 0, 0, 0, 0, 0, 0, 1]).data == b"\x81"
-    assert BitString.from_bits([1]).data == b"\x80"
-    assert BitString(b"\x81", 8).to_array().tolist() == [1, 0, 0, 0, 0, 0, 0, 1]
-
-
-@given(st.lists(st.integers(0, 1), max_size=200))
-def test_bitstring_indexing(bits):
-    b = BitString.from_bits(bits)
-    assert len(b) == len(bits)
-    assert [b[i] for i in range(len(b))] == bits
-    assert b.to_array().tolist() == bits
-
-
-def test_bitstring_pad_bits_are_canonical():
-    # same logical bits, different junk in the pad positions
-    a = BitString(b"\xff", 3)
-    b = BitString(b"\xe0", 3)
-    assert a == b
-    assert a.data == b"\xe0"
-
-
-def test_bitstring_rejects_bad_length():
-    with pytest.raises(ValueError):
-        BitString(b"\x00", 9)
-    with pytest.raises(ValueError):
-        BitString(b"\x00\x00", -1)
 
 
 @given(st.integers(0, 2**64 - 1))

@@ -289,6 +289,31 @@ def _min_block_over_header_field(tmp_path, coded_dir):
     return ("exp-hamming", "--passes", 1, "--min-block", 2**62), "min_block"
 
 
+def _hamming_model(tmp_path, size):
+    path = tmp_path / f"hamming{size}.json"
+    path.write_text(json.dumps({
+        "name": f"hamming{size}", "alphabet_size": size,
+        "probs": [1 / size] * size,
+        "distortion": (1 - np.eye(size)).tolist(),
+    }))
+    return path
+
+
+def _bytes_format_260_symbols(tmp_path, coded_dir):
+    # a byte cannot hold symbols 256-259: decode would write them wrapped
+    return ("encode", "--model", _hamming_model(tmp_path, 260),
+            "--in", coded_dir / "source.bin", "--out", tmp_path / "x.ffsc",
+            "--min-block", 64, "--passes", 2,
+            "--target-d", 0.5), "--format bytes holds at most 256 symbols"
+
+
+def _ascii_format_4_symbols(tmp_path, coded_dir):
+    return ("decode", "--model", _hamming_model(tmp_path, 4),
+            "--in", coded_dir / "out.ffsc", "--source", coded_dir / "source.bin",
+            "--out", tmp_path / "x.bin", "--format", "ascii",
+            "--target-d", 0.5), "--format ascii holds at most 3 symbols"
+
+
 def _missing_bitstream(tmp_path, coded_dir):
     return ("decode", "--in", tmp_path / "none.ffsc",
             "--source", coded_dir / "source.bin",
@@ -302,6 +327,7 @@ def _missing_bitstream(tmp_path, coded_dir):
     _missing_bitstream, _source_outside_alphabet, _duality_message_012,
     _duality_message_abc, _duality_erasures_a_b, _passes_2000, _passes_100,
     _passes_50, _min_block_over_header_field, _grid_too_large,
+    _bytes_format_260_symbols, _ascii_format_4_symbols,
 ])
 def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
                                                      tmp_path, capsys):

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from ffsc.bits import BitString
 from ffsc.codec import FeedforwardOracle
 from ffsc.erasure import (
     ERASED,
@@ -37,7 +36,7 @@ def test_worked_example_quantizer():
     src = ErasureSource.from_string("0**10**1")
     assert (src.n, src.e) == (8, 4)
     m = beq_encode(src)
-    assert m.to_array().tolist() == [0, 1, 0, 1]
+    assert m.dtype == np.uint8 and m.tolist() == [0, 1, 0, 1]
     assert len(m) == src.n - src.e
     recon, oracle = decode_with_audit(m, src)
     assert recon.tolist() == [0, 1, 1, 1, 0, 1, 1, 1]
@@ -46,14 +45,16 @@ def test_worked_example_quantizer():
 
 
 def test_worked_example_channel():
-    message = BitString.from_bits([0, 1, 0, 1])
+    message = np.array([0, 1, 0, 1], dtype=np.uint8)
     pattern = ErasurePattern.of(2, 3, 6, 7)
     inputs, uses = bec_feedback_send(message, pattern)
-    assert inputs.to_array().tolist() == [0, 1, 1, 1, 0, 1, 1, 1]
+    assert inputs.dtype == np.uint8
+    assert inputs.tolist() == [0, 1, 1, 1, 0, 1, 1, 1]
     assert uses == 8
     outputs = apply_erasures(inputs, pattern)
     assert outputs.to_string() == "0**10**1"
-    assert beq_encode(outputs) == message  # the receiver is the encoder
+    # the receiver is the encoder
+    assert np.array_equal(beq_encode(outputs), message)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +97,10 @@ def test_duality_exhaustive(n):
             trailing += 1
         assert uses == n - trailing
         recon, _ = decode_with_audit(m, src)
-        assert inputs.to_array().tolist() == recon[:uses].tolist()
+        assert np.array_equal(inputs, recon[:uses])
         received = apply_erasures(inputs, pattern)
         assert received.to_string() == src.to_string()[:uses]
-        assert beq_encode(received) == m
+        assert np.array_equal(beq_encode(received), m)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +110,26 @@ def test_duality_exhaustive(n):
 def test_message_too_long_rejected():
     src = ErasureSource.from_string("0*1")
     with pytest.raises(CodingError):
-        beq_decode(BitString.from_bits([0, 1, 1]), FeedforwardOracle(src.seq))
+        beq_decode(np.array([0, 1, 1]), FeedforwardOracle(src.seq))
 
 
 def test_message_too_short_rejected():
     src = ErasureSource.from_string("011")
     with pytest.raises(CodingError):
-        beq_decode(BitString.from_bits([0]), FeedforwardOracle(src.seq))
+        beq_decode(np.array([0]), FeedforwardOracle(src.seq))
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0, 2], dtype=np.uint8),  # would be written into the output
+    np.array([1, -1]),
+    np.array([0.0, 0.5]),
+    np.zeros((1, 2), dtype=np.uint8),
+    np.zeros((2, 1), dtype=np.uint8),
+])
+def test_beq_decode_refuses_bits_that_are_not_1d_zeros_and_ones(bad):
+    src = ErasureSource.from_string("0*1")
+    with pytest.raises(CodingError, match="1-D array of 0s and 1s"):
+        beq_decode(bad, FeedforwardOracle(src.seq))
 
 
 def test_source_string_roundtrip():

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ffsc import _kernels
-from ffsc.bits import BitString
 from ffsc.coder import (
     compress,
     decode_frame_prefix,
@@ -37,7 +36,7 @@ CALLS = {
                  lambda st: (0, 0, st)),
     "deshape_raw": (lambda: deshape_raw(SYMBOLS, SYMBOLS, CHANNEL),
                     "encode_kernel", lambda st: (0, 0, st)),
-    "shape": (lambda: shape(BitString.from_bits([1, 0, 1]), SIDE, CHANNEL),
+    "shape": (lambda: shape(np.array([1, 0, 1]), SIDE, CHANNEL),
               "shape_kernel", lambda st: (0, st)),
     "decode_frame_prefix": (lambda: decode_frame_prefix(bytes(64), MODEL, 0),
                             "decode_kernel", lambda st: (0, st)),

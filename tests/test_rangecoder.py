@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ffsc import _kernels
-from ffsc.bits import BitString
 from ffsc.coder import ConditionalModel, QuantizedModel, quantize
 from ffsc.model import Pmf
 from ffsc.rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
@@ -297,8 +296,7 @@ def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     rng = np.random.default_rng(m)
     bits = rng.integers(0, 2, m).astype(np.uint8)
     side = np.zeros(16 * m + 64, dtype=np.int64)
-    symbols, nsym = shape(BitString.from_bits(bits), side,
-                          ConditionalModel((model,)))
+    symbols, nsym = shape(bits, side, ConditionalModel((model,)))
     pad = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
     nbytes = m // 8 + 8
     stream = np.packbits(np.concatenate([bits,

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ffsc.bits import BitString
 from ffsc.coder import quantize_channel
 from ffsc.errors import ShapingError
 from ffsc.model import (
@@ -19,7 +18,7 @@ UNIFORM_ROWS = quantize_channel(
 
 
 def random_case(rng, m, side_factor=3.0):
-    bits = BitString.from_bits(rng.integers(0, 2, size=m))
+    bits = rng.integers(0, 2, size=m).astype(np.uint8)
     side = rng.integers(0, 2, size=int(m * side_factor) + 512).astype(np.int64)
     return bits, side
 
@@ -35,7 +34,7 @@ def test_roundtrip_property(m, salt):
     bits, side = random_case(rng, m)
     xhat, used = shape(bits, side, BSC11)
     assert xhat.size == used
-    assert unshape(xhat, side[:used], BSC11, m) == bits
+    assert np.array_equal(unshape(xhat, side[:used], BSC11, m), bits)
 
 
 def test_roundtrip_bulk_seeded():
@@ -44,22 +43,22 @@ def test_roundtrip_bulk_seeded():
         m = int(rng.integers(1, 4000))
         bits, side = random_case(rng, m)
         xhat, used = shape(bits, side, BSC11)
-        assert unshape(xhat, side[:used], BSC11, m) == bits
+        assert np.array_equal(unshape(xhat, side[:used], BSC11, m), bits)
 
 
 def test_roundtrip_long_input():
     rng = np.random.default_rng(77)
     bits, side = random_case(rng, 100_000, side_factor=2.5)
     xhat, used = shape(bits, side, BSC11)
-    assert unshape(xhat, side[:used], BSC11, len(bits)) == bits
+    assert np.array_equal(unshape(xhat, side[:used], BSC11, len(bits)), bits)
 
 
 def test_m_zero_is_empty():
     side = np.zeros(10, dtype=np.int64)
-    empty = BitString.from_bits([])
+    empty = np.zeros(0, dtype=np.uint8)
     xhat, used = shape(empty, side, BSC11)
     assert used == 0 and xhat.size == 0
-    assert unshape(xhat, side[:0], BSC11, 0) == empty
+    assert np.array_equal(unshape(xhat, side[:0], BSC11, 0), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +85,19 @@ def test_uniform_rows_pass_bits_through():
         bits, side = random_case(rng, m)
         xhat, used = shape(bits, side, UNIFORM_ROWS)
         assert m <= used <= m + 96
-        assert np.array_equal(xhat[:m], bits.to_array().astype(np.int64))
-        assert unshape(xhat, side[:used], UNIFORM_ROWS, m) == bits
+        assert np.array_equal(xhat[:m], bits)
+        assert np.array_equal(unshape(xhat, side[:used], UNIFORM_ROWS, m), bits)
 
 
 def test_all_ones_input_still_settles():
     # trailing 0xFF bytes postpone settling; the pad pattern breaks the
     # run, so even this worst case terminates promptly
     m = 1024
-    bits = BitString.from_bits([1] * m)
+    bits = np.ones(m, dtype=np.uint8)
     side = np.zeros(4 * m, dtype=np.int64)
     xhat, used = shape(bits, side, UNIFORM_ROWS)
     assert used <= m + 96
-    assert unshape(xhat, side[:used], UNIFORM_ROWS, m) == bits
+    assert np.array_equal(unshape(xhat, side[:used], UNIFORM_ROWS, m), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def test_shape_accepts_reversed_view():
 
 def test_side_exhaustion_raises():
     rng = np.random.default_rng(2)
-    bits = BitString.from_bits(rng.integers(0, 2, size=4000))
+    bits = rng.integers(0, 2, size=4000).astype(np.uint8)
     short_side = rng.integers(0, 2, size=100).astype(np.int64)
     with pytest.raises(ShapingError):
         shape(bits, short_side, BSC11)
@@ -177,7 +176,7 @@ def test_side_that_ends_at_the_needed_count_is_enough():
 
 def test_side_symbol_out_of_range_raises():
     rng = np.random.default_rng(2)
-    bits = BitString.from_bits(rng.integers(0, 2, size=64))
+    bits = rng.integers(0, 2, size=64).astype(np.uint8)
     side = np.full(1000, 7, dtype=np.int64)  # only rows 0 and 1 exist
     with pytest.raises(ShapingError):
         shape(bits, side, BSC11)
@@ -198,7 +197,7 @@ def test_deshape_never_silently_returns_wrong_input_as_right():
             got = unshape(bad, side[:used], BSC11, len(bits))
         except ShapingError:
             continue
-        assert got != bits
+        assert not np.array_equal(got, bits)
 
 
 def test_deshape_rejects_impossible_pair():
@@ -237,9 +236,24 @@ def test_deshape_rejects_symbols_outside_the_model():
 def test_shape_refuses_a_two_dimensional_side():
     rng = np.random.default_rng(16)
     bits, side = random_case(rng, 200)
-    for b in (bits, BitString.from_bits([])):
+    for b in (bits, np.zeros(0, dtype=np.uint8)):
         with pytest.raises(ShapingError, match="1-D"):
             shape(b, side[:600].reshape(2, -1), BSC11)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0, 1, 2, 1], dtype=np.uint8),  # packbits would read a 1
+    np.array([1, -1, 0]),
+    np.array([0.0, 0.5]),
+    np.array(["0", "1"]),
+    np.zeros((2, 3), dtype=np.uint8),
+    np.zeros((0, 2), dtype=np.uint8),  # refused before the m == 0 return
+    np.uint8(1),
+])
+def test_shape_refuses_bits_that_are_not_1d_zeros_and_ones(bad):
+    side = np.zeros(512, dtype=np.int64)
+    with pytest.raises(ShapingError, match="1-D array of 0s and 1s"):
+        shape(bad, side, BSC11)
 
 
 def test_deshape_refuses_two_dimensional_input():
@@ -285,9 +299,9 @@ def test_constant_payloads_round_trip(m, precision):
         cm = quantize_channel(TestChannel.from_rows(rows), precision)
         side = rng.integers(0, len(rows), 4 * m + 512).astype(np.int64)
         for fill in (0, 1):
-            bits = BitString.from_bits([fill] * m)
+            bits = np.full(m, fill, dtype=np.uint8)
             xhat, used = shape(bits, side, cm)
-            assert unshape(xhat, side[:used], cm, m) == bits
+            assert np.array_equal(unshape(xhat, side[:used], cm, m), bits)
 
 
 @pytest.mark.parametrize("precision", [4, 16, 24])
@@ -304,7 +318,7 @@ def test_shape_stops_at_the_shortest_settling_prefix(precision):
         for m in [*range(1, 40), 64, 65, 1000, 1003, 8001]:
             side = rng.integers(0, len(rows), 40 * m + 512).astype(np.int64)
             for bits in (rng.integers(0, 2, size=m), [0] * m, [1] * m):
-                xhat, used = shape(BitString.from_bits(bits), side, cm)
+                xhat, used = shape(np.asarray(bits, np.uint8), side, cm)
                 _, settled = deshape_raw(xhat, side[:used], cm)
                 assert settled >= m
                 _, settled = deshape_raw(xhat[:-1], side[:used - 1], cm)

@@ -2,7 +2,8 @@
 
 import math
 
-from ffsc.bits import BitString
+import numpy as np
+
 from ffsc.shaping import check_unshaped, deshape_raw
 
 
@@ -12,9 +13,9 @@ def h2(p: float) -> float:
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
-def unshape(xhat, x, cm, m: int) -> BitString:
+def unshape(xhat, x, cm, m: int) -> np.ndarray:
     """The m bits that shape() embedded into (xhat, x), recovered the way
     the codec's decoder does: ``deshape_raw``, then ``check_unshaped``."""
     data, settled = deshape_raw(xhat, x, cm)
     check_unshaped(data, settled, m)
-    return BitString(data[: (m + 7) // 8], m)
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=m)
