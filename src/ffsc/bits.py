@@ -1,21 +1,45 @@
-"""Low-level byte helpers: LEB128 varints for the frame and header
-fields, and the FNV-1a hash that fingerprints model tables.
+"""Low-level helpers: the one symbol-array check, LEB128 varints for
+the frame and header fields, and the FNV-1a hash of model tables.
 
-Bits themselves need no container.  Where the codec passes bits from
-one stage to the next (a frame into the shaper, a message through the
-erasure pair) they are a 1-D numpy array of 0s and 1s, and bytes hold
-them MSB-first, as ``np.packbits`` and ``np.unpackbits`` lay them out.
+Symbols and bits are 1-D integer arrays below a size: the alphabet's,
+or 2 for bits, which need no container.  ``as_symbols`` is the one
+check, and each entry point calls it with its own error type.  Bytes
+hold bits MSB-first, as ``np.packbits`` and ``np.unpackbits`` do.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import StreamFormatError
 
 __all__ = [
+    "as_symbols",
     "write_uvarint",
     "read_uvarint",
     "fnv1a64",
 ]
+
+
+def as_symbols(arr, size: int | None, error: type[Exception],
+               name: str) -> np.ndarray:
+    """`arr` as a contiguous 1-D int64 array of symbols in [0, size), or
+    raise `error` about argument `name`: for any other shape, a dtype
+    not integer or bool (a float would be truncated), or a value out of
+    range.  Empty 1-D input of any dtype passes; size None skips range."""
+    stem = f"{name} must be 1-D integers" + (
+        "" if size is None else f" in [0, {size})")
+    try:
+        a = np.asarray(arr)
+    except (TypeError, ValueError):  # a ragged nested sequence
+        raise error(f"{stem}, not a ragged sequence") from None
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "biu"):
+        raise error(f"{stem}, not a {a.ndim}-D {a.dtype} array")
+    if size is not None and a.size:
+        lo, hi = a.min(), a.max()
+        if lo < 0 or hi >= size:
+            raise error(f"{stem}; {lo if lo < 0 else hi} is outside alphabet")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 # -- varints ---------------------------------------------------------

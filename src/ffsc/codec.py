@@ -24,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from .bits import as_symbols
 from .coder import (
     ConditionalModel,
     QuantizedModel,
@@ -80,6 +81,9 @@ class CodecConfig:
     delta: float = 0.02
 
     def __post_init__(self):
+        for name in ("min_block", "passes", "precision", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer")
         # the header carries M in 4 bytes and K in 2
         if not 1 <= self.min_block < 2**32:
             raise ConfigError("min_block outside [1, 2^32 - 1]")
@@ -122,7 +126,9 @@ class FeedforwardOracle:
     """
 
     def __init__(self, source):
-        self._src = np.ascontiguousarray(source, dtype=np.int64)
+        # No bound: deshape_raw and measure check the samples they read
+        # against their own alphabets, and decode reads no seed sample.
+        self._src = as_symbols(source, None, ConfigError, "source")
         self.emitted = 0
         self.audit_log: list[tuple[int, int, int]] = []
 
@@ -199,20 +205,6 @@ def _pack_header(cfg: CodecConfig, digest: int) -> bytes:
     )
 
 
-def _symbols(source, size: int, error: type[Exception]) -> np.ndarray:
-    """`source` as a contiguous int64 array of symbols in [0, size).
-    Raises `error` if it is not 1-D, not of integer or bool dtype (a
-    float would be truncated without a word), or holds a symbol outside
-    the alphabet."""
-    arr = np.asarray(source)
-    if arr.ndim != 1 or arr.dtype.kind not in "biu":
-        raise error(f"source must be 1-D integer symbols, not a "
-                    f"{arr.ndim}-D {arr.dtype} array")
-    if arr.size and (arr.min() < 0 or arr.max() >= size):
-        raise error(f"source symbol outside alphabet of size {size}")
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
 def encode(source, cfg: CodecConfig) -> EncodeResult:
     """Compress a source prefix; consumes a data-dependent n samples.
 
@@ -220,44 +212,37 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     where rho is the growth factor; the supplied buffer must cover it
     or a ShapingError("side provider exhausted") is raised.
     """
-    src = _symbols(source, cfg.prior.alphabet.size, CodingError)
+    src = as_symbols(source, cfg.prior.alphabet.size, CodingError, "source")
     M = cfg.min_block
     if src.size < M:
         raise CodingError(
             f"source exhausted: {src.size} samples < min_block {M}"
         )
     marg, cond = cfg.quantized()
-    rev = src[::-1]
+    rev = np.ascontiguousarray(src[::-1])
 
-    block = _sample_rows(SplitMix64(cfg.seed), cond, rev[:M])
-    frame = compress(block, marg)
-    blocks = [block]
-    lengths = [M]
-    pos = M
-    atypical = [1] if not is_strongly_typical(
-        rev[:M], cfg.prior, cfg.delta) else []
-
-    for pass_idx in range(2, cfg.passes + 1):
+    blocks = [_sample_rows(SplitMix64(cfg.seed), cond, rev[:M])]
+    frame = compress(blocks[0], marg)
+    edges = [0, M]  # block k codes rev[edges[k]:edges[k + 1]]
+    for _ in range(1, cfg.passes):
         bits = np.unpackbits(np.frombuffer(frame.to_bytes(), np.uint8))
-        symbols, consumed = shape(bits, rev[pos:], cond)
-        if not is_strongly_typical(rev[pos:pos + consumed], cfg.prior,
-                                   cfg.delta):
-            atypical.append(pass_idx)
+        symbols, consumed = shape(bits, rev[edges[-1]:], cond)
         blocks.append(symbols)
-        lengths.append(consumed)
-        pos += consumed
+        edges.append(edges[-1] + consumed)
         frame = compress(symbols, marg)
+    atypical = [k for k in range(1, len(edges)) if not is_strongly_typical(
+        rev[edges[k - 1]:edges[k]], cfg.prior, cfg.delta)]
 
     digest = model_digest(marg, cond)
     stream = _pack_header(cfg, digest) + frame.to_bytes()
     xhat = np.concatenate(blocks)[::-1].copy()
-    n = pos
+    n = edges[-1]
     total_bits = 8 * len(stream)
     return EncodeResult(
         bitstream=stream,
         xhat=xhat,
         n=n,
-        pass_lengths=lengths,
+        pass_lengths=[len(b) for b in blocks],
         rate=total_bits / n,
         total_bits=total_bits,
         atypical_blocks=atypical,
@@ -315,37 +300,32 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
             f"{len(frame_bytes)}"
         )
 
-    chunks = []
-    lengths_rev = []
+    chunks = []  # the blocks in original time order
     base = 0
     for _ in range(cfg.passes - 1):
-        lengths_rev.append(int(block.size))
-        chunk = block[::-1]
-        chunks.append(chunk)
-        oracle.emit(chunk.size)
-        x_chunk = oracle.reveal_range(base, base + chunk.size)
-        base += chunk.size
+        chunks.append(block[::-1])
+        oracle.emit(block.size)
+        x_chunk = oracle.reveal_range(base, base + block.size)
+        base += block.size
         data, settled = deshape_raw(block, x_chunk[::-1], cond)
         block, used = decode_frame_prefix(data, marg,
                                           len(oracle) - oracle.emitted)
         check_unshaped(data, settled, 8 * used)
 
-    lengths_rev.append(int(block.size))
     if block.size != cfg.min_block:
         raise StreamFormatError(
             f"seed block has {block.size} symbols, expected min_block "
             f"{cfg.min_block}"
         )
-    chunk = block[::-1]
-    chunks.append(chunk)
-    oracle.emit(chunk.size)
+    chunks.append(block[::-1])
+    oracle.emit(block.size)
 
     xhat = np.concatenate(chunks)
     n = int(xhat.size)
     total_bits = 8 * len(stream)
     return DecodeResult(
         xhat=xhat,
-        pass_lengths=lengths_rev[::-1],
+        pass_lengths=[int(c.size) for c in reversed(chunks)],
         n=n,
         total_bits=total_bits,
         rate=total_bits / n,
@@ -395,7 +375,7 @@ def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:
     it actually delivered?
     """
     size = d.entries.shape[0]
-    x = _symbols(x, size, ConfigError)
+    x = as_symbols(x, size, ConfigError, "source")
     if x.size != result.xhat.size:
         raise ConfigError("source length does not match the reconstruction")
     per_sample = d.entries[x, result.xhat]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bits import fnv1a64, read_uvarint, write_uvarint
+from .bits import as_symbols, fnv1a64, read_uvarint, write_uvarint
 from .errors import (
     CodingError,
     QuantizationError,
@@ -52,17 +52,15 @@ class QuantizedModel:
     slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        f = np.ascontiguousarray(self.freq, dtype=np.int64)
         if not 2 <= self.precision <= 24:
             raise QuantizationError(f"precision {self.precision} outside [2, 24]")
         total = 1 << self.precision
+        f = as_symbols(self.freq, total + 1, QuantizationError, "freq").copy()
         if f.sum() != total:
             raise QuantizationError(
                 f"frequencies sum to {f.sum()}, expected {total}"
             )
-        if np.any(f < 0):
-            raise QuantizationError("negative frequency")
-        f.setflags(write=False)
+        f.setflags(write=False)  # the copy: the caller's array stays writable
         cum = np.zeros(f.size + 1, dtype=np.int64)
         np.cumsum(f, out=cum[1:])
         cum.setflags(write=False)
@@ -176,9 +174,7 @@ class Frame:
 
 def compress(symbols, model: QuantizedModel) -> Frame:
     """Entropy-code an i.i.d. symbol sequence into a frame."""
-    sym = np.ascontiguousarray(symbols, dtype=np.int64)
-    if sym.ndim != 1:
-        raise CodingError("symbols must be one-dimensional")
+    sym = as_symbols(symbols, model.size, CodingError, "symbols")
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, model.precision),
                    dtype=np.uint8)
     nbytes, _, status = _kernels.encode_kernel(sym, model.cum,

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bits import as_symbols
 from .codec import FeedforwardOracle
 from .errors import CodingError, ModelError
 from .model import DistortionMatrix
@@ -65,10 +66,8 @@ class ErasureSource:
     e: int = field(init=False)
 
     def __post_init__(self):
-        s = np.ascontiguousarray(self.seq, dtype=np.int64)
-        if s.size and (s.min() < 0 or s.max() > ERASED):
-            raise ModelError("erasure source symbols must be 0, 1, or *")
-        s.setflags(write=False)
+        s = as_symbols(self.seq, ERASED + 1, ModelError, "seq").copy()
+        s.setflags(write=False)  # the copy: the caller's array stays writable
         object.__setattr__(self, "seq", s)
         object.__setattr__(self, "n", int(s.size))
         object.__setattr__(self, "e", int((s == ERASED).sum()))
@@ -91,10 +90,11 @@ class ErasurePattern:
     indices: frozenset[int]
 
     def __post_init__(self):
-        idx = frozenset(int(i) for i in self.indices)
-        if any(i < 1 for i in idx):
-            raise ModelError("erasure indices are 1-based and positive")
-        object.__setattr__(self, "indices", idx)
+        if not all(isinstance(i, (int, np.integer)) and i >= 1
+                   for i in self.indices):
+            raise ModelError("erasure indices are 1-based positive integers")
+        object.__setattr__(self, "indices",
+                           frozenset(int(i) for i in self.indices))
 
     @classmethod
     def of(cls, *indices: int) -> "ErasurePattern":
@@ -116,9 +116,7 @@ def beq_decode(m: np.ndarray, oracle: FeedforwardOracle) -> np.ndarray:
     constrained position because the emitted bit *was* that position's
     value.  Exhausted messages emit 0 — any bit is free on don't-cares.
     """
-    m = np.asarray(m)
-    if m.ndim != 1 or ((m != 0) & (m != 1)).any():
-        raise CodingError("message must be a 1-D array of 0s and 1s")
+    m = as_symbols(m, 2, CodingError, "message")
     n = len(oracle)
     out = np.zeros(n, dtype=np.int64)
     k = 0
@@ -147,8 +145,9 @@ def bec_feedback_send(
 
     Returns (channel inputs as a uint8 bit array, number of channel
     uses).  Uses equal message length plus the number of erasures that
-    actually occurred.
+    actually occurred.  A message that is not bits raises CodingError.
     """
+    message = as_symbols(message, 2, CodingError, "message")
     inputs = []
     t = 1
     k = 0
@@ -162,7 +161,7 @@ def bec_feedback_send(
 
 def apply_erasures(inputs: np.ndarray, pattern: ErasurePattern) -> ErasureSource:
     """Channel action: replace erased uses with * (1-based indices)."""
-    seq = np.array(inputs, dtype=np.int64)
+    seq = as_symbols(inputs, 2, ModelError, "channel inputs").copy()
     for i in pattern.indices:
         if i <= seq.size:
             seq[i - 1] = ERASED

@@ -37,6 +37,7 @@ from .erasure import (
     erasure_distortion,
 )
 from .errors import ConfigError
+from .rng import SplitMix64
 
 __all__ = [
     "ExperimentSpec",
@@ -119,8 +120,6 @@ def _csv_row(*cells) -> str:
 
 def uniform_source(seed: int, count: int, size: int) -> np.ndarray:
     """Deterministic uniform symbols from the package generator."""
-    from .rng import SplitMix64
-
     u = SplitMix64(seed).fill_u64(count)
     return (((u >> np.uint64(32)) * np.uint64(size)) >> np.uint64(32)).astype(
         np.int64

@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from .bits import as_symbols
 from .errors import ModelError
 
 __all__ = [
@@ -48,8 +49,10 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if not 2 <= self.size <= 2**16:
-            raise ModelError(f"alphabet size {self.size} outside [2, 65536]")
+        if (not isinstance(self.size, (int, np.integer))
+                or not 2 <= self.size <= 2**16):
+            raise ModelError(f"alphabet size {self.size!r} is not an integer "
+                             f"in [2, 65536]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +201,10 @@ def growth_factor(prior: Pmf, ch: TestChannel) -> float:
 
 def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
     """True iff every empirical frequency is within delta of its probability
-    and no zero-probability symbol occurs."""
-    seq = np.asarray(seq, dtype=np.int64)
+    and no zero-probability symbol occurs.  A symbol outside p's alphabet
+    raises ModelError; it is not counted as atypical."""
     size = p.alphabet.size
-    if seq.size and (seq.min() < 0 or seq.max() >= size):
-        return False
+    seq = as_symbols(seq, size, ModelError, "sequence")
     counts = np.bincount(seq, minlength=size).astype(np.float64)
     if np.any(counts[p.probs == 0] > 0):
         return False

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -31,8 +33,8 @@ class SplitMix64:
 
     def fill_u64(self, count: int) -> np.ndarray:
         """Vectorized stream of `count` outputs (advances state by `count`)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ConfigError(f"count {count!r} is not a non-negative integer")
         gamma = 0x9E3779B97F4A7C15
         idx = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
+from .bits import as_symbols
 from .coder import ConditionalModel
 from .errors import ShapingError
 
@@ -68,16 +69,12 @@ def shape(bits, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
 
     Returns (symbols, consumed_side_count); the two counts are equal —
     each emitted symbol consumes exactly one side sample.  Raises
-    ShapingError on bits that are not 1-D 0s and 1s, or if the side
-    buffer runs out before all of the bits settle.
+    ShapingError on bits that are not 1-D 0s and 1s, on a side that is
+    not cm's row indices, or if the side runs out before the bits settle.
     """
-    bits = np.asarray(bits)
     # packbits would read any nonzero value as a 1, without a word.
-    if bits.ndim != 1 or ((bits != 0) & (bits != 1)).any():
-        raise ShapingError("bits must be a 1-D array of 0s and 1s")
-    side_arr = np.asarray(side, dtype=np.int64)
-    if side_arr.ndim != 1:
-        raise ShapingError("side must be 1-D")
+    bits = as_symbols(bits, 2, ShapingError, "bits")
+    side_arr = as_symbols(side, len(cm.cum), ShapingError, "side")
     m = bits.size
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
@@ -117,15 +114,12 @@ def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     a frame out of them), checks it with ``check_unshaped``, and takes
     the payload as their first m bits.
     """
-    sym = np.asarray(xhat, dtype=np.int64)
-    rows = np.asarray(x, dtype=np.int64)
-    if sym.ndim != 1 or sym.shape != rows.shape:
-        raise ShapingError("xhat and x must be 1-D, of equal length")
     # The kernel guards the flat index x * (size + 1) + xhat, not these.
     n_rows, width = cm.cum.shape
-    if sym.size and (sym.min() < 0 or sym.max() >= width - 1
-                     or rows.min() < 0 or rows.max() >= n_rows):
-        raise ShapingError("symbol outside the conditional model")
+    sym = as_symbols(xhat, width - 1, ShapingError, "xhat")
+    rows = as_symbols(x, n_rows, ShapingError, "x")
+    if sym.size != rows.size:
+        raise ShapingError("xhat and x must be of equal length")
     buf = np.empty(_kernels.encoded_bytes_bound(sym.size, cm.precision),
                    dtype=np.uint8)
     nbytes, settled, status = _kernels.encode_kernel(

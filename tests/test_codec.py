@@ -324,7 +324,8 @@ def test_read_header_round_trips_the_packed_header():
 
 
 def test_config_refuses_what_the_header_cannot_carry():
-    """K has a 2-byte header field and M a 4-byte one."""
+    """K has a 2-byte header field and M a 4-byte one, and every integer
+    header field refuses a fraction."""
     cfg = bsc_config(passes=2**16 - 1, min_block=2**32 - 1)
     header = _pack_header(cfg, 0)
     assert read_header(header)[1:3] == (2**16 - 1, 2**32 - 1)
@@ -332,6 +333,10 @@ def test_config_refuses_what_the_header_cannot_carry():
         bsc_config(passes=2**16)
     with pytest.raises(ConfigError, match="min_block"):
         bsc_config(min_block=2**32)
+    for name, value in (("min_block", 64.5), ("passes", 2.5), ("seed", 1.5),
+                        ("precision", 16.5)):
+        with pytest.raises(ConfigError, match=name):
+            bsc_config(**{name: value})
 
 
 def test_header_config_mismatch_detected():

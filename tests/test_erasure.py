@@ -128,7 +128,8 @@ def test_message_too_short_rejected():
 ])
 def test_beq_decode_refuses_bits_that_are_not_1d_zeros_and_ones(bad):
     src = ErasureSource.from_string("0*1")
-    with pytest.raises(CodingError, match="1-D array of 0s and 1s"):
+    with pytest.raises(CodingError,
+                       match=r"message must be 1-D integers in \[0, 2\)"):
         beq_decode(bad, FeedforwardOracle(src.seq))
 
 
@@ -143,6 +144,12 @@ def test_pattern_validates_indices():
     with pytest.raises(ModelError):
         ErasurePattern.of(0)
     assert ErasurePattern.of(3, 1).indices == frozenset({1, 3})
+
+
+@pytest.mark.parametrize("index", [2.7, "x", None, -1])
+def test_pattern_refuses_an_index_that_is_not_a_positive_integer(index):
+    with pytest.raises(ModelError):
+        ErasurePattern.of(1, index)
 
 
 def test_erasure_distortion_matrix():

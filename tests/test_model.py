@@ -86,6 +86,8 @@ def test_alphabet_bounds():
         Alphabet(1)
     with pytest.raises(ModelError):
         Alphabet(2**16 + 1)
+    with pytest.raises(ModelError):
+        Alphabet(2.5)
     assert Alphabet(2).size == 2
 
 

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from ffsc.codec import _sample_rows
 from ffsc.coder import ConditionalModel, QuantizedModel
+from ffsc.errors import FfscError
 from ffsc.rng import SplitMix64
 
 
@@ -37,6 +39,14 @@ def test_fill_matches_scalar_path():
     assert np.array_equal(vec, scalar)
     # and the stream continues from where the block ended
     assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, "3", None])
+def test_fill_refuses_a_count_that_is_not_a_non_negative_integer(count):
+    rng = SplitMix64(7)
+    with pytest.raises(FfscError):
+        rng.fill_u64(count)
+    assert rng.next_u64() == SplitMix64(7).next_u64()
 
 
 def test_sample_from_quantized_is_deterministic():

@@ -252,7 +252,8 @@ def test_shape_refuses_a_two_dimensional_side():
 ])
 def test_shape_refuses_bits_that_are_not_1d_zeros_and_ones(bad):
     side = np.zeros(512, dtype=np.int64)
-    with pytest.raises(ShapingError, match="1-D array of 0s and 1s"):
+    with pytest.raises(ShapingError,
+                       match=r"bits must be 1-D integers in \[0, 2\)"):
         shape(bad, side, BSC11)
 
 
