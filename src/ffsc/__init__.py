@@ -17,7 +17,6 @@ from .codec import (
     plan_passes,
 )
 from .coder import (
-    ConditionalModel,
     Frame,
     QuantizedModel,
     compress,
@@ -72,7 +71,6 @@ __all__ = [
     "CausalityError",
     "CodecConfig",
     "CodingError",
-    "ConditionalModel",
     "ConfigError",
     "DecodeResult",
     "DistortionMatrix",

@@ -2,15 +2,15 @@
 
 Two loops: ``encode_kernel``, the range encoder, and ``_decode_loop``,
 the range decoder.  The encoder has one mode: code c is the interval
-[cum[c], cum[c+1]) of one flat table, a frame's symbols against its
-model's ``cum`` or deshaping's x * (size + 1) + xhat against a
-conditional model's rows laid end to end.  The kernel guards the table
-index; the caller guards the alphabet, which a flat index cannot see
-(row x's symbol -1 is row x - 1's last).  Shaping is the decoder run
-over payload bits, so the decoder's one symbol step has two entry
-points: ``decode_kernel`` decodes a frame's declared symbol count
-against one table, and ``shape_kernel`` decodes against rows keyed by
-side samples until the payload is settled.
+[cum[c], cum[c+1]) of one flat table, symbol s of row x being
+x * (size + 1) + s of a model's rows laid end to end (row 0 for a
+frame, the side sample for deshaping; see ``coder.range_encode``).
+The kernel guards the table index; the caller guards the alphabet,
+which a flat index cannot see (row x's symbol -1 is row x - 1's last).
+Shaping is the decoder run over payload bits, so the decoder's one
+symbol step has two entry points: ``decode_kernel`` decodes a frame's
+declared symbol count against one table, and ``shape_kernel`` decodes
+against rows keyed by side samples until the payload is settled.
 
 The decoder's step finds the symbol whose interval holds the scaled
 value v by table lookup, the decode table of rANS (Duda,

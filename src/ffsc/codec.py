@@ -18,6 +18,7 @@ seed block, which is never deshaped, is never read.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
@@ -26,7 +27,6 @@ import numpy as np
 
 from .bits import as_symbols
 from .coder import (
-    ConditionalModel,
     QuantizedModel,
     compress,
     decode_frame_prefix,
@@ -91,15 +91,15 @@ class CodecConfig:
             raise ConfigError("passes outside [1, 65535]")
         if not 2 <= self.precision <= 24:
             raise ConfigError("precision outside [2, 24]")
-        if not 0 < self.delta < 1:
+        if not isinstance(self.delta, numbers.Real) or not 0 < self.delta < 1:
             raise ConfigError("delta outside (0, 1)")
         if self.distortion.entries.shape != self.channel.rows.shape:
             raise ConfigError("distortion matrix shape must match the channel")
         growth_factor(self.prior, self.channel)  # rejects degenerate channels
 
-    def quantized(self) -> tuple[QuantizedModel, ConditionalModel]:
-        """The marginal and conditional coding tables, built on the first
-        call and shared by every later one (the models are read-only)."""
+    def quantized(self) -> tuple[QuantizedModel, QuantizedModel]:
+        """The marginal's one-row table and the channel's, built on the
+        first call and shared by every later one (both are read-only)."""
         tables = self.__dict__.get("_tables")
         if tables is None:
             tables = (quantize(self.channel.marginal(self.prior), self.precision),
@@ -190,11 +190,11 @@ class MeasureReport:
     gap: float
 
 
-def _sample_rows(rng: SplitMix64, cond: ConditionalModel, rows: np.ndarray):
-    """One inverse-CDF draw from cond.rows[rows[i]] per position."""
-    q = cond.precision
+def _sample_rows(rng: SplitMix64, model: QuantizedModel, rows: np.ndarray):
+    """One inverse-CDF draw from row rows[i] of the model per position."""
+    q = model.precision
     u = (rng.fill_u64(rows.size) >> np.uint64(64 - q)).astype(np.int64)
-    cum = cond.cum[rows]  # (n, output alphabet size + 1)
+    cum = model.cum[rows]  # (n, output alphabet size + 1)
     return (u[:, None] >= cum[:, 1:-1]).sum(axis=1, dtype=np.int64)
 
 

@@ -1,5 +1,9 @@
 """Lossless entropy coding for i.i.d. models with exact framing.
 
+A ``QuantizedModel`` is rows of integer frequencies over one alphabet:
+the reconstruction's marginal is one row, and the test channel
+p(xhat|x) one row per source symbol x.
+
 A ``Frame`` is a varint symbol count followed by a byte-aligned
 payload.  Thanks to the coder's deterministic flush (see
 ``rangecoder``), the payload length in bytes always equals the number
@@ -16,16 +20,11 @@ import numpy as np
 
 from . import _kernels
 from .bits import as_symbols, fnv1a64, read_uvarint, write_uvarint
-from .errors import (
-    CodingError,
-    QuantizationError,
-    TruncatedFrameError,
-)
+from .errors import CodingError, QuantizationError, TruncatedFrameError
 from .model import Pmf, TestChannel
 
 __all__ = [
     "QuantizedModel",
-    "ConditionalModel",
     "Frame",
     "quantize",
     "quantize_channel",
@@ -35,15 +34,22 @@ __all__ = [
 ]
 
 
+def _check_precision(q) -> int:
+    if not isinstance(q, (int, np.integer)) or not 2 <= q <= 24:
+        raise QuantizationError(f"precision {q!r} is not an integer in [2, 24]")
+    return int(q)
+
+
 @dataclass(frozen=True, eq=False)
 class QuantizedModel:
-    """Integer frequency table with total 2^precision.
+    """Rows of integer frequencies, each with total 2^precision; a 1-D
+    ``freq`` is one row.
 
     Symbols whose true probability is positive always get frequency
     >= 1 (so they stay codable); true zeros stay zero (so impossible
-    symbols are detected instead of silently coded).  ``cum`` is the
-    cumulative table and ``slots`` the decoder's slot table
-    (``_kernels.slot_table``), both built once and read-only.
+    symbols are detected instead of silently coded).  ``freq`` (a copy
+    of the caller's), ``cum`` and ``slots`` (``_kernels.slot_table``)
+    are 2-D, one row per model row, built once and read-only.
     """
 
     freq: np.ndarray
@@ -52,53 +58,33 @@ class QuantizedModel:
     slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 2 <= self.precision <= 24:
-            raise QuantizationError(f"precision {self.precision} outside [2, 24]")
-        total = 1 << self.precision
-        f = as_symbols(self.freq, total + 1, QuantizationError, "freq").copy()
-        if f.sum() != total:
+        q = _check_precision(self.precision)
+        object.__setattr__(self, "precision", q)
+        total = 1 << q
+        try:
+            f = np.array(self.freq)  # the copy
+        except (TypeError, ValueError):  # a ragged nested sequence
+            raise QuantizationError("freq rows differ in length") from None
+        if f.ndim == 1:
+            f = f[None]
+        if f.ndim != 2 or not len(f):
             raise QuantizationError(
-                f"frequencies sum to {f.sum()}, expected {total}"
-            )
-        f.setflags(write=False)  # the copy: the caller's array stays writable
-        cum = np.zeros(f.size + 1, dtype=np.int64)
-        np.cumsum(f, out=cum[1:])
-        cum.setflags(write=False)
-        slots = _kernels.slot_table(cum, self.precision)
-        slots.setflags(write=False)
-        object.__setattr__(self, "freq", f)
-        object.__setattr__(self, "cum", cum)
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def size(self) -> int:
-        return int(self.freq.size)
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalModel:
-    """One quantized row per conditioning symbol.  ``cum`` and ``slots``
-    stack the rows' tables, built once and read-only."""
-
-    rows: tuple[QuantizedModel, ...]
-    cum: np.ndarray = field(init=False)
-    slots: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.rows:
-            raise QuantizationError("conditional model needs at least one row")
-        precisions = {r.precision for r in self.rows}
-        sizes = {r.size for r in self.rows}
-        if len(precisions) != 1 or len(sizes) != 1:
-            raise QuantizationError("conditional rows must share shape/precision")
-        for name in ("cum", "slots"):
-            table = np.stack([getattr(r, name) for r in self.rows])
+                f"freq must be one or more rows, not shape {f.shape}")
+        f = as_symbols(f.ravel(), total + 1, QuantizationError,
+                       "freq").reshape(f.shape)
+        sums = f.sum(axis=1)
+        if (sums != total).any():
+            raise QuantizationError(f"rows sum to {sums}, expected {total}")
+        cum = np.zeros((len(f), f.shape[1] + 1), dtype=np.int64)
+        np.cumsum(f, axis=1, out=cum[:, 1:])
+        slots = np.stack([_kernels.slot_table(row, q) for row in cum])
+        for name, table in (("freq", f), ("cum", cum), ("slots", slots)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
     @property
-    def precision(self) -> int:
-        return self.rows[0].precision
+    def size(self) -> int:
+        return self.freq.shape[1]
 
 
 def quantize(p: Pmf, precision: int) -> QuantizedModel:
@@ -107,9 +93,7 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     Positive-probability symbols are guaranteed frequency >= 1, taking
     units from the largest entries if rounding starved any of them.
     """
-    if not 2 <= precision <= 24:
-        raise QuantizationError(f"precision {precision} outside [2, 24]")
-    total = 1 << precision
+    total = 1 << _check_precision(precision)
     probs = p.probs
     support = probs > 0
     if int(support.sum()) > total:
@@ -138,23 +122,23 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     return QuantizedModel(freq, precision)
 
 
-def quantize_channel(ch: TestChannel, precision: int) -> ConditionalModel:
-    rows = tuple(
-        quantize(Pmf(ch.output_alphabet, row), precision) for row in ch.rows
-    )
-    return ConditionalModel(rows)
+def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
+    """One ``quantize``d row per input symbol of the channel."""
+    return QuantizedModel(np.concatenate([
+        quantize(Pmf(ch.output_alphabet, row), precision).freq
+        for row in ch.rows
+    ]), precision)
 
 
-def model_digest(marginal: QuantizedModel, cond: ConditionalModel) -> int:
+def model_digest(marginal: QuantizedModel, channel: QuantizedModel) -> int:
     """64-bit fingerprint of the quantized tables (FNV-1a)."""
-    parts = [
+    return fnv1a64(b"".join([
         marginal.precision.to_bytes(1, "little"),
         marginal.size.to_bytes(2, "little"),
         marginal.freq.astype("<u4").tobytes(),
-        len(cond.rows).to_bytes(2, "little"),
-    ]
-    parts.extend(r.freq.astype("<u4").tobytes() for r in cond.rows)
-    return fnv1a64(b"".join(parts))
+        len(channel.freq).to_bytes(2, "little"),
+        channel.freq.astype("<u4").tobytes(),
+    ]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,26 +156,34 @@ class Frame:
         return write_uvarint(self.symbol_count) + self.payload
 
 
-def compress(symbols, model: QuantizedModel) -> Frame:
-    """Entropy-code an i.i.d. symbol sequence into a frame."""
-    sym = as_symbols(symbols, model.size, CodingError, "symbols")
-    buf = np.empty(_kernels.encoded_bytes_bound(sym.size, model.precision),
-                   dtype=np.uint8)
-    nbytes, _, status = _kernels.encode_kernel(sym, model.cum,
-                                               model.precision, buf)
+def range_encode(symbols: np.ndarray, rows, model: QuantizedModel,
+                 error: type[Exception]) -> tuple[bytes, int]:
+    """Range-code each symbol s against the model's row x (`rows` holds
+    the x, or is one x for all) as the flat index x * (size + 1) + s.
+    The caller checks s and x, which a flat index cannot see.  Returns
+    (all flushed bytes, settled bytes before the flush); raises `error`."""
+    bound = _kernels.encoded_bytes_bound(symbols.size, model.precision)
+    buf = np.empty(bound, dtype=np.uint8)
+    nbytes, settled, status = _kernels.encode_kernel(
+        rows * (model.size + 1) + symbols, model.cum.ravel(),
+        model.precision, buf)
     if status == _kernels.OK:
-        return Frame(int(sym.size), buf[:nbytes].tobytes())
-    if status == _kernels.ERR_RANGE:
-        raise CodingError(
-            f"symbol out of range for model of size {model.size}")
+        return buf[:nbytes].tobytes(), int(settled)
     if status == _kernels.ERR_ZERO_FREQ:
-        raise CodingError("symbol with zero model frequency")
-    raise CodingError(f"encoder failed with status {status}")
+        raise error("symbol with zero model frequency")
+    raise error(f"range encoder failed with status {status}")
+
+
+def compress(symbols, model: QuantizedModel) -> Frame:
+    """Entropy-code an i.i.d. symbol sequence into a frame against the
+    model's row 0."""
+    sym = as_symbols(symbols, model.size, CodingError, "symbols")
+    return Frame(int(sym.size), range_encode(sym, 0, model, CodingError)[0])
 
 
 def decode_frame_prefix(data, model: QuantizedModel,
                         limit: int) -> tuple[np.ndarray, int]:
-    """Decode a frame embedded at the start of `data`.
+    """Decode a frame, coded with row 0, at the start of `data`.
 
     Returns (symbols, total frame length in bytes).  Bytes after the
     frame are ignored, which is exactly what the feedforward decoder
@@ -212,8 +204,8 @@ def decode_frame_prefix(data, model: QuantizedModel,
         )
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(raw, dtype=np.uint8)[off:], count, model.cum,
-        model.slots, model.precision, out,
+        np.frombuffer(raw, dtype=np.uint8)[off:], count, model.cum[0],
+        model.slots[0], model.precision, out,
     )
     nbytes = off + int(shifts) + 2
     if status == _kernels.TRUNCATED:

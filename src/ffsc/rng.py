@@ -22,7 +22,9 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not isinstance(seed, (int, np.integer)):
+            raise ConfigError(f"seed {seed!r} is not an integer")
+        self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

@@ -1,8 +1,8 @@
 """Bit shaping: embed bits, a 1-D array of 0s and 1s, into a
 conditionally-distributed symbol sequence, exactly invertibly.
 
-``shape`` runs the range *decoder* over the input bits against a
-per-position conditional model keyed by the side sequence — the same
+``shape`` runs the range *decoder* over the input bits against the
+model row that the side sequence picks at each position — the same
 trick as bits-back coding: uniform bits in, model-distributed symbols
 out.  Unshaping is a plain re-encode of the symbols keyed by the same
 side samples: ``deshape_raw`` returns the re-encoded bytes and their
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import as_symbols
-from .coder import ConditionalModel
+from .coder import QuantizedModel, range_encode
 from .errors import ShapingError
 
 __all__ = [
@@ -63,7 +63,7 @@ def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
     return m_bits + int(bad[0]) if bad.size else None
 
 
-def shape(bits, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
+def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     """Turn bits, a 1-D array of 0s and 1s, into symbols distributed per
     cm's rows, keyed by side.
 
@@ -74,7 +74,7 @@ def shape(bits, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
     """
     # packbits would read any nonzero value as a 1, without a word.
     bits = as_symbols(bits, 2, ShapingError, "bits")
-    side_arr = as_symbols(side, len(cm.cum), ShapingError, "side")
+    side_arr = as_symbols(side, len(cm.freq), ShapingError, "side")
     m = bits.size
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
@@ -102,11 +102,11 @@ def shape(bits, side, cm: ConditionalModel) -> tuple[np.ndarray, int]:
                 f"({side_arr.size} available)"
             )
         if status == _kernels.ERR_RANGE:
-            raise ShapingError("side symbol outside the conditional model")
+            raise ShapingError("side symbol outside the model's rows")
         raise ShapingError(f"shaper failed with status {status}")
 
 
-def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
+def deshape_raw(xhat, x, cm: QuantizedModel) -> tuple[bytes, int]:
     """Re-encode (xhat, x) and return (all flushed bytes, settled bit count).
 
     The first `settled` bits are exactly the bits shape() consumed.  The
@@ -114,21 +114,12 @@ def deshape_raw(xhat, x, cm: ConditionalModel) -> tuple[bytes, int]:
     a frame out of them), checks it with ``check_unshaped``, and takes
     the payload as their first m bits.
     """
-    # The kernel guards the flat index x * (size + 1) + xhat, not these.
-    n_rows, width = cm.cum.shape
-    sym = as_symbols(xhat, width - 1, ShapingError, "xhat")
-    rows = as_symbols(x, n_rows, ShapingError, "x")
+    sym = as_symbols(xhat, cm.size, ShapingError, "xhat")
+    rows = as_symbols(x, len(cm.freq), ShapingError, "x")
     if sym.size != rows.size:
         raise ShapingError("xhat and x must be of equal length")
-    buf = np.empty(_kernels.encoded_bytes_bound(sym.size, cm.precision),
-                   dtype=np.uint8)
-    nbytes, settled, status = _kernels.encode_kernel(
-        rows * width + sym, cm.cum.ravel(), cm.precision, buf)
-    if status == _kernels.OK:
-        return buf[:nbytes].tobytes(), 8 * int(settled)
-    if status == _kernels.ERR_ZERO_FREQ:
-        raise ShapingError("(xhat, x) pair with zero quantized probability")
-    raise ShapingError(f"deshaper failed with status {status}")
+    data, settled = range_encode(sym, rows, cm, ShapingError)
+    return data, 8 * settled
 
 
 def check_unshaped(data: bytes, settled: int, m: int):

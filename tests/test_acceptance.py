@@ -211,7 +211,7 @@ def test_criterion_5_property_suites():
         out, used = decode_frame_prefix(raw, qm, syms.size)
         assert np.array_equal(out, syms) and used == len(raw)
 
-    # shape/unshape round trip, 10^4 cases over two conditional models
+    # shape/unshape round trip, 10^4 cases over two channel models
     cms = [
         quantize_channel(TestChannel.bsc(0.11), 16),
         quantize_channel(
@@ -226,7 +226,7 @@ def test_criterion_5_property_suites():
         m = int(rng.integers(0, 49))
         bits = np.unpackbits(np.frombuffer(rng.bytes((m + 7) // 8), np.uint8),
                              count=m)
-        side = rng.integers(0, len(cm.rows), 4 * m + 200)
+        side = rng.integers(0, len(cm.freq), 4 * m + 200)
         xhat, used = shape(bits, side, cm)
         assert np.array_equal(unshape(xhat, side[:used], cm, m), bits)
 

@@ -136,7 +136,7 @@ NO_SYMBOL_ARRAY = {
     "CausalityError", "CodingError", "ConfigError", "FfscError",
     "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",
     "TruncatedFrameError",
-    "Alphabet", "CodecConfig", "ConditionalModel", "DecodeResult",
+    "Alphabet", "CodecConfig", "DecodeResult",
     "DistortionMatrix", "ERASED", "EncodeResult", "ErasurePattern", "Frame",
     "MeasureReport", "Pmf", "SplitMix64", "TestChannel",
     "beq_encode", "blahut_arimoto", "bundled_model_names",
@@ -185,3 +185,17 @@ def test_malformed_symbol_array_raises_a_package_error(name, arg, label):
     args[arg] = _variants(goods[arg], sizes[arg])[label]
     with pytest.raises(FfscError):
         call(*args)
+
+
+def test_constructors_keep_a_copy_of_the_callers_array():
+    """A write into the caller's array after construction reaches none
+    of the object's tables."""
+    freq = np.array([[40000, 25536], [1, 65535]], dtype=np.int64)
+    model = QuantizedModel(freq, 16)
+    seq = np.array([0, 2, 1], dtype=np.int64)
+    source = ErasureSource(seq)
+    freq[:] = 0
+    seq[:] = 1
+    assert model.freq.tolist() == [[40000, 25536], [1, 65535]]
+    assert model.cum.tolist() == [[0, 40000, 65536], [0, 1, 65536]]
+    assert source.seq.tolist() == [0, 2, 1]

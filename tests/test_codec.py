@@ -58,13 +58,9 @@ def run_pair(cfg, src):
 
 
 def table_arrays(tables):
-    """Every array of a quantized() pair: the marginal's and each row's
-    freq/cum/slots, and the conditional model's stacked tables."""
-    marg, cond = tables
-    arrays = [cond.cum, cond.slots]
-    for m in (marg, *cond.rows):
-        arrays += [m.freq, m.cum, m.slots]
-    return arrays
+    """Every array of a quantized() pair: each model's freq/cum/slots."""
+    return [getattr(m, name) for m in tables
+            for name in ("freq", "cum", "slots")]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +89,7 @@ def test_replaced_config_gets_its_own_tables():
     marg12, cond12 = other.quantized()
     assert marg12 is not marg and cond12 is not cond
     assert marg12.precision == cond12.precision == 12
-    assert marg12.cum[-1] == 1 << 12
+    assert marg12.cum[0][-1] == 1 << 12
     assert marg.precision == 16  # the original's tables are untouched
 
 
@@ -334,7 +330,7 @@ def test_config_refuses_what_the_header_cannot_carry():
     with pytest.raises(ConfigError, match="min_block"):
         bsc_config(min_block=2**32)
     for name, value in (("min_block", 64.5), ("passes", 2.5), ("seed", 1.5),
-                        ("precision", 16.5)):
+                        ("precision", 16.5), ("delta", "x")):
         with pytest.raises(ConfigError, match=name):
             bsc_config(**{name: value})
 

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from ffsc import _kernels
 from ffsc.bits import write_uvarint
 from ffsc.coder import (
-    ConditionalModel,
     Frame,
     QuantizedModel,
     compress,
@@ -31,8 +30,8 @@ from ffsc.model import Pmf, TestChannel
 
 def test_quantize_benchmark_row():
     q = quantize(Pmf.from_probs([0.89, 0.11]), 16)
-    assert q.freq.tolist() == [58327, 7209]
-    assert q.freq.sum() == 1 << 16
+    assert q.freq[0].tolist() == [58327, 7209]
+    assert q.freq[0].sum() == 1 << 16
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
@@ -42,24 +41,24 @@ def test_quantize_ties_go_to_the_lowest_index(index):
     probs = np.full(3, 1 / 3)
     probs[index] = np.nextafter(probs[index], 1.0)
     q = quantize(Pmf.from_probs(probs), 16)
-    assert q.freq.tolist() == [21846, 21845, 21845]
+    assert q.freq[0].tolist() == [21846, 21845, 21845]
 
 
 def test_quantize_point_mass():
     q = quantize(Pmf.from_probs([1.0, 0.0]), 16)
-    assert q.freq.tolist() == [65536, 0]
+    assert q.freq[0].tolist() == [65536, 0]
 
 
 def test_quantize_preserves_true_zeros():
     q = quantize(Pmf.from_probs([0.6, 0.0, 0.4]), 10)
-    assert q.freq[1] == 0
-    assert q.freq.sum() == 1 << 10
+    assert q.freq[0][1] == 0
+    assert q.freq[0].sum() == 1 << 10
 
 
 def test_quantize_gives_every_support_symbol_a_slot():
     # probability 1e-9 would round to zero slots; it must get one anyway
     q = quantize(Pmf.from_probs([1 - 1e-9, 1e-9]), 8)
-    assert q.freq.tolist() == [255, 1]
+    assert q.freq[0].tolist() == [255, 1]
 
 
 def test_quantize_rejects_overfull_support():
@@ -84,8 +83,18 @@ def test_quantize_total_always_exact(precision, size, salt):
 
 
 def test_quantized_model_validates_total():
+    for freq, precision in (
+        (np.array([100, 100], dtype=np.int64), 16),
+        (np.array([[32768, 32768], [32768, 32767]]), 16),  # a row off by one
+        (np.full((1, 1, 2), 32768), 16),                    # 3-D
+        (np.zeros((0, 2), dtype=np.int64), 16),             # no rows
+        ([[32768, 32768], [65536]], 16),                    # ragged
+        (np.array([32768, 32768]), 16.5),                   # a fraction
+    ):
+        with pytest.raises(QuantizationError):
+            QuantizedModel(freq, precision)
     with pytest.raises(QuantizationError):
-        QuantizedModel(np.array([100, 100], dtype=np.int64), 16)
+        quantize(Pmf.uniform(2), 16.5)
 
 
 def test_model_digest_changes_with_tables():
@@ -241,8 +250,8 @@ def test_decode_work_is_bounded_by_frame_length(count, header):
     assert time.perf_counter() - t0 < 0.25
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(frame[header:], dtype=np.uint8), count, m.cum, m.slots,
-        16, out
+        np.frombuffer(frame[header:], dtype=np.uint8), count, m.cum[0],
+        m.slots[0], 16, out
     )
     assert (shifts, status) == (9, _kernels.TRUNCATED)
 
@@ -272,6 +281,6 @@ def test_frame_over_the_callers_limit_is_refused_at_once(count):
 
 def test_conditional_model_row_access():
     c = quantize_channel(TestChannel.bsc(0.11), 16)
-    assert c.rows[0].freq.tolist() == [58327, 7209]
-    assert c.rows[1].freq.tolist() == [7209, 58327]
+    assert c.freq[0].tolist() == [58327, 7209]
+    assert c.freq[1].tolist() == [7209, 58327]
     assert c.cum.shape == (2, 3)

@@ -301,8 +301,7 @@ def test_short_stream_channel_tables_unchanged(size, diag, off):
     ch, _, _ = blahut_arimoto(Pmf.uniform(size),
                               DistortionMatrix.hamming(size), 0.15)
     want = np.full((size, size), off) + (diag - off) * np.eye(size, dtype=int)
-    got = [row.freq.tolist() for row in quantize_channel(ch, 16).rows]
-    assert got == want.tolist()
+    assert quantize_channel(ch, 16).freq.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

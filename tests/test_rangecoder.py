@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ffsc import _kernels
-from ffsc.coder import ConditionalModel, QuantizedModel, quantize
+from ffsc.coder import QuantizedModel, quantize
 from ffsc.model import Pmf
 from ffsc.rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
 from ffsc.shaping import PAD_PATTERN, shape
@@ -214,7 +214,7 @@ def test_kernel_settled_matches_reference_settled_count():
 def test_encode_kernel_guards_the_flat_index():
     """The kernel's two checks on a code c: ERR_RANGE outside
     0 <= c < len(cum) - 1, and ERR_ZERO_FREQ on an empty interval, which
-    includes a code at a row's last entry of a flat conditional table."""
+    includes a code at a row's last entry of a model's rows laid flat."""
     cum_rows = np.array([[0, 40, 40, 64], [0, 10, 30, 64]], dtype=np.int64)
     table = cum_rows.ravel()
     buf = np.empty(64, dtype=np.uint8)
@@ -296,14 +296,14 @@ def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     rng = np.random.default_rng(m)
     bits = rng.integers(0, 2, m).astype(np.uint8)
     side = np.zeros(16 * m + 64, dtype=np.int64)
-    symbols, nsym = shape(bits, side, ConditionalModel((model,)))
+    symbols, nsym = shape(bits, side, model)
     pad = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
     nbytes = m // 8 + 8
     stream = np.packbits(np.concatenate([bits,
                                          np.resize(pad, 8 * nbytes - m)]))
     out = np.empty(nsym, dtype=np.int64)
-    _, status = _kernels.decode_kernel(stream, nsym, model.cum, model.slots,
-                                       16, out)
+    _, status = _kernels.decode_kernel(stream, nsym, model.cum[0],
+                                       model.slots[0], 16, out)
     assert status == _kernels.OK
     assert np.array_equal(out, symbols)
 
@@ -325,8 +325,8 @@ def random_freq(rng, size, precision, zeros):
 
 def slot_cases(precision):
     """Tables at one precision: a 4-symbol table with a zero frequency at
-    its start, middle or end (one alphabet, so they also serve as rows
-    of one conditional model), and a 300-symbol table with zeros."""
+    its start, middle or end (one alphabet, so they also serve as the
+    rows of one model), and a 300-symbol table with zeros."""
     rng = np.random.default_rng(precision)
     rows = [random_freq(rng, 4, precision, zeros) for zeros in ([0], [1, 2], [3])]
     return rows, random_freq(rng, 300, precision, [0, 1, 150, 298, 299])
@@ -342,7 +342,7 @@ def test_slot_table_and_scan_find_every_symbol(precision):
     rng = np.random.default_rng(precision)
     for freq in rows + [wide]:
         model = QuantizedModel(freq, precision)
-        slots, cum = model.slots, model.cum
+        slots, cum = model.slots[0], model.cum[0]
         assert not slots.flags.writeable
         assert slots.size <= total and total % slots.size == 0
         sh = precision - (slots.size.bit_length() - 1)
@@ -380,8 +380,8 @@ def test_decode_kernel_matches_reference_with_zero_frequencies(precision):
             ref = decode_reference(data, 600, freq, precision)
             out = np.empty(600, dtype=np.int64)
             _, status = _kernels.decode_kernel(
-                np.frombuffer(data, dtype=np.uint8), 600, model.cum,
-                model.slots, precision, out)
+                np.frombuffer(data, dtype=np.uint8), 600, model.cum[0],
+                model.slots[0], precision, out)
             assert status == _kernels.OK
             assert out.tolist() == ref
             assert want is None or ref == want
@@ -389,14 +389,14 @@ def test_decode_kernel_matches_reference_with_zero_frequencies(precision):
 
 @pytest.mark.parametrize("precision", SLOT_PRECISIONS)
 def test_shape_kernel_matches_reference_over_rows(precision):
-    """shape_kernel with a conditional model's stacked slot tables
+    """shape_kernel with a model's slot tables
     decodes what RangeDecoder decodes row by row: three 4-symbol rows
     with zero frequencies in different places, and two 300-symbol rows."""
     rows, wide = slot_cases(precision)
     rng = np.random.default_rng(200 + precision)
     wide_rows = [wide, wide[::-1].copy()]
     for freqs in (rows, wide_rows):
-        cm = ConditionalModel(tuple(QuantizedModel(f, precision) for f in freqs))
+        cm = QuantizedModel(freqs, precision)
         side = rng.integers(0, len(freqs), 4000)
         stream = rng.integers(0, 256, 8 + 600 // 8).astype(np.uint8)
         out = np.empty(side.size, dtype=np.int64)
@@ -428,9 +428,8 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
              ([[40, 0, 24], [8, 50, 6], [0, 20, 44]], 6))
     rng = np.random.default_rng(3)
     for freqs, q in cases:
-        cm = ConditionalModel(tuple(QuantizedModel(np.array(f), q)
-                                    for f in freqs))
-        row0 = cm.rows[0]
+        cm = QuantizedModel(np.array(freqs), q)
+        cum0, slots0 = cm.cum[0], cm.slots[0]
         side = rng.integers(0, len(freqs), 4000).astype(np.int64)
         # symbols drawn from their own row, so the flat codes encode them
         probs = np.array(freqs) / (1 << q)
@@ -440,7 +439,7 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
 
         for symbols, rows in ((fixed, np.zeros(800, dtype=np.int64)),
                               (sym, side[:sym.size])):
-            codes, table = ((symbols, row0.cum) if symbols is fixed
+            codes, table = ((symbols, cum0) if symbols is fixed
                             else flat_codes(symbols, rows, cm.cum))
             buf_a = np.zeros(8192, dtype=np.uint8)
             buf_b = np.zeros(8192, dtype=np.uint8)
@@ -458,10 +457,10 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
                            (payload[:payload.size // 2], _kernels.TRUNCATED)):
             out_a = np.zeros(fixed.size, dtype=np.int64)
             out_b = np.zeros(fixed.size, dtype=np.int64)
-            res_a = _kernels.decode_kernel(data, fixed.size, row0.cum,
-                                           row0.slots, q, out_a)
+            res_a = _kernels.decode_kernel(data, fixed.size, cum0, slots0, q,
+                                           out_a)
             res_b = on_python_loop(monkeypatch, "decode_kernel", data,
-                                   fixed.size, row0.cum, row0.slots, q, out_b)
+                                   fixed.size, cum0, slots0, q, out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
 

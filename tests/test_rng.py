@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from ffsc.codec import _sample_rows
-from ffsc.coder import ConditionalModel, QuantizedModel
-from ffsc.errors import FfscError
+from ffsc.coder import QuantizedModel
+from ffsc.errors import ConfigError, FfscError
 from ffsc.rng import SplitMix64
 
 
 def sample_from_table(seed: int, cum, count: int) -> np.ndarray:
     """`count` draws through the codec's sampler from the one 16-bit
     table whose cumulative frequencies are `cum`."""
-    table = ConditionalModel((QuantizedModel(np.diff(cum), 16),))
+    table = QuantizedModel(np.diff(cum), 16)
     return _sample_rows(SplitMix64(seed), table, np.zeros(count, dtype=np.int64))
 
 
@@ -39,6 +39,12 @@ def test_fill_matches_scalar_path():
     assert np.array_equal(vec, scalar)
     # and the stream continues from where the block ended
     assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("seed", [1.5, "x"])
+def test_seed_that_is_not_an_integer_is_refused(seed):
+    with pytest.raises(ConfigError):
+        SplitMix64(seed)
 
 
 @pytest.mark.parametrize("count", [-1, 2.5, "3", None])

@@ -214,7 +214,7 @@ def test_deshape_rejects_symbols_outside_the_model():
     """deshape_raw refuses an xhat or x outside the alphabet, including
     pairs whose flat index x * (size + 1) + xhat lands inside the table
     (x = 1, xhat = -2 is row 0's symbol 1 under BSC(0.11))."""
-    n_rows, size = len(BSC11.rows), BSC11.rows[0].size
+    n_rows, size = BSC11.freq.shape
     xhat = np.array([0, 1, 1, 0], dtype=np.int64)
     x = np.array([0, 1, 0, 1], dtype=np.int64)
     deshape_raw(xhat, x, BSC11)
