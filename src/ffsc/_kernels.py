@@ -44,13 +44,13 @@ stay allocation-free and exception-free.  Buffers are caller-allocated
 and bounds-checked by the kernels themselves.  The encoder's output
 never exceeds ``encoded_bytes_bound``, and the shaper's stream has a
 closed-form size too (see ``shaping.shape``), so their callers
-allocate once and treat NEED_MORE_BUF and NEED_MORE_STREAM as errors.
-Grow-and-retry is left only for the shaper's symbol buffer: on
-NEED_MORE_SYM, ``shape`` doubles it and reruns from scratch, which
-keeps the kernels stateless.  The decoder returns TRUNCATED as soon
-as it has shifted in more bytes than its input holds; between shifts
-its work is bounded by the symbol count it is given, which its caller
-caps.
+allocate once and treat NEED_MORE_BUF and TRUNCATED as errors.
+Grow-and-retry is left only for the shaper's symbol buffer: ``shape``
+doubles it on NEED_MORE_SYM and reruns from scratch, which keeps the
+kernels stateless, until it holds the whole side.  The decoder returns
+TRUNCATED as soon as it has shifted in more bytes than its input
+holds; between shifts its work is bounded by the symbol count it is
+given, which its caller caps.
 
 All arithmetic is int64.  The largest intermediate is low + r*start
 < 2^33, far below overflow.
@@ -68,8 +68,6 @@ ERR_ZERO_FREQ = 1
 ERR_CARRY = 2
 NEED_MORE_BUF = 3
 NEED_MORE_SYM = 4
-NEED_MORE_STREAM = 5
-SIDE_EXHAUSTED = 6
 ERR_RANGE = 7
 TRUNCATED = 8
 
@@ -296,23 +294,18 @@ def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
     `side` (cum_rows and their slot tables, slot_rows) until the first
     `m_bits` bits of the stream are settled.
 
-    Returns (nsym, status).  The bits are settled after the first
-    symbol whose renormalisation takes the shift count past
+    Returns ``_decode_loop``'s (nsym, status), and NEED_MORE_SYM once
+    the output buffer or the side runs out.  The bits are settled after
+    the first symbol whose renormalisation takes the shift count past
     ceil(m_bits/8): re-encoding the symbols then writes stream byte
     ceil(m_bits/8), a pad byte that is never 0xFF, so no later carry
     reaches the payload (see ``shaping``).
     """
     if m_bits <= 0:
         return 0, OK
-    if len(stream) < 4:
-        return 0, NEED_MORE_STREAM
     nsym, _, status = _decode_loop(stream, min(len(out_sym), len(side)),
                                    side, cum_rows, slot_rows, precision,
                                    out_sym, (m_bits + 7) >> 3)
-    if status == TRUNCATED:
-        return nsym, NEED_MORE_STREAM
-    if status == NEED_MORE_SYM and nsym < len(out_sym):
-        return nsym, SIDE_EXHAUSTED
     return nsym, status
 
 

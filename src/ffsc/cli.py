@@ -260,11 +260,9 @@ def _cmd_decode(args) -> int:
     prior, d, channel = _symbol_file_model(args)
     with open(args.infile, "rb") as fh:
         stream = fh.read()
-    q, k, m, seed, _ = read_header(stream)
-    cfg = CodecConfig(
-        prior=prior, channel=channel, distortion=d, min_block=m, passes=k,
-        precision=q, seed=seed,
-    )
+    q, k, m, _, _ = read_header(stream)
+    cfg = CodecConfig(prior=prior, channel=channel, distortion=d,
+                      min_block=m, passes=k, precision=q)
     source = _read_symbols(args.source, args.format)
     offset = args.offset
     if offset is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 import struct
+import zlib
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -64,9 +65,10 @@ __all__ = [
 ]
 
 MAGIC = b"FFSC"
-STREAM_VERSION = 1
-_HEADER_FMT = "<4sBBHIQQ"
-HEADER_LEN = struct.calcsize(_HEADER_FMT)  # 28 bytes
+STREAM_VERSION = 2
+# magic, version, q, K, M, model digest, CRC-32 of the reconstruction
+_HEADER_FMT = "<4sBBHIQI"
+HEADER_LEN = struct.calcsize(_HEADER_FMT)  # 24 bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +200,14 @@ def _sample_rows(rng: SplitMix64, model: QuantizedModel, rows: np.ndarray):
     return (u[:, None] >= cum[:, 1:-1]).sum(axis=1, dtype=np.int64)
 
 
-def _pack_header(cfg: CodecConfig, digest: int) -> bytes:
-    return struct.pack(
-        _HEADER_FMT, MAGIC, STREAM_VERSION, cfg.precision,
-        cfg.passes, cfg.min_block, cfg.seed & (2**64 - 1), digest,
-    )
+def _crc(xhat: np.ndarray) -> int:
+    """CRC-32 of xhat as <u2 symbols (``Alphabet`` caps a size at 2^16)."""
+    return zlib.crc32(xhat.astype("<u2").tobytes())
+
+
+def _pack_header(cfg: CodecConfig, digest: int, crc: int) -> bytes:
+    return struct.pack(_HEADER_FMT, MAGIC, STREAM_VERSION, cfg.precision,
+                       cfg.passes, cfg.min_block, digest, crc)
 
 
 def encode(source, cfg: CodecConfig) -> EncodeResult:
@@ -233,9 +238,9 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     atypical = [k for k in range(1, len(edges)) if not is_strongly_typical(
         rev[edges[k - 1]:edges[k]], cfg.prior, cfg.delta)]
 
-    digest = model_digest(marg, cond)
-    stream = _pack_header(cfg, digest) + frame.to_bytes()
     xhat = np.concatenate(blocks)[::-1].copy()
+    header = _pack_header(cfg, model_digest(marg, cond), _crc(xhat))
+    stream = header + frame.to_bytes()
     n = edges[-1]
     total_bits = 8 * len(stream)
     return EncodeResult(
@@ -251,21 +256,21 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
 
 def read_header(stream: bytes) -> tuple[int, int, int, int, int]:
     """Check a stream's length, magic and version; return its header
-    fields (precision q, passes K, min_block M, seed, model digest)."""
+    fields (precision q, passes K, min_block M, model digest, CRC-32 of
+    the reconstruction).  No seed: decode rebuilds the seed block."""
     if len(stream) < HEADER_LEN:
         raise StreamFormatError("stream shorter than its header")
-    magic, version, q, k, m, seed, digest = struct.unpack_from(
-        _HEADER_FMT, stream
-    )
+    magic, version, *fields = struct.unpack_from(_HEADER_FMT, stream)
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}")
     if version != STREAM_VERSION:
         raise StreamFormatError(f"unsupported stream version {version}")
-    return q, k, m, seed, digest
+    return tuple(fields)
 
 
-def _parse_header(stream: bytes, cfg: CodecConfig, digest: int):
-    q, k, m, seed, got_digest = read_header(stream)
+def _parse_header(stream: bytes, cfg: CodecConfig, digest: int) -> int:
+    """Check the header against cfg and digest; return its CRC-32."""
+    q, k, m, got_digest, crc = read_header(stream)
     if (q, k, m) != (cfg.precision, cfg.passes, cfg.min_block):
         raise StreamFormatError(
             f"stream parameters (q={q}, K={k}, M={m}) do not match the "
@@ -277,8 +282,7 @@ def _parse_header(stream: bytes, cfg: CodecConfig, digest: int):
             "model digest mismatch: stream was produced with different "
             "probability tables"
         )
-    if seed != cfg.seed & (2**64 - 1):
-        raise StreamFormatError("seed mismatch between stream and config")
+    return crc
 
 
 def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> DecodeResult:
@@ -287,7 +291,7 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     The oracle is read only to deshape blocks; ``measure`` scores the
     reconstruction against the source."""
     marg, cond = cfg.quantized()
-    _parse_header(stream, cfg, model_digest(marg, cond))
+    crc = _parse_header(stream, cfg, model_digest(marg, cond))
     frame_bytes = stream[HEADER_LEN:]
 
     # Every valid frame's symbols are emitted to the oracle, so none
@@ -321,6 +325,8 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     oracle.emit(block.size)
 
     xhat = np.concatenate(chunks)
+    if _crc(xhat) != crc:
+        raise StreamFormatError("reconstruction fails the stream's CRC-32")
     n = int(xhat.size)
     total_bits = 8 * len(stream)
     return DecodeResult(

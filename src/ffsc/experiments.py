@@ -59,6 +59,9 @@ class ExperimentSpec:
     distortion_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if (isinstance(self.trials, bool)
+                or not isinstance(self.trials, (int, np.integer))):
+            raise ConfigError(f"trial count {self.trials!r} is not an integer")
         if self.trials < 1:
             raise ConfigError("trial count must be >= 1")
 

@@ -93,10 +93,10 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
             out_sym)
         if status == _kernels.OK:
             return out_sym[:nsym].copy(), int(nsym)
-        if status == _kernels.NEED_MORE_SYM:
+        if status == _kernels.NEED_MORE_SYM and sym_cap < side_arr.size:
             sym_cap *= 2
             continue
-        if status == _kernels.SIDE_EXHAUSTED:
+        if status == _kernels.NEED_MORE_SYM:
             raise ShapingError(
                 f"side provider exhausted after {nsym} symbols "
                 f"({side_arr.size} available)"

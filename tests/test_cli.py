@@ -5,7 +5,7 @@ import pytest
 
 from ffsc import _kernels
 from ffsc.cli import main
-from ffsc.codec import CodecConfig, encode
+from ffsc.codec import HEADER_LEN, CodecConfig, encode
 from ffsc.experiments import uniform_source
 from ffsc.model import blahut_arimoto, load_model
 
@@ -152,22 +152,22 @@ def test_decode_garbage_stream_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _header_cut_to_27_bytes(stream):
-    return stream[:27]
+def _header_cut_by_one_byte(stream):
+    return stream[:HEADER_LEN - 1]
 
 
 def _header_with_bad_magic(stream):
     return b"XXXX" + stream[4:]
 
 
-def _header_with_version_2(stream):
-    return stream[:4] + b"\x02" + stream[5:]
+def _header_with_version_1(stream):
+    return stream[:4] + b"\x01" + stream[5:]
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (_header_cut_to_27_bytes, "stream shorter than its header"),
+    (_header_cut_by_one_byte, "stream shorter than its header"),
     (_header_with_bad_magic, "bad magic b'XXXX'"),
-    (_header_with_version_2, "unsupported stream version 2"),
+    (_header_with_version_1, "unsupported stream version 1"),
 ])
 def test_decode_bad_header_exits_2(mutate, message, coded_dir, tmp_path,
                                    capsys):
@@ -176,6 +176,26 @@ def test_decode_bad_header_exits_2(mutate, message, coded_dir, tmp_path,
     assert run("decode", "--in", bad, "--source", coded_dir / "source.bin",
                "--out", tmp_path / "x.bin") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_decode_payload_flip_fails_the_crc_and_writes_nothing(tmp_path,
+                                                               capsys):
+    # A one-pass stream has no shaped block to check, so its CRC-32
+    # alone catches this flip.
+    src = tmp_path / "source.bin"
+    write_source(src, 4096)
+    stream = tmp_path / "one.ffsc"
+    assert run("encode", "--in", src, "--out", stream, "--min-block", 2048,
+               "--passes", 1) == 0
+    data = bytearray(stream.read_bytes())
+    data[HEADER_LEN + 100] ^= 0x10
+    stream.write_bytes(bytes(data))
+    capsys.readouterr()
+    out = tmp_path / "x.bin"
+    assert run("decode", "--in", stream, "--source", src, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: reconstruction fails the stream's CRC-32"]
+    assert not out.exists() and not (tmp_path / "x.bin.report.json").exists()
 
 
 def _ascii_symbol_x(tmp_path, coded_dir):

@@ -14,6 +14,7 @@ from ffsc.codec import (
     _pack_header,
     decode,
     encode,
+    estimate_total_samples,
     measure,
     plan_passes,
     read_header,
@@ -22,6 +23,7 @@ from ffsc.errors import (
     CausalityError,
     CodingError,
     ConfigError,
+    FfscError,
     StreamFormatError,
 )
 from ffsc.experiments import uniform_source
@@ -305,16 +307,18 @@ def test_header_magic_and_version_checked():
     oracle = FeedforwardOracle(src[src.size - res.n:])
     with pytest.raises(StreamFormatError):
         decode(corrupt(res.bitstream, 0, 0x00), oracle, cfg)
-    with pytest.raises(StreamFormatError):
-        decode(corrupt(res.bitstream, 4, 99), oracle, cfg)  # version byte
+    for version in (99, 1):  # v1 carried the seed and is refused too
+        with pytest.raises(StreamFormatError,
+                           match=f"unsupported stream version {version}"):
+            decode(corrupt(res.bitstream, 4, version), oracle, cfg)
 
 
 def test_read_header_round_trips_the_packed_header():
-    cfg = bsc_config(seed=-3, passes=7, min_block=1000, precision=12)
-    header = _pack_header(cfg, 0x0123456789ABCDEF)
-    assert len(header) == HEADER_LEN
+    cfg = bsc_config(passes=7, min_block=1000, precision=12)
+    header = _pack_header(cfg, 0x0123456789ABCDEF, 0xFEDCBA98)
+    assert len(header) == HEADER_LEN == 24
     assert read_header(header + b"frame") == (
-        12, 7, 1000, 2**64 - 3, 0x0123456789ABCDEF)
+        12, 7, 1000, 0x0123456789ABCDEF, 0xFEDCBA98)
     with pytest.raises(StreamFormatError, match="shorter"):
         read_header(header[:-1])
 
@@ -323,7 +327,7 @@ def test_config_refuses_what_the_header_cannot_carry():
     """K has a 2-byte header field and M a 4-byte one, and every integer
     header field refuses a fraction."""
     cfg = bsc_config(passes=2**16 - 1, min_block=2**32 - 1)
-    header = _pack_header(cfg, 0)
+    header = _pack_header(cfg, 0, 0)
     assert read_header(header)[1:3] == (2**16 - 1, 2**32 - 1)
     with pytest.raises(ConfigError, match="passes"):
         bsc_config(passes=2**16)
@@ -339,10 +343,27 @@ def test_header_config_mismatch_detected():
     cfg = bsc_config(seed=2)
     src = uniform_source(2, 180_000, 2)
     res = encode(src, cfg)
-    other = bsc_config(seed=3)  # different seed -> header mismatch
+    other = bsc_config(seed=2, passes=4)  # different K -> header mismatch
     oracle = FeedforwardOracle(src[src.size - res.n:])
-    with pytest.raises(StreamFormatError):
+    with pytest.raises(StreamFormatError, match="do not match"):
         decode(res.bitstream, oracle, other)
+
+
+def test_decoder_reads_no_seed():
+    """The decoder rebuilds the seed block from the final frame, so a
+    config with any seed decodes the stream, and a numpy-integer seed
+    codes exactly like the same Python int."""
+    src = uniform_source(2, 40_000, 2)
+    res = encode(src, bsc_config(seed=5, passes=3, min_block=1024))
+    res_np = encode(src, bsc_config(seed=np.int64(5), passes=3,
+                                    min_block=1024))
+    assert res_np.bitstream == res.bitstream
+    assert np.array_equal(res_np.xhat, res.xhat)
+    for seed in (5, np.int64(5), 6):
+        oracle = FeedforwardOracle(src[src.size - res.n:])
+        dec = decode(res.bitstream, oracle,
+                     bsc_config(seed=seed, passes=3, min_block=1024))
+        assert np.array_equal(dec.xhat, res.xhat)
 
 
 def test_header_digest_guards_model_swap():
@@ -386,6 +407,17 @@ def test_truncated_stream_detected():
     assert res.bitstream[:4] == MAGIC
 
 
+def skewed_config(min_block, passes, seed):
+    """Prior (0.8, 0.2) at D = 0.15, with the solver's channel given by
+    fixed rows, so that the solver's floating point cannot move it."""
+    channel = TestChannel.from_rows(
+        [[0.9866034847160634, 0.013396515283936754],
+         [0.696413938864253, 0.30358606113574704]])
+    return CodecConfig(prior=Pmf.from_probs([0.8, 0.2]), channel=channel,
+                       distortion=DistortionMatrix.hamming(2),
+                       min_block=min_block, passes=passes, seed=seed)
+
+
 def test_final_frame_cut_by_one_byte_is_refused():
     # On this skewed model the cut frame still decodes with status OK to
     # a frame of exactly the cut length, one sample wrong; only its last
@@ -393,18 +425,53 @@ def test_final_frame_cut_by_one_byte_is_refused():
     # the solver's at D = 0.15, given by fixed rows: the solver is only
     # accurate to about 5e-6 here, and a unit moved in the quantized
     # tables changes these bytes.
-    prior = Pmf.from_probs([0.8, 0.2])
-    d = DistortionMatrix.hamming(2)
-    channel = TestChannel.from_rows(
-        [[0.9866034847160634, 0.013396515283936754],
-         [0.696413938864253, 0.30358606113574704]])
-    cfg = CodecConfig(prior=prior, channel=channel, distortion=d,
-                      min_block=83, passes=1, seed=51)
+    cfg = skewed_config(min_block=83, passes=1, seed=51)
     src = (np.random.default_rng(51083).random(166) < 0.2).astype(np.int64)
     res = encode(src, cfg)
     oracle = FeedforwardOracle(src[src.size - res.n:])
     with pytest.raises(CodingError, match="terminator"):
         decode(res.bitstream[:-1], oracle, cfg)
+
+
+def mutations(stream: bytes, rng):
+    """Three bit flips past the header, two in the last 64 bits, one
+    truncation and one run of junk appended."""
+    body_bits = 8 * (len(stream) - HEADER_LEN)
+    flips = [8 * HEADER_LEN + int(b) for b in rng.integers(0, body_bits, 3)]
+    flips += [8 * len(stream) - 1 - int(b)
+              for b in rng.integers(0, min(64, body_bits), 2)]
+    for bit in flips:
+        out = bytearray(stream)
+        out[bit // 8] ^= 0x80 >> (bit % 8)
+        yield bytes(out)
+    yield stream[:int(rng.integers(0, len(stream)))]
+    yield stream + rng.integers(0, 256, int(rng.integers(1, 9)),
+                                dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_corrupted_stream_never_decodes_to_a_wrong_reconstruction(passes):
+    """Every mutated stream decodes to the encoder's reconstruction or
+    raises a package error.  A one-pass stream has no redundancy but
+    its terminator and the CRC-32, and a flip in the tail of a shaped
+    block's frame can leave every frame check satisfied."""
+    silent = []
+    for seed in range(1, 21):
+        for min_block in (83, 200, 517):
+            cfg = skewed_config(min_block, passes, seed)
+            rng = np.random.default_rng([seed, min_block, passes])
+            src = (rng.random(4 * estimate_total_samples(cfg)) < 0.2
+                   ).astype(np.int64)
+            res = encode(src, cfg)
+            coded = src[src.size - res.n:]
+            for k, bad in enumerate(mutations(res.bitstream, rng)):
+                try:
+                    dec = decode(bad, FeedforwardOracle(coded), cfg)
+                except FfscError:
+                    continue
+                if not np.array_equal(dec.xhat, res.xhat):
+                    silent.append((seed, min_block, k))
+    assert silent == []
 
 
 def test_final_frame_longer_than_the_oracle_is_refused_before_decoding(
@@ -425,11 +492,11 @@ def test_final_frame_longer_than_the_oracle_is_refused_before_decoding(
 
 @pytest.mark.parametrize("size, rows, seed, digest", [
     (2, None, 7,
-     "40ce32dbfb156b86c086156bbd31db4bb946f2182ae6e1ba7ddd8efaa5ec7d6b"),
+     "ba19933d15783e03662e4b913fa3f9b28ff248cbb40be98840687ee9b921fda1"),
     (2, None, 8,
-     "38df38c0b638c9133c5a0ab3a617356233480221296ddeba463acbe4af804569"),
+     "fd371ee027b4d99680ab45f44da96fdde26d264de6ac7dae6dbd9ba7dfa79f81"),
     (3, [[0.8, 0.15, 0.05], [0.05, 0.8, 0.15], [0.15, 0.05, 0.8]], 9,
-     "83412573ae85fcfdf29dfa8bb01ed8b408c823f2c0bfcf0ec4c7c005425b13b0"),
+     "69e1a085e048a72dadab0253067b0a799a82b690beebb96f6782b8e33f4a6f6a"),
 ])
 def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
     """Small fixed configurations encode to recorded bytes, so a change

@@ -40,6 +40,14 @@ def test_thread_count_must_be_a_positive_integer(value, monkeypatch):
         harness_workers(4)
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, "3", True])
+def test_trial_count_must_be_an_integer(trials):
+    cfg = CodecConfig(prior=Pmf.uniform(2), channel=TestChannel.bsc(0.11),
+                      distortion=DistortionMatrix.hamming(2))
+    with pytest.raises(ConfigError, match="trial count"):
+        ExperimentSpec(name="trials", cfg=cfg, trials=trials)
+
+
 def test_each_bound_missed_is_one_violation(monkeypatch):
     monkeypatch.setenv("FFSC_THREADS", "1")
     cfg = CodecConfig(

@@ -4,7 +4,8 @@ package error.
 Each kernel entry point is replaced by a stub that returns one status.
 Each caller must then raise an FfscError subclass after a single kernel
 call: no retry loop and no raw exception.  The one retry left is
-shape() on NEED_MORE_SYM, which reruns with a doubled symbol buffer.
+shape() on NEED_MORE_SYM while the side has samples to spare, which
+reruns with a doubled symbol buffer.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from ffsc.coder import (
     quantize,
     quantize_channel,
 )
-from ffsc.errors import FfscError
+from ffsc.errors import FfscError, ShapingError
 from ffsc.model import Pmf, TestChannel
 from ffsc.shaping import deshape_raw, shape
 
@@ -83,3 +84,13 @@ def test_shape_retries_need_more_sym_with_a_doubled_buffer(monkeypatch):
     assert used == 2 and symbols.size == 2
     first, second = (len(args[-1]) for args in calls)
     assert second == 2 * first
+
+
+def test_shape_refuses_need_more_sym_once_the_side_is_exhausted(
+        monkeypatch):
+    # shape's first buffer holds 256 symbols, as many as this side.
+    _, kernel, _ = CALLS["shape"]
+    calls = stub(monkeypatch, kernel, [(256, _kernels.NEED_MORE_SYM)])
+    with pytest.raises(ShapingError, match="side provider exhausted"):
+        shape(np.array([1, 0, 1]), SIDE[:256], CHANNEL)
+    assert len(calls) == 1
