@@ -1,13 +1,17 @@
-"""Low-level helpers: the one symbol-array check, LEB128 varints for
+"""Low-level helpers: the three boundary checks, LEB128 varints for
 the frame and header fields, and the FNV-1a hash of model tables.
 
-Symbols and bits are 1-D integer arrays below a size: the alphabet's,
-or 2 for bits, which need no container.  ``as_symbols`` is the one
-check, and each entry point calls it with its own error type.  Bytes
-hold bits MSB-first, as ``np.packbits`` and ``np.unpackbits`` do.
+Every argument from outside the package passes one check for its kind,
+called with the entry point's own error type: ``as_symbols`` for symbol
+and bit arrays, ``as_int`` for integers and ``as_real`` for real
+numbers.  Symbols and bits are 1-D integer arrays below a size: the
+alphabet's, or 2 for bits, which need no container.  Bytes hold bits
+MSB-first, as ``np.packbits`` and ``np.unpackbits`` do.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -15,6 +19,8 @@ from .errors import StreamFormatError
 
 __all__ = [
     "as_symbols",
+    "as_int",
+    "as_real",
     "write_uvarint",
     "read_uvarint",
     "fnv1a64",
@@ -40,6 +46,30 @@ def as_symbols(arr, size: int | None, error: type[Exception],
         if lo < 0 or hi >= size:
             raise error(f"{stem}; {lo if lo < 0 else hi} is outside alphabet")
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def as_int(value, lo: int | None, hi: int | None, error: type[Exception],
+           name: str) -> int:
+    """`value` as a Python int in [lo, hi], or raise `error` about
+    argument `name`: for a bool, a float, a string or any other
+    non-integer, or a value out of range.  A None bound is open."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        return int(value)
+    span = f"[{'-inf' if lo is None else lo}, {'inf' if hi is None else hi}]"
+    raise error(f"{name} {value!r} is not an integer in {span}")
+
+
+def as_real(value, lo: float, hi: float, error: type[Exception],
+            name: str) -> float:
+    """`value` as a Python float in [lo, hi], or raise `error` about
+    argument `name`: for a bool, a string, NaN (which fails both
+    comparisons) or any other non-real, or a value out of range."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and lo <= value <= hi):
+        return float(value)
+    raise error(f"{name} {value!r} is not a real number, or is outside "
+                f"[{lo}, {hi}]")
 
 
 # -- varints ---------------------------------------------------------

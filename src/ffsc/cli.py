@@ -25,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import _kernels
-from .bits import fnv1a64
+from .bits import as_int, fnv1a64
 from .codec import (
     CodecConfig,
     FeedforwardOracle,
@@ -251,9 +251,7 @@ def _sidecar_offset(path: str) -> int:
     except RecursionError:
         raise ConfigError(f"{path} nests too deeply") from None
     offset = stats.get("source_offset", 0) if isinstance(stats, dict) else None
-    if type(offset) is not int:
-        raise ConfigError(f"{path} has no integer source_offset")
-    return offset
+    return as_int(offset, None, None, ConfigError, f"{path} source_offset")
 
 
 def _cmd_decode(args) -> int:

@@ -18,7 +18,7 @@ seed block, which is never deshaped, is never read.
 
 from __future__ import annotations
 
-import numbers
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .bits import as_symbols
+from .bits import as_int, as_real, as_symbols
 from .coder import (
     QuantizedModel,
     compress,
@@ -83,18 +83,16 @@ class CodecConfig:
     delta: float = 0.02
 
     def __post_init__(self):
-        for name in ("min_block", "passes", "precision", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer")
-        # the header carries M in 4 bytes and K in 2
-        if not 1 <= self.min_block < 2**32:
-            raise ConfigError("min_block outside [1, 2^32 - 1]")
-        if not 1 <= self.passes < 2**16:
-            raise ConfigError("passes outside [1, 65535]")
-        if not 2 <= self.precision <= 24:
-            raise ConfigError("precision outside [2, 24]")
-        if not isinstance(self.delta, numbers.Real) or not 0 < self.delta < 1:
-            raise ConfigError("delta outside (0, 1)")
+        # the header carries q in 1 byte, K in 2 and M in 4
+        for name, lo, hi in (("min_block", 1, 2**32 - 1),
+                             ("passes", 1, 2**16 - 1), ("precision", 2, 24),
+                             ("seed", None, None)):
+            object.__setattr__(self, name, as_int(getattr(self, name), lo, hi,
+                                                  ConfigError, name))
+        # the open interval (0, 1)
+        object.__setattr__(self, "delta", as_real(
+            self.delta, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0),
+            ConfigError, "delta"))
         if self.distortion.entries.shape != self.channel.rows.shape:
             raise ConfigError("distortion matrix shape must match the channel")
         growth_factor(self.prior, self.channel)  # rejects degenerate channels
@@ -138,18 +136,12 @@ class FeedforwardOracle:
         return int(self._src.size)
 
     def emit(self, count: int):
-        if count < 0:
-            raise CausalityError("cannot emit a negative number of samples")
-        if self.emitted + count > self._src.size:
-            raise CausalityError(
-                f"emitting {self.emitted + count} reconstructions but the "
-                f"source has only {self._src.size} samples"
-            )
-        self.emitted += count
+        self.emitted += as_int(count, 0, self._src.size - self.emitted,
+                               CausalityError, "emit count")
 
     def reveal_range(self, start: int, stop: int) -> np.ndarray:
-        if start < 0 or stop < start:
-            raise CausalityError(f"bad reveal range [{start}, {stop})")
+        start = as_int(start, 0, None, CausalityError, "reveal start")
+        stop = as_int(stop, start, None, CausalityError, "reveal stop")
         if stop > self.emitted:
             raise CausalityError(
                 f"reveal of sample {stop - 1} before it is earned: only "
@@ -351,10 +343,7 @@ def _pass_totals(cfg: CodecConfig):
 
 def plan_passes(cfg: CodecConfig, target_n: int) -> int:
     """Smallest pass count whose predicted total covers target_n samples."""
-    if target_n < cfg.min_block:
-        raise ConfigError(
-            f"target_n {target_n} below min_block {cfg.min_block}"
-        )
+    target_n = as_int(target_n, cfg.min_block, None, ConfigError, "target_n")
     for k, total in enumerate(_pass_totals(cfg), start=1):
         if total >= target_n:
             return k
@@ -387,7 +376,7 @@ def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:
     per_sample = d.entries[x, result.xhat]
     mean_d = float(per_sample.mean()) if x.size else 0.0
     counts = np.bincount(x, minlength=size).astype(np.float64)
-    prior = Pmf.from_probs(counts / max(x.size, 1))
+    prior = Pmf(counts / max(x.size, 1))
     _, rd_ref, _ = blahut_arimoto(prior, d, mean_d)
     return MeasureReport(
         per_sample_distortion=per_sample,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bits import as_symbols, fnv1a64, read_uvarint, write_uvarint
+from .bits import as_int, as_symbols, fnv1a64, read_uvarint, write_uvarint
 from .errors import CodingError, QuantizationError, TruncatedFrameError
 from .model import Pmf, TestChannel
 
@@ -32,12 +32,6 @@ __all__ = [
     "decode_frame_prefix",
     "model_digest",
 ]
-
-
-def _check_precision(q) -> int:
-    if not isinstance(q, (int, np.integer)) or not 2 <= q <= 24:
-        raise QuantizationError(f"precision {q!r} is not an integer in [2, 24]")
-    return int(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +52,7 @@ class QuantizedModel:
     slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q = _check_precision(self.precision)
+        q = as_int(self.precision, 2, 24, QuantizationError, "precision")
         object.__setattr__(self, "precision", q)
         total = 1 << q
         try:
@@ -93,7 +87,7 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     Positive-probability symbols are guaranteed frequency >= 1, taking
     units from the largest entries if rounding starved any of them.
     """
-    total = 1 << _check_precision(precision)
+    total = 1 << as_int(precision, 2, 24, QuantizationError, "precision")
     probs = p.probs
     support = probs > 0
     if int(support.sum()) > total:
@@ -125,7 +119,7 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
 def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
     """One ``quantize``d row per input symbol of the channel."""
     return QuantizedModel(np.concatenate([
-        quantize(Pmf(ch.output_alphabet, row), precision).freq
+        quantize(Pmf(row), precision).freq
         for row in ch.rows
     ]), precision)
 
@@ -149,8 +143,8 @@ class Frame:
     payload: bytes
 
     def __post_init__(self):
-        if self.symbol_count < 0:
-            raise CodingError("negative symbol count")
+        object.__setattr__(self, "symbol_count", as_int(
+            self.symbol_count, 0, None, CodingError, "symbol count"))
 
     def to_bytes(self) -> bytes:
         return write_uvarint(self.symbol_count) + self.payload
@@ -195,6 +189,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     `data` cannot even hold the frame it declares, and CodingError if
     the frame's last byte is not one the flush can write.
     """
+    limit = as_int(limit, 0, None, CodingError, "limit")
     raw = bytes(data)
     count, off = read_uvarint(raw)
     if count > limit:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import as_symbols
+from .bits import as_int, as_symbols
 from .codec import FeedforwardOracle
 from .errors import CodingError, ModelError
 from .model import DistortionMatrix
@@ -90,11 +90,9 @@ class ErasurePattern:
     indices: frozenset[int]
 
     def __post_init__(self):
-        if not all(isinstance(i, (int, np.integer)) and i >= 1
-                   for i in self.indices):
-            raise ModelError("erasure indices are 1-based positive integers")
-        object.__setattr__(self, "indices",
-                           frozenset(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", frozenset(
+            as_int(i, 1, None, ModelError, "erasure index")
+            for i in self.indices))
 
     @classmethod
     def of(cls, *indices: int) -> "ErasurePattern":

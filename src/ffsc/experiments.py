@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _kernels
+from .bits import as_int
 from .codec import (
     CodecConfig,
     FeedforwardOracle,
@@ -59,11 +60,8 @@ class ExperimentSpec:
     distortion_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if (isinstance(self.trials, bool)
-                or not isinstance(self.trials, (int, np.integer))):
-            raise ConfigError(f"trial count {self.trials!r} is not an integer")
-        if self.trials < 1:
-            raise ConfigError("trial count must be >= 1")
+        object.__setattr__(self, "trials", as_int(
+            self.trials, 1, None, ConfigError, "trial count"))
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,9 @@ def _csv_row(*cells) -> str:
 
 
 def uniform_source(seed: int, count: int, size: int) -> np.ndarray:
-    """Deterministic uniform symbols from the package generator."""
+    """Deterministic uniform symbols in [0, size) from the package
+    generator; size <= 2^32 keeps the multiply-shift under 2^64."""
+    size = as_int(size, 1, 2**32, ConfigError, "size")
     u = SplitMix64(seed).fill_u64(count)
     return (((u >> np.uint64(32)) * np.uint64(size)) >> np.uint64(32)).astype(
         np.int64

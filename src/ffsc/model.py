@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bits import as_symbols
+from .bits import as_int, as_real, as_symbols
 from .errors import ModelError
 
 __all__ = [
@@ -36,89 +36,84 @@ __all__ = [
 _LOG2 = np.log(2.0)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+def _prob_table(values, ndim: int, name: str) -> np.ndarray:
+    """A read-only float64 copy of `values`, an array of rank `ndim`
+    whose rows (along the last axis) are pmfs: entries in [0, 1], not
+    NaN, summing to 1 within 1e-12.  Raises ModelError otherwise."""
+    stem = f"{name} must be a {ndim}-D array of real numbers"
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged nested sequence
+        raise ModelError(f"{stem}, not a ragged sequence") from None
+    if a.ndim != ndim or a.dtype.kind not in "iuf":
+        raise ModelError(f"{stem}, not a {a.ndim}-D {a.dtype} array")
+    p = np.array(a, dtype=np.float64)  # the copy
+    if not ((0 <= p) & (p <= 1)).all():  # NaN fails both
+        raise ModelError(f"{name} entries must be in [0, 1] and not NaN")
+    sums = p.sum(axis=-1)
+    if (np.abs(sums - 1.0) > 1e-12).any():
+        raise ModelError(f"{name} rows sum to {sums}, not 1")
+    p.setflags(write=False)
+    return p
 
 
 @dataclass(frozen=True, eq=False)
 class Alphabet:
-    """A finite symbol set {0, 1, ..., size-1}."""
+    """A finite symbol set {0, 1, ..., size-1}, with 2 <= size <= 2^16."""
 
     size: int
 
     def __post_init__(self):
-        if (not isinstance(self.size, (int, np.integer))
-                or not 2 <= self.size <= 2**16):
-            raise ModelError(f"alphabet size {self.size!r} is not an integer "
-                             f"in [2, 65536]")
+        object.__setattr__(self, "size", as_int(self.size, 2, 2**16,
+                                                ModelError, "alphabet size"))
 
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """Probability mass function over an alphabet."""
+    """Probability mass function: ``Pmf(probs)`` keeps a read-only copy
+    of a 1-D pmf, whose length sets the alphabet."""
 
-    alphabet: Alphabet
     probs: np.ndarray
+    alphabet: Alphabet = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (self.alphabet.size,):
-            raise ModelError(
-                f"pmf has {p.shape} entries for alphabet of {self.alphabet.size}"
-            )
-        if np.any(np.isnan(p)) or np.any(p < 0) or np.any(p > 1):
-            raise ModelError("pmf entries must be in [0, 1] and not NaN")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ModelError(f"pmf sums to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", _freeze(p))
-
-    @classmethod
-    def from_probs(cls, probs) -> "Pmf":
-        probs = np.asarray(probs, dtype=np.float64)
-        return cls(Alphabet(len(probs)), probs)
+        p = _prob_table(self.probs, 1, "pmf")
+        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "alphabet", Alphabet(p.size))
 
     @classmethod
     def uniform(cls, size: int) -> "Pmf":
-        return cls(Alphabet(size), np.full(size, 1.0 / size))
+        size = Alphabet(size).size
+        return cls(np.full(size, 1.0 / size))
 
 
 @dataclass(frozen=True, eq=False)
 class TestChannel:
-    """Conditional distribution p(output | input): one pmf row per input."""
+    """Conditional distribution p(output | input): ``TestChannel(rows)``
+    keeps a read-only copy of one pmf row per input symbol, whose shape
+    sets the input and output alphabets."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
     rows: np.ndarray
+    input_alphabet: Alphabet = field(init=False)
+    output_alphabet: Alphabet = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.rows, dtype=np.float64)
-        shape = (self.input_alphabet.size, self.output_alphabet.size)
-        if w.shape != shape:
-            raise ModelError(f"channel matrix {w.shape}, expected {shape}")
-        if np.any(np.isnan(w)) or np.any(w < 0):
-            raise ModelError("channel entries must be non-negative, not NaN")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
-            raise ModelError("every channel row must sum to 1")
-        object.__setattr__(self, "rows", _freeze(w))
-
-    @classmethod
-    def from_rows(cls, rows) -> "TestChannel":
-        rows = np.asarray(rows, dtype=np.float64)
-        return cls(Alphabet(rows.shape[0]), Alphabet(rows.shape[1]), rows)
+        w = _prob_table(self.rows, 2, "channel")
+        object.__setattr__(self, "rows", w)
+        object.__setattr__(self, "input_alphabet", Alphabet(w.shape[0]))
+        object.__setattr__(self, "output_alphabet", Alphabet(w.shape[1]))
 
     @classmethod
     def bsc(cls, crossover: float) -> "TestChannel":
         """Binary symmetric channel with the given crossover probability."""
-        e = float(crossover)
-        return cls.from_rows([[1 - e, e], [e, 1 - e]])
+        e = as_real(crossover, 0, 1, ModelError, "crossover")
+        return cls([[1 - e, e], [e, 1 - e]])
 
     def marginal(self, prior: Pmf) -> Pmf:
         _check_match(prior, self)
-        return Pmf(self.output_alphabet, prior.probs @ self.rows)
+        return Pmf(prior.probs @ self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,17 +124,18 @@ class DistortionMatrix:
     d_max: float = field(init=False)
 
     def __post_init__(self):
-        d = np.asarray(self.entries, dtype=np.float64)
+        d = np.array(self.entries, dtype=np.float64)  # the copy
         if d.ndim != 2:
             raise ModelError("distortion matrix must be 2-D")
         if np.any(np.isnan(d)) or np.any(d < 0) or not np.all(np.isfinite(d)):
             raise ModelError("distortion entries must be finite and >= 0")
-        object.__setattr__(self, "entries", _freeze(d))
+        d.setflags(write=False)
+        object.__setattr__(self, "entries", d)
         object.__setattr__(self, "d_max", float(d.max()) if d.size else 0.0)
 
     @classmethod
     def hamming(cls, size: int) -> "DistortionMatrix":
-        return cls(1.0 - np.eye(size))
+        return cls(1.0 - np.eye(Alphabet(size).size))
 
 
 def _check_match(prior: Pmf, ch: TestChannel):
@@ -202,7 +198,9 @@ def growth_factor(prior: Pmf, ch: TestChannel) -> float:
 def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
     """True iff every empirical frequency is within delta of its probability
     and no zero-probability symbol occurs.  A symbol outside p's alphabet
-    raises ModelError; it is not counted as atypical."""
+    raises ModelError rather than counting as atypical, as does a delta
+    that is not a real number in [0, 1]."""
+    delta = as_real(delta, 0, 1, ModelError, "delta")
     size = p.alphabet.size
     seq = as_symbols(seq, size, ModelError, "sequence")
     counts = np.bincount(seq, minlength=size).astype(np.float64)
@@ -331,10 +329,8 @@ def blahut_arimoto(
     dm = np.asarray(d.entries, dtype=np.float64)
     if dm.shape[0] != p.size:
         raise ModelError("distortion matrix rows must match prior alphabet")
-    if not 0 <= target_D <= d.d_max:
-        raise ModelError(f"target distortion {target_D} outside [0, {d.d_max}]")
+    target_D = as_real(target_D, 0, d.d_max, ModelError, "target distortion")
     n_out = dm.shape[1]
-    out_alpha = Alphabet(n_out)
 
     # Zero-rate endpoint: the best constant reproduction.
     col_cost = p @ dm
@@ -343,7 +339,7 @@ def blahut_arimoto(
     if target_D >= d_zero:
         w = np.zeros((p.size, n_out))
         w[:, j_star] = 1.0
-        return TestChannel(prior.alphabet, out_alpha, w), 0.0, d_zero
+        return TestChannel(w), 0.0, d_zero
 
     # Maximum-rate endpoint: deterministic best-per-row reproduction.
     row_best = dm.argmin(axis=1)
@@ -351,7 +347,7 @@ def blahut_arimoto(
     if target_D <= d_floor + 1e-15:
         w = np.zeros((p.size, n_out))
         w[np.arange(p.size), row_best] = 1.0
-        ch = TestChannel(prior.alphabet, out_alpha, w)
+        ch = TestChannel(w)
         return ch, mutual_information(prior, ch), expected_distortion(prior, ch, d)
 
     # A channel w's distortion is vdot(weighted_d, w); the search needs no
@@ -414,7 +410,7 @@ def blahut_arimoto(
         w = lam * w_above + (1.0 - lam) * w_below
     else:
         w = w_below
-    ch = TestChannel(prior.alphabet, out_alpha, w)
+    ch = TestChannel(w)
     return ch, mutual_information(prior, ch), expected_distortion(prior, ch, d)
 
 
@@ -462,13 +458,10 @@ def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
         name = str(doc.get("name", ref))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model file {ref!r}: {exc}") from exc
-    if type(size) is not int:
-        raise ModelError(
-            f"model {name!r}: alphabet_size {size!r} is not an integer"
-        )
+    size = as_int(size, 2, 2**16, ModelError, f"model {name!r}: alphabet_size")
     if probs.shape != (size,) or dist.shape != (size, size):
         raise ModelError(
             f"model {name!r}: probs/distortion shapes do not match "
             f"alphabet_size={size}"
         )
-    return name, Pmf(Alphabet(size), probs), DistortionMatrix(dist)
+    return name, Pmf(probs), DistortionMatrix(dist)

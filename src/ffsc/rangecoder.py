@@ -34,6 +34,7 @@ prefix by ``RangeEncoder.settled_count``'s rule.
 
 from __future__ import annotations
 
+from .bits import as_int
 from .errors import CodingError
 
 __all__ = ["RangeEncoder", "RangeDecoder", "TOP", "BOTTOM_BITS"]
@@ -48,9 +49,7 @@ class RangeEncoder:
     """Streaming encoder over cumulative-frequency tables with total 2^q."""
 
     def __init__(self, precision: int):
-        if not 2 <= precision <= 24:
-            raise CodingError(f"precision {precision} outside [2, 24]")
-        self.precision = precision
+        self.precision = as_int(precision, 2, 24, CodingError, "precision")
         self.low = 0
         self.range = RANGE_INIT
         self.buf = bytearray()
@@ -108,9 +107,7 @@ class RangeDecoder:
     """Mirror of RangeEncoder; reads past-the-end bytes as zero."""
 
     def __init__(self, data: bytes, precision: int):
-        if not 2 <= precision <= 24:
-            raise CodingError(f"precision {precision} outside [2, 24]")
-        self.precision = precision
+        self.precision = as_int(precision, 2, 24, CodingError, "precision")
         self.data = data
         self.pos = 0
         self.range = RANGE_INIT

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bits import as_int
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
@@ -22,9 +23,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)):
-            raise ConfigError(f"seed {seed!r} is not an integer")
-        self._state = int(seed) & _MASK64
+        self._state = as_int(seed, None, None, ConfigError, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -35,8 +34,7 @@ class SplitMix64:
 
     def fill_u64(self, count: int) -> np.ndarray:
         """Vectorized stream of `count` outputs (advances state by `count`)."""
-        if not isinstance(count, (int, np.integer)) or count < 0:
-            raise ConfigError(f"count {count!r} is not a non-negative integer")
+        count = as_int(count, 0, None, ConfigError, "count")
         gamma = 0x9E3779B97F4A7C15
         idx = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):

@@ -199,10 +199,10 @@ def test_criterion_5_property_suites():
 
     # coder round trip, 10^4 cases over mixed alphabets and precisions
     models = [
-        quantize(Pmf.from_probs(rng.dirichlet(np.full(s, 0.7))), prec)
+        quantize(Pmf(rng.dirichlet(np.full(s, 0.7))), prec)
         for s, prec in [(2, 16), (2, 12), (3, 16), (3, 10), (4, 16), (4, 14)]
     ]
-    models.append(quantize(Pmf.from_probs([0.99998, 2e-5]), 16))
+    models.append(quantize(Pmf([0.99998, 2e-5]), 16))
     coder_cases = 10_000
     for i in range(coder_cases):
         qm = models[i % len(models)]

@@ -1,9 +1,11 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 every exported name has a caller in the package itself, and every export
-that takes a symbol array refuses a malformed one with a package error."""
+that takes a symbol array, an integer, a real number or a pmf table
+refuses a malformed one with a package error."""
 
 import ast
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -12,28 +14,36 @@ import pytest
 
 import ffsc
 from ffsc import (
+    Alphabet,
     CodecConfig,
     DistortionMatrix,
     ErasurePattern,
     ErasureSource,
     FeedforwardOracle,
     FfscError,
+    Frame,
     Pmf,
     QuantizedModel,
+    SplitMix64,
     TestChannel,
     apply_erasures,
     bec_feedback_send,
     beq_decode,
+    blahut_arimoto,
     compress,
     decode,
+    decode_frame_prefix,
     deshape_raw,
     encode,
     is_strongly_typical,
     measure,
+    plan_passes,
     quantize,
     quantize_channel,
     shape,
 )
+from ffsc.experiments import ExperimentSpec, uniform_source
+from ffsc.rangecoder import RangeDecoder, RangeEncoder
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(ffsc.__path__))
 
@@ -189,13 +199,151 @@ def test_malformed_symbol_array_raises_a_package_error(name, arg, label):
 
 def test_constructors_keep_a_copy_of_the_callers_array():
     """A write into the caller's array after construction reaches none
-    of the object's tables."""
+    of the object's tables, and the caller's array stays writable."""
     freq = np.array([[40000, 25536], [1, 65535]], dtype=np.int64)
     model = QuantizedModel(freq, 16)
     seq = np.array([0, 2, 1], dtype=np.int64)
     source = ErasureSource(seq)
+    probs = np.array([0.25, 0.75])
+    prior = Pmf(probs)
+    rows = np.array([[0.5, 0.5], [0.0, 1.0]])
+    channel = TestChannel(rows)
+    entries = np.array([[0.0, 1.0], [1.0, 0.0]])
+    d = DistortionMatrix(entries)
     freq[:] = 0
     seq[:] = 1
+    probs[:] = 0.5
+    rows[:] = 0.5
+    entries[:] = 2.0
     assert model.freq.tolist() == [[40000, 25536], [1, 65535]]
     assert model.cum.tolist() == [[0, 40000, 65536], [0, 1, 65536]]
     assert source.seq.tolist() == [0, 2, 1]
+    assert prior.probs.tolist() == [0.25, 0.75]
+    assert channel.rows.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+    assert d.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+# -- malformed scalars and pmf tables --------------------------------------
+
+
+def _int(*past):
+    """Malformed integer arguments: a float, a string, a bool, None and
+    the given values past the argument's bounds."""
+    return (2.5, "3", True, None, *past)
+
+
+def _real(*past):
+    """Malformed real arguments: a string, NaN, a bool and the given
+    values past the argument's bounds."""
+    return ("x", math.nan, True, *past)
+
+
+def _emitted(count):
+    oracle = FeedforwardOracle(CODED)
+    oracle.emit(count)
+    return oracle
+
+
+FRAME = compress(BITS, MODEL).to_bytes()
+HAMMING = DistortionMatrix.hamming(2)
+PMF_BAD = (0.5, "ab", [[0.5, 0.5]], [0.5, 0.6], [1.5, -0.5])
+CHANNEL_BAD = (0.5, "ab", [1.0, 0.0], [[0.5, 0.6], [0.5, 0.5]],
+               [[1.5, -0.5], [0.5, 0.5]])
+
+# export or method: (call, its well-formed arguments, each one's malformed
+# values).  The last four are exported by their submodules only.
+SCALAR_TABLE = {
+    "Alphabet": (Alphabet, (2,), (_int(1, 2**16 + 1),)),
+    "CodecConfig": (
+        lambda m, k, q, seed, delta: CodecConfig(
+            prior=CFG.prior, channel=CFG.channel, distortion=CFG.distortion,
+            min_block=m, passes=k, precision=q, seed=seed, delta=delta),
+        (64, 2, 16, 1, 0.02),
+        (_int(0, 2**32), _int(0, 2**16), _int(1, 25), _int(), _real(0, 1))),
+    "DistortionMatrix.hamming": (DistortionMatrix.hamming, (2,),
+                                 (_int(1, 2**16 + 1),)),
+    "ErasurePattern.of": (ErasurePattern.of, (2,), (_int(0),)),
+    "FeedforwardOracle.emit": (lambda k: _emitted(0).emit(k), (3,),
+                               (_int(-1, CODED.size + 1),)),
+    "FeedforwardOracle.reveal_range": (
+        lambda a, b: _emitted(4).reveal_range(a, b), (1, 3),
+        (_int(-1, 4), _int(0, 5))),
+    "Frame": (lambda k: Frame(k, b""), (0,), (_int(-1),)),
+    "Pmf": (Pmf, ([0.5, 0.5],), (PMF_BAD,)),
+    "Pmf.uniform": (Pmf.uniform, (2,), (_int(1, 2**16 + 1),)),
+    "QuantizedModel": (lambda q: QuantizedModel([32768, 32768], q), (16,),
+                       (_int(1, 25),)),
+    "SplitMix64": (SplitMix64, (1,), (_int(),)),
+    "SplitMix64.fill_u64": (lambda k: SplitMix64(1).fill_u64(k), (3,),
+                            (_int(-1),)),
+    "TestChannel": (TestChannel, ([[0.9, 0.1], [0.1, 0.9]],), (CHANNEL_BAD,)),
+    "TestChannel.bsc": (TestChannel.bsc, (0.11,), (_real(-0.1, 1.1),)),
+    "blahut_arimoto": (lambda t: blahut_arimoto(CFG.prior, HAMMING, t),
+                       (0.11,), (_real(-0.1, 1.1),)),
+    "decode_frame_prefix": (lambda k: decode_frame_prefix(FRAME, MODEL, k),
+                            (BITS.size,), (_int(-1),)),
+    "is_strongly_typical": (
+        lambda delta: is_strongly_typical(SOURCE, CFG.prior, delta), (0.5,),
+        (_real(-0.1, 1.1),)),
+    "plan_passes": (lambda n: plan_passes(CFG, n), (1000,), (_int(63),)),
+    "quantize": (lambda q: quantize(CFG.prior, q), (16,), (_int(1, 25),)),
+    "quantize_channel": (lambda q: quantize_channel(CFG.channel, q), (16,),
+                         (_int(1, 25),)),
+    "ExperimentSpec": (lambda t: ExperimentSpec("t", CFG, t), (1,),
+                       (_int(0),)),
+    "uniform_source": (uniform_source, (1, 4, 3),
+                       (_int(), _int(-1), _int(0, 2**32 + 1))),
+    "RangeEncoder": (RangeEncoder, (16,), (_int(1, 25),)),
+    "RangeDecoder": (lambda q: RangeDecoder(b"", q), (16,), (_int(1, 25),)),
+}
+
+# Exports that take no integer, real number or pmf table: errors, records
+# the package builds, symbol arrays, float tables, paths and objects that
+# were checked when they were built.
+NO_SCALAR = {
+    "CausalityError", "CodingError", "ConfigError", "FfscError",
+    "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",
+    "TruncatedFrameError",
+    "DecodeResult", "EncodeResult", "MeasureReport", "ERASED",
+    "ErasureSource", "apply_erasures", "bec_feedback_send", "beq_decode",
+    "beq_encode", "bundled_model_names", "compress", "conditional_entropy",
+    "decode", "deshape_raw", "encode", "entropy", "erasure_distortion",
+    "expected_distortion", "growth_factor", "load_model", "measure",
+    "model_digest", "mutual_information", "shape",
+}
+
+SCALAR_CASES = [
+    pytest.param(name, arg, value, id=f"{name}-{arg}-{value!r}")
+    for name, (_, _, bads) in SCALAR_TABLE.items()
+    for arg, values in enumerate(bads)
+    for value in values
+]
+
+
+def test_every_export_takes_scalars_only_through_the_table():
+    covered = {name.split(".")[0] for name in SCALAR_TABLE}
+    assert not covered & NO_SCALAR
+    assert sorted((covered & set(ffsc.__all__)) | NO_SCALAR) == sorted(
+        ffsc.__all__)
+
+
+@pytest.mark.parametrize("name, arg, value", SCALAR_CASES)
+def test_malformed_scalar_raises_a_package_error(name, arg, value):
+    call, goods, _ = SCALAR_TABLE[name]
+    call(*goods)
+    args = list(goods)
+    args[arg] = value
+    with pytest.raises(FfscError):
+        call(*args)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    cfg = CodecConfig(prior=CFG.prior, channel=CFG.channel,
+                      distortion=CFG.distortion, min_block=np.int64(64),
+                      passes=np.int64(2), precision=np.int64(16),
+                      seed=np.uint64(2**64 - 1))
+    stored = (cfg.min_block, cfg.passes, cfg.precision, cfg.seed,
+              Alphabet(np.int64(3)).size,
+              QuantizedModel([4, 4], np.int64(3)).precision)
+    assert stored == (64, 2, 16, 2**64 - 1, 3, 3)
+    assert {type(v) for v in stored} == {int}

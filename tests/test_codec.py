@@ -41,7 +41,7 @@ RHO_011 = 2.000336223856
 
 def bsc_config(**kw):
     base = dict(
-        prior=Pmf.from_probs([0.5, 0.5]),
+        prior=Pmf([0.5, 0.5]),
         channel=TestChannel.bsc(0.11),
         distortion=DistortionMatrix.hamming(2),
         min_block=4096,
@@ -172,7 +172,7 @@ def test_transport_identity_larger_alphabets(size, target_d):
 
 def test_transport_identity_skewed_prior():
     # non-uniform source: sample it from the prior itself
-    prior = Pmf.from_probs([0.7, 0.3])
+    prior = Pmf([0.7, 0.3])
     d = DistortionMatrix.hamming(2)
     channel, _, _ = blahut_arimoto(prior, d, 0.12)
     cfg = CodecConfig(prior=prior, channel=channel, distortion=d,
@@ -276,7 +276,7 @@ def test_plan_passes_growth_factor_three_halves():
         else:
             hi = mid
     ch = TestChannel.bsc(0.5 * (lo + hi))
-    prior = Pmf.from_probs([0.5, 0.5])
+    prior = Pmf([0.5, 0.5])
     assert growth_factor(prior, ch) == pytest.approx(1.5, abs=1e-9)
     cfg = CodecConfig(prior=prior, channel=ch,
                       distortion=DistortionMatrix.hamming(2),
@@ -410,10 +410,10 @@ def test_truncated_stream_detected():
 def skewed_config(min_block, passes, seed):
     """Prior (0.8, 0.2) at D = 0.15, with the solver's channel given by
     fixed rows, so that the solver's floating point cannot move it."""
-    channel = TestChannel.from_rows(
+    channel = TestChannel(
         [[0.9866034847160634, 0.013396515283936754],
          [0.696413938864253, 0.30358606113574704]])
-    return CodecConfig(prior=Pmf.from_probs([0.8, 0.2]), channel=channel,
+    return CodecConfig(prior=Pmf([0.8, 0.2]), channel=channel,
                        distortion=DistortionMatrix.hamming(2),
                        min_block=min_block, passes=passes, seed=seed)
 
@@ -504,7 +504,7 @@ def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
     channel is given by fixed rows, not solved for, so that the
     solver's floating point cannot move the digest."""
     channel = (TestChannel.bsc(0.11) if rows is None
-               else TestChannel.from_rows(rows))
+               else TestChannel(rows))
     cfg = CodecConfig(prior=Pmf.uniform(size), channel=channel,
                       distortion=DistortionMatrix.hamming(size),
                       min_block=256, passes=3, seed=seed)

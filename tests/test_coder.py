@@ -29,7 +29,7 @@ from ffsc.model import Pmf, TestChannel
 
 
 def test_quantize_benchmark_row():
-    q = quantize(Pmf.from_probs([0.89, 0.11]), 16)
+    q = quantize(Pmf([0.89, 0.11]), 16)
     assert q.freq[0].tolist() == [58327, 7209]
     assert q.freq[0].sum() == 1 << 16
 
@@ -40,31 +40,31 @@ def test_quantize_ties_go_to_the_lowest_index(index):
     # solver noise to whichever entry carries it
     probs = np.full(3, 1 / 3)
     probs[index] = np.nextafter(probs[index], 1.0)
-    q = quantize(Pmf.from_probs(probs), 16)
+    q = quantize(Pmf(probs), 16)
     assert q.freq[0].tolist() == [21846, 21845, 21845]
 
 
 def test_quantize_point_mass():
-    q = quantize(Pmf.from_probs([1.0, 0.0]), 16)
+    q = quantize(Pmf([1.0, 0.0]), 16)
     assert q.freq[0].tolist() == [65536, 0]
 
 
 def test_quantize_preserves_true_zeros():
-    q = quantize(Pmf.from_probs([0.6, 0.0, 0.4]), 10)
+    q = quantize(Pmf([0.6, 0.0, 0.4]), 10)
     assert q.freq[0][1] == 0
     assert q.freq[0].sum() == 1 << 10
 
 
 def test_quantize_gives_every_support_symbol_a_slot():
     # probability 1e-9 would round to zero slots; it must get one anyway
-    q = quantize(Pmf.from_probs([1 - 1e-9, 1e-9]), 8)
+    q = quantize(Pmf([1 - 1e-9, 1e-9]), 8)
     assert q.freq[0].tolist() == [255, 1]
 
 
 def test_quantize_rejects_overfull_support():
     probs = np.full(8, 1 / 8)
     with pytest.raises(QuantizationError):
-        quantize(Pmf.from_probs(probs), 2)  # 8 symbols, 4 slots
+        quantize(Pmf(probs), 2)  # 8 symbols, 4 slots
 
 
 @settings(deadline=None, max_examples=60)
@@ -72,7 +72,7 @@ def test_quantize_rejects_overfull_support():
 def test_quantize_total_always_exact(precision, size, salt):
     rng = np.random.default_rng(salt)
     w = rng.random(size) + 1e-3
-    p = Pmf.from_probs(w / w.sum())
+    p = Pmf(w / w.sum())
     if size > (1 << precision):
         with pytest.raises(QuantizationError):
             quantize(p, precision)
@@ -98,8 +98,8 @@ def test_quantized_model_validates_total():
 
 
 def test_model_digest_changes_with_tables():
-    m1 = quantize(Pmf.from_probs([0.89, 0.11]), 16)
-    m2 = quantize(Pmf.from_probs([0.5, 0.5]), 16)
+    m1 = quantize(Pmf([0.89, 0.11]), 16)
+    m2 = quantize(Pmf([0.5, 0.5]), 16)
     c = quantize_channel(TestChannel.bsc(0.11), 16)
     assert model_digest(m1, c) != model_digest(m2, c)
     assert model_digest(m1, c) == model_digest(m1, c)
@@ -110,7 +110,7 @@ def test_model_digest_changes_with_tables():
 
 
 def test_empty_sequence_frame_is_tiny():
-    m = quantize(Pmf.from_probs([0.5, 0.5]), 16)
+    m = quantize(Pmf([0.5, 0.5]), 16)
     f = compress(np.array([], dtype=np.int64), m)
     assert f.symbol_count == 0
     assert 8 * len(f.to_bytes()) <= 64
@@ -139,7 +139,7 @@ models = [
 )
 def test_roundtrip_property(model_idx, raw_symbols, salt):
     probs = models[model_idx]
-    m = quantize(Pmf.from_probs(probs), 14)
+    m = quantize(Pmf(probs), 14)
     symbols = np.array([s % len(probs) for s in raw_symbols], dtype=np.int64)
     f = compress(symbols, m)
     assert f.symbol_count == symbols.size
@@ -150,7 +150,7 @@ def test_roundtrip_property(model_idx, raw_symbols, salt):
 
 
 def test_roundtrip_large_block():
-    m = quantize(Pmf.from_probs([0.89, 0.11]), 16)
+    m = quantize(Pmf([0.89, 0.11]), 16)
     rng = np.random.default_rng(5)
     symbols = rng.choice(2, size=100_000, p=[0.89, 0.11]).astype(np.int64)
     f = compress(symbols, m)
@@ -161,13 +161,13 @@ def test_roundtrip_large_block():
 
 
 def test_compress_rejects_zero_frequency_symbol():
-    m = quantize(Pmf.from_probs([0.6, 0.0, 0.4]), 10)
+    m = quantize(Pmf([0.6, 0.0, 0.4]), 10)
     with pytest.raises(CodingError):
         compress(np.array([0, 1, 2], dtype=np.int64), m)
 
 
 def test_compress_rejects_out_of_range():
-    m = quantize(Pmf.from_probs([0.5, 0.5]), 16)
+    m = quantize(Pmf([0.5, 0.5]), 16)
     with pytest.raises(CodingError):
         compress(np.array([0, 2], dtype=np.int64), m)
 
@@ -180,7 +180,7 @@ def test_compress_rejects_out_of_range():
 def test_rate_tracks_entropy_on_typical_input(n):
     p = 0.11
     h = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
-    m = quantize(Pmf.from_probs([1 - p, p]), 16)
+    m = quantize(Pmf([1 - p, p]), 16)
     rng = np.random.default_rng(n)  # fixed seeds, statistically comfortable
     symbols = rng.choice(2, size=n, p=[1 - p, p]).astype(np.int64)
     f = compress(symbols, m)
@@ -196,7 +196,7 @@ def test_rate_tracks_entropy_on_typical_input(n):
 
 
 def make_frame(n=2000, seed=0):
-    m = quantize(Pmf.from_probs([0.89, 0.11]), 16)
+    m = quantize(Pmf([0.89, 0.11]), 16)
     rng = np.random.default_rng(seed)
     symbols = rng.choice(2, size=n, p=[0.89, 0.11]).astype(np.int64)
     return symbols, compress(symbols, m), m
@@ -241,7 +241,7 @@ def test_prefix_decode_truncated_raises():
 def test_decode_work_is_bounded_by_frame_length(count, header):
     """A short frame declaring many symbols stops at the first byte it
     lacks instead of decoding every declared symbol."""
-    m = quantize(Pmf.from_probs([0.5, 0.5]), 16)
+    m = quantize(Pmf([0.5, 0.5]), 16)
     frame = write_uvarint(count) + bytes(range(1, 11))
     assert len(frame) == header + 10
     t0 = time.perf_counter()

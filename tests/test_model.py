@@ -34,15 +34,15 @@ RHO_TERNARY = 2.085915278359
 
 
 def bsc_setup(eps=0.11):
-    prior = Pmf.from_probs([0.5, 0.5])
+    prior = Pmf([0.5, 0.5])
     ch = TestChannel.bsc(eps)
     d = DistortionMatrix.hamming(2)
     return prior, ch, d
 
 
 def test_entropy_basics():
-    assert entropy(Pmf.from_probs([0.5, 0.5])) == pytest.approx(1.0)
-    assert entropy(Pmf.from_probs([1.0, 0.0])) == pytest.approx(0.0)
+    assert entropy(Pmf([0.5, 0.5])) == pytest.approx(1.0)
+    assert entropy(Pmf([1.0, 0.0])) == pytest.approx(0.0)
     assert entropy(Pmf.uniform(8)) == pytest.approx(3.0)
 
 
@@ -58,8 +58,8 @@ def test_growth_factor_value():
 
 
 def test_growth_factor_rejects_deterministic_channel():
-    prior = Pmf.from_probs([0.5, 0.5])
-    ident = TestChannel.from_rows([[1.0, 0.0], [0.0, 1.0]])
+    prior = Pmf([0.5, 0.5])
+    ident = TestChannel([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ModelError):
         growth_factor(prior, ident)
 
@@ -71,14 +71,14 @@ def test_expected_distortion_bsc():
 
 def test_pmf_validation():
     with pytest.raises(ModelError):
-        Pmf.from_probs([0.5, 0.4])  # does not sum to 1
+        Pmf([0.5, 0.4])  # does not sum to 1
     with pytest.raises(ModelError):
-        Pmf.from_probs([1.5, -0.5])
+        Pmf([1.5, -0.5])
 
 
 def test_channel_rows_validated():
     with pytest.raises(ModelError):
-        TestChannel.from_rows([[0.9, 0.2], [0.5, 0.5]])
+        TestChannel([[0.9, 0.2], [0.5, 0.5]])
 
 
 def test_alphabet_bounds():
@@ -118,7 +118,7 @@ def test_solver_ternary_uniform():
 
 
 def test_solver_zero_distortion_endpoint():
-    prior = Pmf.from_probs([0.3, 0.7])
+    prior = Pmf([0.3, 0.7])
     d = DistortionMatrix.hamming(2)
     _, rate, dist = blahut_arimoto(prior, d, 0.0)
     assert dist == pytest.approx(0.0, abs=1e-12)
@@ -126,7 +126,7 @@ def test_solver_zero_distortion_endpoint():
 
 
 def test_solver_zero_rate_endpoint():
-    prior = Pmf.from_probs([0.3, 0.7])
+    prior = Pmf([0.3, 0.7])
     d = DistortionMatrix.hamming(2)
     # putting everything on the majority symbol costs D = 0.3
     ch, rate, dist = blahut_arimoto(prior, d, 0.5)
@@ -148,7 +148,7 @@ def test_solver_monotone_in_distortion():
 )
 def test_solver_distortion_always_met(weights, frac):
     w = np.array(weights)
-    prior = Pmf.from_probs(w / w.sum())
+    prior = Pmf(w / w.sum())
     d = DistortionMatrix.hamming(len(weights))
     target = frac * d.d_max
     _, rate, dist = blahut_arimoto(prior, d, target)
@@ -161,7 +161,7 @@ def test_solver_revives_outputs_that_die_at_an_early_slope():
     output probabilities to 0; a warm start that kept those zeros would
     close the search on a false jump and overstate R by 0.17 bits."""
     w = np.array([0.196, 0.1933, 0.1541, 0.3977, 0.0588])
-    prior = Pmf.from_probs(w / w.sum())
+    prior = Pmf(w / w.sum())
     _, rate, dist = blahut_arimoto(prior, DistortionMatrix.hamming(5), 0.18)
     assert rate == pytest.approx(1.06432, abs=1e-4)
     assert dist == pytest.approx(0.18, abs=1e-12)
@@ -172,7 +172,7 @@ def test_solver_survives_a_never_seen_input(target):
     """A zero-probability input whose best output goes unused: at these
     slopes every other kernel entry of its row underflows, so its
     normaliser would be 0 without the floor on output probabilities."""
-    prior = Pmf.from_probs([0.7, 0.3, 0.0])
+    prior = Pmf([0.7, 0.3, 0.0])
     d = DistortionMatrix(1e4 * (1.0 - np.eye(3)))
     ch, rate, dist = blahut_arimoto(prior, d, target)
     assert np.all(np.isfinite(ch.rows))
@@ -231,7 +231,7 @@ def test_solver_matches_cold_start_reference(case):
     else:
         d = 1.0 - np.eye(n)                                  # Hamming
     target = float(rng.uniform(0.1, 0.9) * (p @ d).min())
-    _, rate, dist = blahut_arimoto(Pmf.from_probs(p), DistortionMatrix(d),
+    _, rate, dist = blahut_arimoto(Pmf(p), DistortionMatrix(d),
                                    target)
     assert dist == pytest.approx(target, abs=1e-9)
     assert rate == pytest.approx(_cold_reference_rate(p, d, target), abs=1e-4)
@@ -239,7 +239,7 @@ def test_solver_matches_cold_start_reference(case):
 
 def _measure_style_prior(counts):
     counts = np.asarray(counts, dtype=np.float64)
-    return Pmf.from_probs(counts / counts.sum())
+    return Pmf(counts / counts.sum())
 
 
 @pytest.mark.parametrize("counts, target", [
@@ -309,19 +309,19 @@ def test_short_stream_channel_tables_unchanged(size, diag, off):
 
 
 def test_strongly_typical_accepts_exact_composition():
-    p = Pmf.from_probs([0.75, 0.25])
+    p = Pmf([0.75, 0.25])
     seq = np.array([0] * 75 + [1] * 25)
     assert is_strongly_typical(seq, p, 0.001)
 
 
 def test_strongly_typical_rejects_off_composition():
-    p = Pmf.from_probs([0.75, 0.25])
+    p = Pmf([0.75, 0.25])
     seq = np.array([0] * 60 + [1] * 40)
     assert not is_strongly_typical(seq, p, 0.02)
 
 
 def test_strongly_typical_zero_prob_symbol_disqualifies():
-    p = Pmf.from_probs([0.75, 0.25, 0.0])
+    p = Pmf([0.75, 0.25, 0.0])
     seq = np.array([0] * 75 + [1] * 24 + [2])
     assert not is_strongly_typical(seq, p, 0.5)
 
@@ -329,7 +329,7 @@ def test_strongly_typical_zero_prob_symbol_disqualifies():
 def test_strongly_typical_statistical_acceptance():
     # i.i.d. draws of length 1e5 should almost always land inside the
     # delta=0.02 box
-    p = Pmf.from_probs([0.89, 0.11])
+    p = Pmf([0.89, 0.11])
     rng = np.random.default_rng(123)
     delta = 0.02
     fails = sum(

@@ -145,7 +145,7 @@ def test_carry_propagation_stress():
 def test_roundtrip_property_any_symbols(symbols, salt):
     rng = np.random.default_rng(salt)
     raw = rng.integers(1, 1000, size=4)
-    freq = quantize(Pmf.from_probs(raw / raw.sum()), 12).freq.tolist()
+    freq = quantize(Pmf(raw / raw.sum()), 12).freq.tolist()
     data, _ = kernel_encode(symbols, freq, 12)
     back, _ = kernel_decode(data, len(symbols), freq, 12)
     assert back == symbols
@@ -295,7 +295,7 @@ def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     """Shaping against a single row is the frame decoder run over the
     padded bits: its symbols are decode_kernel's first symbols on the
     same stream."""
-    model = quantize(Pmf.from_probs(np.array(freq) / sum(freq)), 16)
+    model = quantize(Pmf(np.array(freq) / sum(freq)), 16)
     rng = np.random.default_rng(m)
     bits = rng.integers(0, 2, m).astype(np.uint8)
     side = np.zeros(16 * m + 64, dtype=np.int64)

@@ -13,7 +13,7 @@ from testlib import unshape
 
 BSC11 = quantize_channel(TestChannel.bsc(0.11), 16)
 UNIFORM_ROWS = quantize_channel(
-    TestChannel.from_rows([[0.5, 0.5], [0.5, 0.5]]), 16
+    TestChannel([[0.5, 0.5], [0.5, 0.5]]), 16
 )
 
 
@@ -69,7 +69,7 @@ def test_sample_count_near_prediction():
     rng = np.random.default_rng(11)
     m = 5000
     predicted = m / conditional_entropy(TestChannel.bsc(0.11),
-                                        Pmf.from_probs([0.5, 0.5]))
+                                        Pmf([0.5, 0.5]))
     assert predicted == pytest.approx(10001.68, abs=0.02)
     for _ in range(10):
         bits, side = random_case(rng, m)
@@ -115,7 +115,7 @@ def test_crossover_fraction_matches_channel():
 
 def test_joint_typicality_of_output():
     # strong typicality of the pair sequence under p(x) p(xhat | x)
-    joint = Pmf.from_probs((0.5 * TestChannel.bsc(0.11).rows).ravel())
+    joint = Pmf((0.5 * TestChannel.bsc(0.11).rows).ravel())
     delta = 0.02
     rng = np.random.default_rng(31)
     passes = 0
@@ -202,7 +202,7 @@ def test_deshape_never_silently_returns_wrong_input_as_right():
 
 def test_deshape_rejects_impossible_pair():
     asym = quantize_channel(
-        TestChannel.from_rows([[1.0, 0.0], [0.5, 0.5]]), 16
+        TestChannel([[1.0, 0.0], [0.5, 0.5]]), 16
     )
     xhat = np.array([1], dtype=np.int64)  # impossible under row 0
     x = np.array([0], dtype=np.int64)
@@ -297,7 +297,7 @@ def test_constant_payloads_round_trip(m, precision):
     rng = np.random.default_rng(m)
     for rows in ([[0.89, 0.11], [0.11, 0.89]],
                  [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]):
-        cm = quantize_channel(TestChannel.from_rows(rows), precision)
+        cm = quantize_channel(TestChannel(rows), precision)
         side = rng.integers(0, len(rows), 4 * m + 512).astype(np.int64)
         for fill in (0, 1):
             bits = np.full(m, fill, dtype=np.uint8)
@@ -315,7 +315,7 @@ def test_shape_stops_at_the_shortest_settling_prefix(precision):
     for rows in ([[0.89, 0.11], [0.11, 0.89]],
                  [[0.99, 0.01], [0.01, 0.99]],
                  rng.dirichlet(np.ones(3), size=3).tolist()):
-        cm = quantize_channel(TestChannel.from_rows(rows), precision)
+        cm = quantize_channel(TestChannel(rows), precision)
         for m in [*range(1, 40), 64, 65, 1000, 1003, 8001]:
             side = rng.integers(0, len(rows), 40 * m + 512).astype(np.int64)
             for bits in (rng.integers(0, 2, size=m), [0] * m, [1] * m):
