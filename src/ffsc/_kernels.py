@@ -26,18 +26,19 @@ at most three buckets.  The models build their tables once
 
 Each loop is written once, in a form numba can compile: plain-int
 literals, ``len()`` rather than ``.shape``, indexing and nothing else.
-Two loops are compiled, ``encode_kernel`` and ``_decode_loop`` (with
-``_carry``); the entry points ``decode_kernel`` and ``shape_kernel`` are
-the same plain Python on both backends and call the module's
-``_decode_loop``.  Without numba each loop runs its own source as plain
-Python on Python ints (``python_encode_kernel``, ``python_decode_loop``):
-inputs go in as lists (``.tolist()``) or ``bytes``, and outputs are
-written through ``memoryview``s straight into the caller's numpy
-buffers, so nothing is copied back and a large output buffer is touched
-only where symbols land.  Arithmetic on numpy scalars and element writes
-into numpy arrays cost 2-4x more per step.  The fallback is
-bit-identical to the compiled loops; on 2 cores one trial of the binary
-benchmark (n ~ 128k, encode and decode) takes about 0.16 s.
+Only the loops (and ``_carry``) are compiled; the two decoder entry
+points are plain Python on both backends.  Without numba each loop
+runs its own source as plain Python on Python ints
+(``python_encode_kernel``, ``python_decode_loop``): inputs go in as
+lists (``.tolist()``) or ``bytes``, and outputs are written through
+``memoryview``s straight into the caller's numpy buffers, so nothing is
+copied back and a large output buffer is touched only where symbols
+land.  Arithmetic on numpy scalars and element writes into numpy
+arrays cost 2-4x more per step.  The fallback is bit-identical to the
+compiled loops, and the tests check both byte for byte against a
+readable reference coder, ``tests/rangecoder.py``.  On 2 cores one
+trial of the binary benchmark (n ~ 128k, encode and decode) takes about
+0.16 s.
 
 Kernels never raise: they return a status code so the compiled loops
 stay allocation-free and exception-free.  Buffers are caller-allocated
@@ -50,13 +51,23 @@ doubles it on NEED_MORE_SYM and reruns from scratch, which keeps the
 kernels stateless, until it holds the whole side.  The decoder returns
 TRUNCATED as soon as it has shifted in more bytes than its input
 holds; between shifts its work is bounded by the symbol count it is
-given, which its caller caps.
+given, which its caller caps.  All arithmetic is int64: the largest
+intermediate, low + r*start < 2^33, is far below overflow.
 
-All arithmetic is int64.  The largest intermediate is low + r*start
-< 2^33, far below overflow.
+**Prefix duality.**  At any point, the encoder's buffer equals a prefix
+of the final stream except for an *unsettled* suffix, a trailing run of
+0xFF bytes and the byte before it, that a later carry could still
+increment.  A decoder fed the final stream walks the same (low, range)
+trajectory, so after each decoder shift an encoder of the same symbols
+has written one byte more: the shaper runs the decoder alone and tells
+from its shift count which output bytes are final.
 
-``rangecoder`` holds the readable reference implementation; the test
-suite checks these kernels against it byte for byte.
+**Deterministic flush.**  Termination emits exactly two bytes, the top
+16 bits of the smallest multiple of 2^23 in the final interval.  A
+payload is therefore always shifts + 2 bytes long, so a decoder
+recomputes its length from the symbol count alone, and up to two bytes
+read past its end change no decoded symbol: the 2^23 rounding leaves
+more margin than the 16 bits of slack the decoder consumes.
 """
 
 from __future__ import annotations
@@ -92,7 +103,8 @@ except ImportError:  # pragma: no cover - exercised only without numba
 @_jit
 def _carry(buf, nbuf):
     """Add one to the big-endian number buf[:nbuf], rippling through
-    trailing 0xFF bytes (``RangeEncoder._propagate_carry``).
+    trailing 0xFF bytes (``RangeEncoder._propagate_carry`` in
+    ``tests/rangecoder.py``).
 
     Returns OK, or ERR_CARRY if the carry ran off the front, which a
     correct coder never does.
@@ -114,11 +126,11 @@ def encode_kernel(codes, cum, precision, buf):
     0 <= c < len(cum) - 1, and ERR_ZERO_FREQ an empty interval.
     Returns (nbytes, settled_pre_flush, status).
 
-    nbytes includes the 2-byte terminator; settled_pre_flush is the
-    count of buffer bytes already immune to carries when the last
-    symbol had been coded (the shaper's deshape direction needs it),
-    found after the loop by one backward scan under
-    ``RangeEncoder.settled_count``'s rule.  It is 0 on any status but OK.
+    nbytes includes the 2-byte terminator; settled_pre_flush, which the
+    shaper's deshape direction needs, is the count of buffer bytes
+    already immune to carries after the last symbol, by the rule of
+    ``RangeEncoder.settled_count`` in ``tests/rangecoder.py``.  It is 0
+    on any status but OK.
     """
     total = 1 << precision
     low = 0
@@ -151,15 +163,12 @@ def encode_kernel(codes, cum, precision, buf):
             low = (low << 8) & _MASK32
             rng <<= 8
 
-    # A carry stops at the last byte that is not 0xFF, so every byte
-    # before that one is final.
+    # By prefix duality, every byte before the last non-0xFF one is final.
     settled = max(nbuf - 1, 0)
     while settled > 0 and buf[settled] == 0xFF:
         settled -= 1
 
-    # Deterministic flush: round low up to a multiple of 2^23 (still
-    # inside [low, low+range) since range >= 2^24) and emit its top two
-    # bytes; the remaining bits of the terminator are zero by choice.
+    # Deterministic flush; z stays in [low, low + range) as range >= 2^24.
     z = ((low + (1 << 23) - 1) >> 23) << 23
     if z > _MASK32:
         if _carry(buf, nbuf) != OK:
@@ -295,11 +304,8 @@ def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
     `m_bits` bits of the stream are settled.
 
     Returns ``_decode_loop``'s (nsym, status), and NEED_MORE_SYM once
-    the output buffer or the side runs out.  The bits are settled after
-    the first symbol whose renormalisation takes the shift count past
-    ceil(m_bits/8): re-encoding the symbols then writes stream byte
-    ceil(m_bits/8), a pad byte that is never 0xFF, so no later carry
-    reaches the payload (see ``shaping``).
+    the output buffer or the side runs out.  The bits are settled once
+    the shift count passes ceil(m_bits/8) (see ``shaping``).
     """
     if m_bits <= 0:
         return 0, OK

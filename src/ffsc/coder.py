@@ -5,10 +5,9 @@ the reconstruction's marginal is one row, and the test channel
 p(xhat|x) one row per source symbol x.
 
 A ``Frame`` is a varint symbol count followed by a byte-aligned
-payload.  Thanks to the coder's deterministic flush (see
-``rangecoder``), the payload length in bytes always equals the number
-of renormalization shifts plus two, so the decoder can recompute it —
-frames are self-delimiting without a separate length field, and both
+payload.  By the coder's deterministic flush (see ``_kernels``), the
+decoder recomputes the payload length from the symbol count, so frames
+are self-delimiting without a separate length field, and both
 truncation and trailing garbage are detectable.
 """
 

@@ -49,12 +49,7 @@ _SYMS = {v: k for k, v in _CHARS.items()}
 
 def erasure_distortion() -> DistortionMatrix:
     """3x3 distortion: binary mismatches cost 1, don't-care costs 0."""
-    d = np.array([
-        [0.0, 1.0, 1.0],
-        [1.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0],
-    ])
-    return DistortionMatrix(d)
+    return DistortionMatrix([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +85,13 @@ class ErasurePattern:
     indices: frozenset[int]
 
     def __post_init__(self):
+        try:
+            indices = iter(self.indices)
+        except TypeError:
+            raise ModelError(f"erasure indices {self.indices!r} are not an "
+                             "iterable of integers") from None
         object.__setattr__(self, "indices", frozenset(
-            as_int(i, 1, None, ModelError, "erasure index")
-            for i in self.indices))
+            as_int(i, 1, None, ModelError, "erasure index") for i in indices))
 
     @classmethod
     def of(cls, *indices: int) -> "ErasurePattern":

@@ -36,22 +36,25 @@ __all__ = [
 _LOG2 = np.log(2.0)
 
 
-def _prob_table(values, ndim: int, name: str) -> np.ndarray:
-    """A read-only float64 copy of `values`, an array of rank `ndim`
-    whose rows (along the last axis) are pmfs: entries in [0, 1], not
-    NaN, summing to 1 within 1e-12.  Raises ModelError otherwise."""
-    stem = f"{name} must be a {ndim}-D array of real numbers"
+def _prob_table(values, ndim: int, name: str, pmf: bool = True) -> np.ndarray:
+    """A read-only float64 copy of `values`, a non-empty array of rank
+    `ndim` with finite entries >= 0.  With `pmf`, its rows (along the
+    last axis) are pmfs: entries at most 1, summing to 1 within 1e-12.
+    Raises ModelError otherwise."""
+    stem = f"{name} must be a non-empty {ndim}-D array of real numbers"
     try:
         a = np.asarray(values)
     except (TypeError, ValueError):  # a ragged nested sequence
         raise ModelError(f"{stem}, not a ragged sequence") from None
-    if a.ndim != ndim or a.dtype.kind not in "iuf":
-        raise ModelError(f"{stem}, not a {a.ndim}-D {a.dtype} array")
+    if a.ndim != ndim or a.dtype.kind not in "iuf" or not a.size:
+        raise ModelError(f"{stem}, not a {a.dtype} array of shape {a.shape}")
     p = np.array(a, dtype=np.float64)  # the copy
-    if not ((0 <= p) & (p <= 1)).all():  # NaN fails both
-        raise ModelError(f"{name} entries must be in [0, 1] and not NaN")
+    hi = 1.0 if pmf else np.inf
+    if not (np.isfinite(p) & (0 <= p) & (p <= hi)).all():  # NaN fails all
+        raise ModelError(f"{name} entries must be finite, >= 0"
+                         + (" and <= 1" if pmf else ""))
     sums = p.sum(axis=-1)
-    if (np.abs(sums - 1.0) > 1e-12).any():
+    if pmf and (np.abs(sums - 1.0) > 1e-12).any():
         raise ModelError(f"{name} rows sum to {sums}, not 1")
     p.setflags(write=False)
     return p
@@ -124,14 +127,9 @@ class DistortionMatrix:
     d_max: float = field(init=False)
 
     def __post_init__(self):
-        d = np.array(self.entries, dtype=np.float64)  # the copy
-        if d.ndim != 2:
-            raise ModelError("distortion matrix must be 2-D")
-        if np.any(np.isnan(d)) or np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise ModelError("distortion entries must be finite and >= 0")
-        d.setflags(write=False)
+        d = _prob_table(self.entries, 2, "distortion matrix", pmf=False)
         object.__setattr__(self, "entries", d)
-        object.__setattr__(self, "d_max", float(d.max()) if d.size else 0.0)
+        object.__setattr__(self, "d_max", float(d.max()))
 
     @classmethod
     def hamming(cls, size: int) -> "DistortionMatrix":
@@ -453,15 +451,15 @@ def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
 
     try:
         size = doc["alphabet_size"]
-        probs = np.asarray(doc["probs"], dtype=np.float64)
-        dist = np.asarray(doc["distortion"], dtype=np.float64)
+        probs, dist = doc["probs"], doc["distortion"]
         name = str(doc.get("name", ref))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model file {ref!r}: {exc}") from exc
     size = as_int(size, 2, 2**16, ModelError, f"model {name!r}: alphabet_size")
-    if probs.shape != (size,) or dist.shape != (size, size):
+    prior, d = Pmf(probs), DistortionMatrix(dist)
+    if prior.probs.shape != (size,) or d.entries.shape != (size, size):
         raise ModelError(
             f"model {name!r}: probs/distortion shapes do not match "
             f"alphabet_size={size}"
         )
-    return name, Pmf(probs), DistortionMatrix(dist)
+    return name, prior, d

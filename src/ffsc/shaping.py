@@ -11,15 +11,13 @@ payload length ``m``, whose bits are the first ``m`` of those bytes.
 
 Shaping stops at the first symbol after which all ``m`` payload bits
 are settled, and the decoder's shift count alone tells when that is.
-By prefix duality (see ``rangecoder``), re-encoding the symbols decoded
-so far writes one byte per shift, and those bytes equal the input's
-leading bytes up to one pending carry.  A carry stops at the last byte
-that is not 0xFF, so the payload's bytes are final once a later byte
-that is not 0xFF is written.  The first byte wholly past the payload,
-byte ceil(m/8) counting from 0, is a window of the pad, and no 8-bit
-window of the pad is 0x00 or 0xFF, so that byte is not 0xFF whether or
-not a carry is pending.  The payload is therefore settled exactly when the shift
-count first exceeds ceil(m/8).
+By prefix duality (see ``_kernels``), re-encoding the symbols decoded
+so far writes one byte per shift, and the payload's bytes are final
+once a later byte that is not 0xFF is written.  The first byte wholly
+past the payload, byte ceil(m/8) counting from 0, is a window of the
+pad, and no 8-bit window of the pad is 0x00 or 0xFF, so that byte is
+not 0xFF whether or not a carry is pending.  The payload is therefore
+settled exactly when the shift count first exceeds ceil(m/8).
 
 The input is padded with a fixed repeating 64-bit pattern rather than
 zeros.  The pad serves two jobs: it gives the decoder bits to chew on

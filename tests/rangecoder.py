@@ -1,26 +1,9 @@
 """Carry-correct byte-wise range coder (reference implementation).
 
-This is the package's single entropy-coding engine.  Two properties are
-load-bearing and worth stating up front:
-
-* **Prefix duality.**  The encoder's output buffer, at any point during
-  encoding, already equals a prefix of the final byte stream except for
-  a short *unsettled* suffix (a trailing run of 0xFF bytes plus the one
-  byte before it) that a future carry could still increment.  A decoder
-  fed the final stream therefore walks the exact same (low, range)
-  trajectory, so after each shift of the decoder an encoder of the same
-  symbols has written one byte more.  That is what lets the shaping
-  module run the decoder alone and tell from its shift count which
-  output bytes are final.
-
-* **Deterministic flush.**  Termination emits exactly two bytes: the
-  top 16 bits of the smallest multiple of 2^23 inside the final
-  interval.  The payload length is therefore always
-  ``renormalization_shift_count + 2`` bytes, so a decoder can recompute
-  the payload length from the symbol count alone, and up to two bytes
-  read past the payload's end cannot change any decoded symbol (the
-  2^23 rounding leaves a margin larger than the 16 bits of slack the
-  decoder may consume).
+This is the test oracle for ``ffsc._kernels``, the package's one range
+coder: nothing in the package imports it.  The two properties that
+both implement, prefix duality and the deterministic flush, are stated
+in ``_kernels``'s module docstring.
 
 The per-symbol update gives the last nonzero-frequency symbol the full
 remainder of the range (``range - r*start`` instead of ``r*freq``) so
@@ -34,8 +17,8 @@ prefix by ``RangeEncoder.settled_count``'s rule.
 
 from __future__ import annotations
 
-from .bits import as_int
-from .errors import CodingError
+from ffsc.bits import as_int
+from ffsc.errors import CodingError
 
 __all__ = ["RangeEncoder", "RangeDecoder", "TOP", "BOTTOM_BITS"]
 

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-every exported name has a caller in the package itself, and every export
-that takes a symbol array, an integer, a real number or a pmf table
-refuses a malformed one with a package error."""
+every exported name has a caller in the package itself, every submodule
+is imported by the package, and every export that takes a symbol array,
+an integer, a real number or a pmf or distortion table refuses a
+malformed one with a package error."""
 
 import ast
 import importlib
@@ -43,7 +44,6 @@ from ffsc import (
     shape,
 )
 from ffsc.experiments import ExperimentSpec, uniform_source
-from ffsc.rangecoder import RangeDecoder, RangeEncoder
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(ffsc.__path__))
 
@@ -51,10 +51,11 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(ffsc.__path__))
 NO_CALLER_IN_SRC = {
     # criterion 6 calls it as the one geometric block-length planner
     "plan_passes",
-    # the reference range coder that the kernels are tested against
-    "RangeEncoder",
-    "RangeDecoder",
 }
+
+# Submodules that no module of the package imports: the console-script
+# entry point that pyproject.toml names.
+NOT_IMPORTED_IN_SRC = {"cli"}
 
 
 def test_package_exports_resolve():
@@ -88,6 +89,25 @@ def _names_read_in_src() -> set[str]:
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
     return read
+
+
+def _submodules_imported_in_src() -> set[str]:
+    """Every submodule that __init__.py or another submodule imports,
+    by ``from .x import ...`` or ``from . import x``."""
+    imported = set()
+    for path in Path(ffsc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
+                imported |= set(names) - {path.stem}
+    return imported
+
+
+def test_every_submodule_is_imported_by_the_package():
+    """A module that no code path reaches cannot stay in the package."""
+    assert sorted(set(SUBMODULES) - _submodules_imported_in_src()) == sorted(
+        NOT_IMPORTED_IN_SRC)
 
 
 def test_every_export_has_a_caller_in_src():
@@ -223,7 +243,7 @@ def test_constructors_keep_a_copy_of_the_callers_array():
     assert d.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
-# -- malformed scalars and pmf tables --------------------------------------
+# -- malformed scalars and real tables -------------------------------------
 
 
 def _int(*past):
@@ -249,9 +269,12 @@ HAMMING = DistortionMatrix.hamming(2)
 PMF_BAD = (0.5, "ab", [[0.5, 0.5]], [0.5, 0.6], [1.5, -0.5])
 CHANNEL_BAD = (0.5, "ab", [1.0, 0.0], [[0.5, 0.6], [0.5, 0.5]],
                [[1.5, -0.5], [0.5, 0.5]])
+DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
+                  [[math.nan, 1], [1, 0]], [[-1, 1], [1, 0]],
+                  [[math.inf, 1], [1, 0]], np.zeros((0, 0)))
 
 # export or method: (call, its well-formed arguments, each one's malformed
-# values).  The last four are exported by their submodules only.
+# values).  The last two are exported by their submodule only.
 SCALAR_TABLE = {
     "Alphabet": (Alphabet, (2,), (_int(1, 2**16 + 1),)),
     "CodecConfig": (
@@ -260,8 +283,11 @@ SCALAR_TABLE = {
             min_block=m, passes=k, precision=q, seed=seed, delta=delta),
         (64, 2, 16, 1, 0.02),
         (_int(0, 2**32), _int(0, 2**16), _int(1, 25), _int(), _real(0, 1))),
+    "DistortionMatrix": (DistortionMatrix, ([[0, 1], [1, 0]],),
+                         (DISTORTION_BAD,)),
     "DistortionMatrix.hamming": (DistortionMatrix.hamming, (2,),
                                  (_int(1, 2**16 + 1),)),
+    "ErasurePattern": (ErasurePattern, ([1, 3],), ((5, None, ["a"], [0]),)),
     "ErasurePattern.of": (ErasurePattern.of, (2,), (_int(0),)),
     "FeedforwardOracle.emit": (lambda k: _emitted(0).emit(k), (3,),
                                (_int(-1, CODED.size + 1),)),
@@ -293,13 +319,11 @@ SCALAR_TABLE = {
                        (_int(0),)),
     "uniform_source": (uniform_source, (1, 4, 3),
                        (_int(), _int(-1), _int(0, 2**32 + 1))),
-    "RangeEncoder": (RangeEncoder, (16,), (_int(1, 25),)),
-    "RangeDecoder": (lambda q: RangeDecoder(b"", q), (16,), (_int(1, 25),)),
 }
 
-# Exports that take no integer, real number or pmf table: errors, records
-# the package builds, symbol arrays, float tables, paths and objects that
-# were checked when they were built.
+# Exports that take no integer, real number or real table: errors, records
+# the package builds, symbol arrays, paths and objects that were checked
+# when they were built.
 NO_SCALAR = {
     "CausalityError", "CodingError", "ConfigError", "FfscError",
     "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,22 @@ def test_load_model_from_path(tmp_path):
     name, prior, d = load_model(str(path))
     assert name == "skewed"
     assert prior.probs.tolist() == [0.9, 0.1]
+
+
+@pytest.mark.parametrize("probs, distortion", [
+    (["0.5", "0.5"], [[0, 1], [1, 0]]),
+    ([True, False], [[0, 1], [1, 0]]),
+    ([0.5, 0.5], [["0", "1"], ["1", "0"]]),
+])
+def test_load_model_refuses_tables_that_are_not_numbers(tmp_path, probs,
+                                                        distortion):
+    """The file's tables pass the constructors' own check, which refuses
+    strings and bools that a float conversion would accept."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "alphabet_size": 2,
+                                "probs": probs, "distortion": distortion}))
+    with pytest.raises(ModelError):
+        load_model(str(path))
 
 
 def test_solver_convex_over_grid():

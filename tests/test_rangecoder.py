@@ -1,4 +1,5 @@
-"""Core coder engine: reference classes, jitted kernels, and the
+"""Core coder engine: the jitted kernels against the reference classes
+of ``rangecoder`` (the test oracle, beside this file), and the
 settled-prefix property that the shaping layer depends on."""
 
 import numpy as np
@@ -8,9 +9,10 @@ import hypothesis.strategies as st
 
 from ffsc import _kernels
 from ffsc.coder import QuantizedModel, quantize
+from ffsc.errors import CodingError
 from ffsc.model import Pmf
-from ffsc.rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
 from ffsc.shaping import PAD_PATTERN, shape
+from rangecoder import RANGE_INIT, TOP, RangeDecoder, RangeEncoder
 
 
 def encode_reference_rows(symbols, side, cum_rows, precision):
@@ -93,6 +95,20 @@ def test_reference_roundtrip(freq):
     symbols = rng.choice(len(freq), size=2000, p=p).tolist()
     data = encode_reference(symbols, freq, 16)
     assert decode_reference(data, len(symbols), freq, 16) == symbols
+
+
+@pytest.mark.parametrize("make, precision", [
+    pytest.param(make, q, id=f"{name}-{q!r}")
+    for name, make in (("RangeEncoder", RangeEncoder),
+                       ("RangeDecoder", lambda q: RangeDecoder(b"", q)))
+    for q in (2.5, "3", True, None, 1, 25)
+])
+def test_reference_refuses_a_malformed_precision(make, precision):
+    """The oracle checks its precision as the kernels' callers do: an
+    integer in [2, 24], a bool refused."""
+    make(16)
+    with pytest.raises(CodingError):
+        make(precision)
 
 
 @pytest.mark.parametrize("freq", FREQ_CASES)
