@@ -4,11 +4,25 @@ A ``QuantizedModel`` is rows of integer frequencies over one alphabet:
 the reconstruction's marginal is one row, and the test channel
 p(xhat|x) one row per source symbol x.
 
-A ``Frame`` is a varint symbol count followed by a byte-aligned
-payload.  By the coder's deterministic flush (see ``_kernels``), the
-decoder recomputes the payload length from the symbol count, so frames
-are self-delimiting without a separate length field, and both
-truncation and trailing garbage are detectable.
+A ``Frame`` is a varint sample count n followed by a byte-aligned
+payload.  The payload codes the samples k at a time, as ceil(n/k)
+symbols of the k-th extension of the model's row 0: the memoryless
+source of k-sample tuples, whose pmf is the product of the row's (see
+``QuantizedModel.frame_table``).  k is the largest value with
+size^k <= 16 and size^k <= 2^(precision - 8): 4 for binary rows, 2 for
+ternary and 4-ary ones, 1 from 5 symbols up, at precisions from 12 up.
+The second bound keeps the unit that rounding must give each tuple
+within 1/256 of the total in all; without it a skewed row at a low
+precision would code every tuple alike.  A tuple is coded as its
+index in base size, its first sample the most significant digit, as
+coding the samples one by one would order them, and the last tuple is
+padded with the row's most frequent symbol (the lowest such
+index), which the decoder requires.  By the coder's deterministic
+flush (see ``_kernels``), the decoder recomputes the payload length
+from the sample count, so frames are self-delimiting without a
+separate length field, and both truncation and trailing garbage are
+detectable.  Tuple frames are stream version 3 (``codec.STREAM_VERSION``);
+version 2 coded a frame one sample per symbol, and is refused.
 """
 
 from __future__ import annotations
@@ -32,6 +46,9 @@ __all__ = [
     "model_digest",
 ]
 
+# A frame's tuple alphabet is at most this large.
+_MAX_TUPLES = 16
+
 
 @dataclass(frozen=True, eq=False)
 class QuantizedModel:
@@ -42,7 +59,8 @@ class QuantizedModel:
     >= 1 (so they stay codable); true zeros stay zero (so impossible
     symbols are detected instead of silently coded).  ``freq`` (a copy
     of the caller's), ``cum`` and ``slots`` (``_kernels.slot_table``)
-    are 2-D, one row per model row, built once and read-only.
+    are 2-D, one row per model row, built once and read-only, and so is
+    the table that frames code row 0 with (``frame_table``).
     """
 
     freq: np.ndarray
@@ -79,6 +97,32 @@ class QuantizedModel:
     def size(self) -> int:
         return self.freq.shape[1]
 
+    def frame_table(self) -> tuple[int, int, QuantizedModel]:
+        """(k, pad, table): frames code row 0's samples k at a time, as
+        symbols of `table`, the k-th extension of row 0, and pad their
+        last tuple with the symbol `pad` (see the module docstring).
+
+        The extension's pmf is the product of the quantized row's, so
+        ``model_digest`` covers it, rounded back to 2^precision by
+        ``quantize``'s rule.  Built on the first call and shared by
+        every later one.
+        """
+        table = self.__dict__.get("_frame")
+        if table is None:
+            size, total = self.size, 1 << self.precision
+            k = 1
+            while 1 < size ** (k + 1) <= min(_MAX_TUPLES, total >> 8):
+                k += 1
+            row = self.freq[0] / total  # exact: a dyadic rational
+            probs = row
+            for _ in range(k - 1):  # each later sample is a lower digit
+                probs = np.outer(probs, row).ravel()
+            ext = QuantizedModel(_round(probs, total), self.precision)
+            # setdefault is atomic, so racing threads still share one table
+            table = self.__dict__.setdefault(
+                "_frame", (k, int(np.argmax(self.freq[0])), ext))
+        return table
+
 
 def quantize(p: Pmf, precision: int) -> QuantizedModel:
     """Largest-remainder rounding of a pmf to integer frequencies.
@@ -87,7 +131,12 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     units from the largest entries if rounding starved any of them.
     """
     total = 1 << as_int(precision, 2, 24, QuantizationError, "precision")
-    probs = p.probs
+    return QuantizedModel(_round(p.probs, total), precision)
+
+
+def _round(probs: np.ndarray, total: int) -> np.ndarray:
+    """``quantize``'s rounding of the pmf `probs` to integers summing
+    to `total`."""
     support = probs > 0
     if int(support.sum()) > total:
         raise QuantizationError(
@@ -112,15 +161,13 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     freq[~support] = 0
     if freq.sum() != total:  # pragma: no cover - accounting is exact above
         raise QuantizationError("internal rounding error")
-    return QuantizedModel(freq, precision)
+    return freq
 
 
 def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
     """One ``quantize``d row per input symbol of the channel."""
-    return QuantizedModel(np.concatenate([
-        quantize(Pmf(row), precision).freq
-        for row in ch.rows
-    ]), precision)
+    total = 1 << as_int(precision, 2, 24, QuantizationError, "precision")
+    return QuantizedModel([_round(row, total) for row in ch.rows], precision)
 
 
 def model_digest(marginal: QuantizedModel, channel: QuantizedModel) -> int:
@@ -136,7 +183,7 @@ def model_digest(marginal: QuantizedModel, channel: QuantizedModel) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Self-delimiting coded block: varint symbol count + payload bytes."""
+    """Self-delimiting coded block: varint sample count + payload bytes."""
 
     symbol_count: int
     payload: bytes
@@ -169,9 +216,12 @@ def range_encode(symbols: np.ndarray, rows, model: QuantizedModel,
 
 def compress(symbols, model: QuantizedModel) -> Frame:
     """Entropy-code an i.i.d. symbol sequence into a frame against the
-    model's row 0."""
+    model's row 0, k samples per coded tuple (``frame_table``)."""
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
-    return Frame(int(sym.size), range_encode(sym, 0, model, CodingError)[0])
+    k, pad, table = model.frame_table()
+    padded = np.append(sym, np.full(-sym.size % k, pad, dtype=np.int64))
+    codes = padded.reshape(-1, k) @ model.size ** np.arange(k - 1, -1, -1)
+    return Frame(int(sym.size), range_encode(codes, 0, table, CodingError)[0])
 
 
 def decode_frame_prefix(data, model: QuantizedModel,
@@ -181,25 +231,28 @@ def decode_frame_prefix(data, model: QuantizedModel,
     Returns (symbols, total frame length in bytes).  Bytes after the
     frame are ignored, which is exactly what the feedforward decoder
     needs: a deshaped bit buffer contains one frame followed by pad
-    bits.  Raises CodingError if the frame declares more than `limit`
-    symbols, before reserving room for them: on a skewed model a few
-    bytes can validly hold millions of symbols, so only the caller
-    knows how many it can accept.  Raises TruncatedFrameError if
+    bits.  `limit` counts samples, as the frame's varint does, not
+    coded tuples.  Raises CodingError if the frame declares more than
+    `limit` samples, before reserving room for them: on a skewed model
+    a few bytes can validly hold millions of samples, so only the
+    caller knows how many it can accept.  Raises TruncatedFrameError if
     `data` cannot even hold the frame it declares, and CodingError if
-    the frame's last byte is not one the flush can write.
+    the frame's last byte is not one the flush can write or its last
+    tuple is not padded with ``frame_table``'s pad.
     """
     limit = as_int(limit, 0, None, CodingError, "limit")
     raw = bytes(data)
     count, off = read_uvarint(raw)
     if count > limit:
         raise CodingError(
-            f"frame declares {count} symbols, more than the {limit} "
+            f"frame declares {count} samples, more than the {limit} "
             f"expected; refusing to decode"
         )
-    out = np.empty(count, dtype=np.int64)
+    k, pad, table = model.frame_table()
+    out = np.empty(-(-count // k), dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(raw, dtype=np.uint8)[off:], count, model.cum[0],
-        model.slots[0], model.precision, out,
+        np.frombuffer(raw, dtype=np.uint8)[off:], out.size, table.cum[0],
+        table.slots[0], model.precision, out,
     )
     nbytes = off + int(shifts) + 2
     if status == _kernels.TRUNCATED:
@@ -212,4 +265,8 @@ def decode_frame_prefix(data, model: QuantizedModel,
     if raw[nbytes - 1] & 0x7F:
         # the flush ends every frame with bits 16-23 of a multiple of 2^23
         raise CodingError("frame does not end in a range-coder terminator")
-    return out, nbytes
+    place = model.size ** np.arange(k - 1, -1, -1)
+    samples = (out[:, None] // place % model.size).ravel()
+    if (samples[count:] != pad).any():
+        raise CodingError(f"frame's last tuple is not padded with {pad}")
+    return samples[:count], nbytes

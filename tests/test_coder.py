@@ -15,6 +15,7 @@ from ffsc.coder import (
     model_digest,
     quantize,
     quantize_channel,
+    range_encode,
 )
 from ffsc.errors import (
     CodingError,
@@ -170,6 +171,130 @@ def test_compress_rejects_out_of_range():
     m = quantize(Pmf([0.5, 0.5]), 16)
     with pytest.raises(CodingError):
         compress(np.array([0, 2], dtype=np.int64), m)
+
+
+# ---------------------------------------------------------------------------
+# frames code k-sample tuples
+
+
+def frame_k(size, precision):
+    """The rule: the largest k with size^k <= 16 and size^k <= 2^(q-8)."""
+    return max(k for k in range(1, 5)
+               if size ** k <= min(16, 2 ** (precision - 8)) or k == 1)
+
+
+@pytest.mark.parametrize("probs, precision, k", [
+    ([0.89, 0.11], 16, 4),
+    ([0.89, 0.11], 11, 3),
+    ([0.89, 0.11], 10, 2),
+    ([0.89, 0.11], 8, 1),
+    ([0.5, 0.3, 0.2], 16, 2),
+    ([0.4, 0.3, 0.2, 0.1], 24, 2),
+    ([0.3, 0.3, 0.2, 0.1, 0.1], 16, 1),
+])
+def test_tuple_frames_round_trip_every_remainder(probs, precision, k):
+    m = quantize(Pmf(probs), precision)
+    assert m.frame_table()[0] == k
+    rng = np.random.default_rng([k, precision])
+    for n in range(3 * k + 1):
+        symbols = rng.choice(len(probs), size=n, p=probs)
+        raw = compress(symbols, m).to_bytes()
+        out, used = decode_frame_prefix(raw, m, n)
+        assert np.array_equal(out, symbols)
+        assert used == len(raw)
+
+
+@pytest.mark.parametrize("precision", [2, 4, 8, 16, 24])
+@pytest.mark.parametrize("size", range(2, 18))
+def test_tuple_table_exists_for_every_alphabet_and_precision(size, precision):
+    """A marginal with as many symbols as the precision allows gets a
+    tuple table of the rule's k, and its frames round-trip."""
+    total = 1 << precision
+    rng = np.random.default_rng([size, precision])
+    support = min(size, total)
+    freq = np.zeros(size, dtype=np.int64)
+    freq[:support] = 1 + rng.multinomial(total - support,
+                                         np.full(support, 1 / support))
+    m = QuantizedModel(freq, precision)
+    k, pad, table = m.frame_table()
+    assert k == frame_k(size, precision)
+    assert table.size == size ** k and m.freq[0][pad] == freq.max()
+    symbols = rng.integers(0, support, 2 * k + 1)
+    raw = compress(symbols, m).to_bytes()
+    out, used = decode_frame_prefix(raw, m, symbols.size)
+    assert np.array_equal(out, symbols) and used == len(raw)
+
+
+@pytest.mark.parametrize("freq, precision", [
+    ([15, 1], 4), ([63, 1], 6), ([248, 8], 8), ([14, 1, 1], 4)])
+def test_low_precision_frames_code_near_the_entropy(freq, precision):
+    """At a precision too low to round the tuples finely, frames code
+    sample by sample: with k = 4 at q = 4, (15/16, 1/16) would cost a
+    bit per sample, as every tuple would get one unit of the 16."""
+    m = QuantizedModel(np.array(freq), precision)
+    assert m.frame_table()[0] == 1
+    p = np.array(freq) / sum(freq)
+    symbols = np.random.default_rng(precision).choice(len(freq), 20_000, p=p)
+    bits = 8 * len(compress(symbols, m).payload) / symbols.size
+    assert bits <= -(p * np.log2(p)).sum() + 0.01
+
+
+def test_uniform_binary_tuples_code_to_the_bytes_of_single_samples():
+    """First sample most significant, a tuple's interval of a uniform
+    binary row is the one its samples narrow to one by one."""
+    m = quantize(Pmf.uniform(2), 16)
+    rng = np.random.default_rng(8)
+    for n in range(33):  # every remainder at every phase of a byte
+        symbols = rng.integers(0, 2, n)
+        assert compress(symbols, m).payload == range_encode(
+            symbols, 0, m, CodingError)[0]
+
+
+def test_tuple_frames_skip_a_zero_frequency_symbol_0():
+    m = QuantizedModel(np.array([0, 40000, 25536]), 16)
+    k, pad, table = m.frame_table()
+    assert (k, pad) == (2, 1)
+    assert table.freq[0][[0, 1, 2, 3, 6]].tolist() == [0] * 5  # a digit 0
+    symbols = np.array([2, 1, 1, 2, 2])
+    raw = compress(symbols, m).to_bytes()
+    assert np.array_equal(decode_frame_prefix(raw, m, 5)[0], symbols)
+    with pytest.raises(CodingError, match="zero model frequency"):
+        compress(np.array([1, 0, 2]), m)
+
+
+def test_frame_whose_pad_is_not_the_pad_symbol_is_refused():
+    m = quantize(Pmf([0.5, 0.5]), 16)
+    assert m.frame_table()[:2] == (4, 0)
+    f = compress(np.array([0, 1, 1, 1]), m)
+    out, _ = decode_frame_prefix(f.to_bytes(), m, 4)
+    assert out.tolist() == [0, 1, 1, 1]
+    # the same payload declared as 3 samples pads its tuple with a 1
+    with pytest.raises(CodingError, match="padded"):
+        decode_frame_prefix(Frame(3, f.payload).to_bytes(), m, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 1001])
+def test_binary_frames_take_one_kernel_step_per_four_samples(monkeypatch, n):
+    m = quantize(Pmf([0.89, 0.11]), 16)
+    seen = []
+    encode_kernel = _kernels.encode_kernel
+    decode_kernel = _kernels.decode_kernel
+
+    def encode_spy(codes, *args):
+        seen.append(("encode", len(codes)))
+        return encode_kernel(codes, *args)
+
+    def decode_spy(data, count, *args):
+        seen.append(("decode", count))
+        return decode_kernel(data, count, *args)
+
+    monkeypatch.setattr(_kernels, "encode_kernel", encode_spy)
+    monkeypatch.setattr(_kernels, "decode_kernel", decode_spy)
+    symbols = np.random.default_rng(n).choice(2, size=n, p=[0.89, 0.11])
+    raw = compress(symbols, m).to_bytes()
+    out, _ = decode_frame_prefix(raw, m, n)
+    assert np.array_equal(out, symbols)
+    assert seen == [("encode", -(-n // 4)), ("decode", -(-n // 4))]
 
 
 # ---------------------------------------------------------------------------
