@@ -4,25 +4,30 @@ A ``QuantizedModel`` is rows of integer frequencies over one alphabet:
 the reconstruction's marginal is one row, and the test channel
 p(xhat|x) one row per source symbol x.
 
+Both the frames and the shaper (see ``shaping``) code samples k at a
+time, as symbols of the model's k-th extension: the memoryless source
+of k-sample tuples, whose rows are the products of the model's rows
+(``QuantizedModel.extension``).  k is the largest value with
+max(rows, size)^k <= 16 and size^k <= 2^(precision - 8): at precisions
+from 12 up, 4 for a one-row binary marginal and the BSC, 2 for ternary
+and 4-ary ones, 1 from 5 symbols or rows up.  The second bound keeps
+the unit that rounding must give each tuple within 1/256 of the total
+in all; without it a skewed row at a low precision would code every
+tuple alike.  A tuple is indexed in base size (base rows for a tuple
+of row indices), its first sample the most significant digit, as
+coding the samples one by one would order them.
+
 A ``Frame`` is a varint sample count n followed by a byte-aligned
-payload.  The payload codes the samples k at a time, as ceil(n/k)
-symbols of the k-th extension of the model's row 0: the memoryless
-source of k-sample tuples, whose pmf is the product of the row's (see
-``QuantizedModel.frame_table``).  k is the largest value with
-size^k <= 16 and size^k <= 2^(precision - 8): 4 for binary rows, 2 for
-ternary and 4-ary ones, 1 from 5 symbols up, at precisions from 12 up.
-The second bound keeps the unit that rounding must give each tuple
-within 1/256 of the total in all; without it a skewed row at a low
-precision would code every tuple alike.  A tuple is coded as its
-index in base size, its first sample the most significant digit, as
-coding the samples one by one would order them, and the last tuple is
-padded with the row's most frequent symbol (the lowest such
-index), which the decoder requires.  By the coder's deterministic
-flush (see ``_kernels``), the decoder recomputes the payload length
-from the sample count, so frames are self-delimiting without a
-separate length field, and both truncation and trailing garbage are
-detectable.  Tuple frames are stream version 3 (``codec.STREAM_VERSION``);
-version 2 coded a frame one sample per symbol, and is refused.
+payload, which codes the samples as ceil(n/k) symbols of row 0 of the
+extension (``QuantizedModel.frame_table``); the last tuple is padded
+with the row's most frequent symbol (the lowest such index), which the
+decoder requires.  By the coder's deterministic flush (see
+``_kernels``), the decoder recomputes the payload length from the
+sample count, so frames are self-delimiting without a separate length
+field, and both truncation and trailing garbage are detectable.
+Tuple frames came with stream version 3 and tuple shaping with
+version 4 (``codec.STREAM_VERSION``); earlier versions coded one
+sample per symbol, and are refused.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ __all__ = [
     "model_digest",
 ]
 
-# A frame's tuple alphabet is at most this large.
+# An extension has at most this many rows and this many symbols.
 _MAX_TUPLES = 16
 
 
@@ -60,7 +65,7 @@ class QuantizedModel:
     symbols are detected instead of silently coded).  ``freq`` (a copy
     of the caller's), ``cum`` and ``slots`` (``_kernels.slot_table``)
     are 2-D, one row per model row, built once and read-only, and so is
-    the table that frames code row 0 with (``frame_table``).
+    the model's k-th extension (``extension``).
     """
 
     freq: np.ndarray
@@ -97,31 +102,56 @@ class QuantizedModel:
     def size(self) -> int:
         return self.freq.shape[1]
 
-    def frame_table(self) -> tuple[int, int, QuantizedModel]:
-        """(k, pad, table): frames code row 0's samples k at a time, as
-        symbols of `table`, the k-th extension of row 0, and pad their
-        last tuple with the symbol `pad` (see the module docstring).
+    def extension(self) -> tuple[int, QuantizedModel]:
+        """(k, table): `table` is the k-th extension of these rows, with
+        one row per tuple of row indices and one symbol per tuple of
+        symbols (see the module docstring).
 
-        The extension's pmf is the product of the quantized row's, so
-        ``model_digest`` covers it, rounded back to 2^precision by
-        ``quantize``'s rule.  Built on the first call and shared by
+        Its rows are the products of the quantized rows, so
+        ``model_digest`` covers them, each rounded back to 2^precision
+        by ``quantize``'s rule.  Built on the first call and shared by
         every later one.
         """
-        table = self.__dict__.get("_frame")
+        table = self.__dict__.get("_extension")
         if table is None:
-            size, total = self.size, 1 << self.precision
+            rows, size = self.freq.shape
+            total = 1 << self.precision
             k = 1
-            while 1 < size ** (k + 1) <= min(_MAX_TUPLES, total >> 8):
+            while (1 < max(rows, size) ** (k + 1) <= _MAX_TUPLES
+                   and size ** (k + 1) <= total >> 8):
                 k += 1
-            row = self.freq[0] / total  # exact: a dyadic rational
-            probs = row
+            p = self.freq / total  # exact: dyadic rationals
+            probs = p
             for _ in range(k - 1):  # each later sample is a lower digit
-                probs = np.outer(probs, row).ravel()
-            ext = QuantizedModel(_round(probs, total), self.precision)
+                probs = np.kron(probs, p)
+            ext = QuantizedModel([_round(row, total) for row in probs],
+                                 self.precision)
             # setdefault is atomic, so racing threads still share one table
-            table = self.__dict__.setdefault(
-                "_frame", (k, int(np.argmax(self.freq[0])), ext))
+            table = self.__dict__.setdefault("_extension", (k, ext))
         return table
+
+    def frame_table(self) -> tuple[int, int, QuantizedModel]:
+        """(k, pad, table): frames code row 0's samples k at a time, as
+        symbols of row 0 of `table` (``extension``), and pad their last
+        tuple with the symbol `pad`, row 0's most frequent."""
+        k, table = self.extension()
+        return k, int(np.argmax(self.freq[0])), table
+
+
+def to_tuples(samples: np.ndarray, base: int, k: int) -> np.ndarray:
+    """Each k consecutive samples as one tuple index, in base `base`
+    with the first sample the most significant digit; the sample count
+    is a multiple of k."""
+    return samples.reshape(-1, k) @ base ** np.arange(k - 1, -1, -1)
+
+
+def from_tuples(codes: np.ndarray, base: int, k: int) -> np.ndarray:
+    """The samples of the tuple indices `codes`, each below base^k
+    (``to_tuples`` inverted)."""
+    # Gathering each tuple's row of digits beats dividing every code.
+    place = base ** np.arange(k - 1, -1, -1)
+    digits = np.arange(base ** k)[:, None] // place % base
+    return digits[codes].ravel()
 
 
 def quantize(p: Pmf, precision: int) -> QuantizedModel:
@@ -191,6 +221,9 @@ class Frame:
     def __post_init__(self):
         object.__setattr__(self, "symbol_count", as_int(
             self.symbol_count, 0, None, CodingError, "symbol count"))
+        if not isinstance(self.payload, bytes):
+            raise CodingError(
+                f"payload must be bytes, not {type(self.payload).__name__}")
 
     def to_bytes(self) -> bytes:
         return write_uvarint(self.symbol_count) + self.payload
@@ -220,7 +253,7 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
     k, pad, table = model.frame_table()
     padded = np.append(sym, np.full(-sym.size % k, pad, dtype=np.int64))
-    codes = padded.reshape(-1, k) @ model.size ** np.arange(k - 1, -1, -1)
+    codes = to_tuples(padded, model.size, k)
     return Frame(int(sym.size), range_encode(codes, 0, table, CodingError)[0])
 
 
@@ -265,8 +298,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     if raw[nbytes - 1] & 0x7F:
         # the flush ends every frame with bits 16-23 of a multiple of 2^23
         raise CodingError("frame does not end in a range-coder terminator")
-    place = model.size ** np.arange(k - 1, -1, -1)
-    samples = (out[:, None] // place % model.size).ravel()
+    samples = from_tuples(out, model.size, k)
     if (samples[count:] != pad).any():
         raise CodingError(f"frame's last tuple is not padded with {pad}")
     return samples[:count], nbytes

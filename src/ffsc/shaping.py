@@ -4,12 +4,17 @@ conditionally-distributed symbol sequence, exactly invertibly.
 ``shape`` runs the range *decoder* over the input bits against the
 model row that the side sequence picks at each position — the same
 trick as bits-back coding: uniform bits in, model-distributed symbols
-out.  Unshaping is a plain re-encode of the symbols keyed by the same
-side samples: ``deshape_raw`` returns the re-encoded bytes and their
-settled bit count, and ``check_unshaped`` checks them against the
-payload length ``m``, whose bits are the first ``m`` of those bytes.
+out.  It works k samples at a time, on the channel's k-th extension
+(``coder.QuantizedModel.extension``): each k side samples are one
+side tuple, which picks a row of the extension, and each decoded
+symbol is a tuple of k samples, so a shaped block is a whole number
+of tuples.  Unshaping is a plain re-encode of the tuples keyed by the
+same side tuples: ``deshape_raw`` returns the re-encoded bytes and
+their settled bit count, and ``check_unshaped`` checks them against
+the payload length ``m``, whose bits are the first ``m`` of those
+bytes.
 
-Shaping stops at the first symbol after which all ``m`` payload bits
+Shaping stops at the first tuple after which all ``m`` payload bits
 are settled, and the decoder's shift count alone tells when that is.
 By prefix duality (see ``_kernels``), re-encoding the symbols decoded
 so far writes one byte per shift, and the payload's bytes are final
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import as_symbols
-from .coder import QuantizedModel, range_encode
+from .coder import QuantizedModel, from_tuples, range_encode, to_tuples
 from .errors import ShapingError
 
 __all__ = [
@@ -63,12 +68,14 @@ def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
 
 def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     """Turn bits, a 1-D array of 0s and 1s, into symbols distributed per
-    cm's rows, keyed by side.
+    cm's rows, keyed by side, k samples at a time (``cm.extension``).
 
     Returns (symbols, consumed_side_count); the two counts are equal —
-    each emitted symbol consumes exactly one side sample.  Raises
+    each emitted tuple of k symbols consumes one side tuple of k
+    samples, so both are k times the tuples shaped.  Raises
     ShapingError on bits that are not 1-D 0s and 1s, on a side that is
-    not cm's row indices, or if the side runs out before the bits settle.
+    not cm's row indices, or if the side's whole tuples run out before
+    the bits settle.
     """
     # packbits would read any nonzero value as a 1, without a word.
     bits = as_symbols(bits, 2, ShapingError, "bits")
@@ -76,27 +83,31 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     m = bits.size
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
+    k, ext = cm.extension()
 
     # The shaper reads four stream bytes, then one per shift, and stops
-    # after the symbol whose renormalisation takes the shift count past
+    # after the tuple whose renormalisation takes the shift count past
     # ceil(m/8); that renormalisation shifts at most ceil(q/8) <= 3
     # bytes, so it reads at most 4 + ceil(m/8) + 3 <= m//8 + 8 bytes.
     stream = _padded_stream(bits.astype(np.uint8, copy=False), m // 8 + 8)
-    sym_cap = max(256, 2 * m + 64)
+    # The buffer holds max(256, 2m + 64) samples, k to a tuple.
+    cap = -(-max(256, 2 * m + 64) // k)
+    side_tuples = side_arr.size // k
     while True:
-        out_sym = np.empty(sym_cap, dtype=np.int64)
-        # The kernel reads at most sym_cap samples; the fallback copies all.
-        nsym, status = _kernels.shape_kernel(
-            stream, m, side_arr[:sym_cap], cm.cum, cm.slots, cm.precision,
-            out_sym)
+        out = np.zeros(cap, dtype=np.int64)
+        # Only the side tuples the buffer can use are built.
+        given = to_tuples(side_arr[:k * min(cap, side_tuples)], len(cm.freq),
+                          k)
+        ntup, status = _kernels.shape_kernel(
+            stream, m, given, ext.cum, ext.slots, cm.precision, out)
         if status == _kernels.OK:
-            return out_sym[:nsym].copy(), int(nsym)
-        if status == _kernels.NEED_MORE_SYM and sym_cap < side_arr.size:
-            sym_cap *= 2
+            return from_tuples(out[:ntup], cm.size, k), k * int(ntup)
+        if status == _kernels.NEED_MORE_SYM and cap < side_tuples:
+            cap *= 2
             continue
         if status == _kernels.NEED_MORE_SYM:
             raise ShapingError(
-                f"side provider exhausted after {nsym} symbols "
+                f"side provider exhausted after {k * ntup} symbols "
                 f"({side_arr.size} available)"
             )
         if status == _kernels.ERR_RANGE:
@@ -105,18 +116,27 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
 
 
 def deshape_raw(xhat, x, cm: QuantizedModel) -> tuple[bytes, int]:
-    """Re-encode (xhat, x) and return (all flushed bytes, settled bit count).
+    """Re-encode (xhat, x), k samples at a time as ``shape`` made them,
+    and return (all flushed bytes, settled bit count).
 
     The first `settled` bits are exactly the bits shape() consumed.  The
     caller learns the payload length m from those bytes (the codec parses
     a frame out of them), checks it with ``check_unshaped``, and takes
-    the payload as their first m bits.
+    the payload as their first m bits.  Raises ShapingError unless xhat
+    and x are one length, a whole number of cm's k-sample tuples.
     """
     sym = as_symbols(xhat, cm.size, ShapingError, "xhat")
     rows = as_symbols(x, len(cm.freq), ShapingError, "x")
     if sym.size != rows.size:
         raise ShapingError("xhat and x must be of equal length")
-    data, settled = range_encode(sym, rows, cm, ShapingError)
+    k, ext = cm.extension()
+    if sym.size % k:
+        raise ShapingError(
+            f"shaped blocks are whole {k}-sample tuples, and {sym.size} "
+            f"samples are not")
+    data, settled = range_encode(to_tuples(sym, cm.size, k),
+                                 to_tuples(rows, len(cm.freq), k), ext,
+                                 ShapingError)
     return data, 8 * settled
 
 

@@ -294,7 +294,7 @@ SCALAR_TABLE = {
     "FeedforwardOracle.reveal_range": (
         lambda a, b: _emitted(4).reveal_range(a, b), (1, 3),
         (_int(-1, 4), _int(0, 5))),
-    "Frame": (lambda k: Frame(k, b""), (0,), (_int(-1),)),
+    "Frame": (Frame, (3, b""), (_int(-1), ("ab",))),
     "Pmf": (Pmf, ([0.5, 0.5],), (PMF_BAD,)),
     "Pmf.uniform": (Pmf.uniform, (2,), (_int(1, 2**16 + 1),)),
     "QuantizedModel": (lambda q: QuantizedModel([32768, 32768], q), (16,),

@@ -61,8 +61,9 @@ def run_pair(cfg, src):
 
 def table_arrays(tables):
     """Every array of a quantized() pair: each model's freq/cum/slots,
-    and those of the table its frames code with."""
-    return [getattr(t, name) for m in tables for t in (m, m.frame_table()[2])
+    and those of its k-th extension, which frames and the shaper code
+    with."""
+    return [getattr(t, name) for m in tables for t in (m, m.extension()[1])
             for name in ("freq", "cum", "slots")]
 
 
@@ -308,9 +309,9 @@ def test_header_magic_and_version_checked():
     oracle = FeedforwardOracle(src[src.size - res.n:])
     with pytest.raises(StreamFormatError):
         decode(corrupt(res.bitstream, 0, 0x00), oracle, cfg)
-    # v1 carried the seed and v2 coded frames a sample at a time; both
-    # are refused too
-    for version in (99, 1, 2):
+    # v1 carried the seed, v2 coded frames a sample at a time and v3
+    # shaped a sample at a time; all are refused too
+    for version in (99, 1, 2, 3):
         with pytest.raises(StreamFormatError,
                            match=f"unsupported stream version {version}"):
             decode(corrupt(res.bitstream, 4, version), oracle, cfg)
@@ -495,11 +496,11 @@ def test_final_frame_longer_than_the_oracle_is_refused_before_decoding(
 
 @pytest.mark.parametrize("size, rows, seed, digest", [
     (2, None, 7,
-     "a6086f4ccf46e4284ad328c1c09fc8e50834f898372a50259c5b622460bfb0fc"),
+     "41a7a791709d950201d4aa171652228c804a0923f67ca0662ae9900c68a52f4a"),
     (2, None, 8,
-     "6f47953307474cf4dce484cb475c258dbffd3467ae2b779385c986b1f4903379"),
+     "99264a5c4695bf758d7eae2d376e7a4b0d703304b8eda3d96e01aa6fb64fe622"),
     (3, [[0.8, 0.15, 0.05], [0.05, 0.8, 0.15], [0.15, 0.05, 0.8]], 9,
-     "f8094e6d86da99723005db032bde2328c938a7971b9de9c2fd2da7f657f9cdbc"),
+     "d198483b07c0a4d15721c5f39dbad69d3d80b26cb68dd8cf4af7454955d89590"),
 ])
 def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
     """Small fixed configurations encode to recorded bytes, so a change

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import math
 import time
 
 import numpy as np
@@ -271,6 +274,72 @@ def test_frame_whose_pad_is_not_the_pad_symbol_is_refused():
     # the same payload declared as 3 samples pads its tuple with a 1
     with pytest.raises(CodingError, match="padded"):
         decode_frame_prefix(Frame(3, f.payload).to_bytes(), m, 3)
+
+
+# ---------------------------------------------------------------------------
+# one k-th extension builder for every model
+
+
+def extension_k(rows, size, precision):
+    """The rule: the largest k with max(rows, size)^k <= 16 and
+    size^k <= 2^(q-8), or 1 if there is none."""
+    return max([1] + [k for k in range(2, 5)
+                      if max(rows, size) ** k <= 16
+                      and size ** k <= 2 ** (precision - 8)])
+
+
+def random_rows(rows, size, precision, salt=0):
+    """A model of `rows` random rows, each with as many nonzero
+    frequencies as the precision allows, at random places."""
+    total = 1 << precision
+    rng = np.random.default_rng([rows, size, precision, salt])
+    support = min(size, total)
+    freq = np.zeros((rows, size), dtype=np.int64)
+    for row in freq:
+        row[:support] = 1 + rng.multinomial(
+            total - support, rng.dirichlet(np.ones(support)))
+        rng.shuffle(row)
+    return QuantizedModel(freq, precision)
+
+
+def extension_by_loop(m, k):
+    """The k-th extension tuple by tuple: each row the product of the
+    model's quantized rows, rounded by ``quantize``."""
+    n_rows, size = m.freq.shape
+    total = 1 << m.precision
+    table = []
+    for xs in itertools.product(range(n_rows), repeat=k):
+        probs = [math.prod(m.freq[x, s] / total for x, s in zip(xs, ss))
+                 for ss in itertools.product(range(size), repeat=k)]
+        table.append(quantize(Pmf(probs), m.precision).freq[0])
+    return np.array(table)
+
+
+@pytest.mark.parametrize("precision", [4, 8, 10, 11, 12, 16, 24])
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 16, 17])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 16, 17])
+def test_extension_follows_the_rule(rows, size, precision):
+    m = random_rows(rows, size, precision)
+    k, ext = m.extension()
+    assert k == extension_k(rows, size, precision)
+    assert ext.freq.shape == (rows ** k, size ** k)
+    assert ext.precision == precision
+    assert np.array_equal(ext.freq, extension_by_loop(m, k))
+    assert m.extension()[1] is ext
+    if rows == 1:
+        assert m.frame_table() == (k, int(np.argmax(m.freq[0])), ext)
+
+
+def test_one_row_extension_is_the_stream_v3_frame_table():
+    """k and the table of every one-row model below are those that
+    stream v3's frame-only builder made, recorded as a digest."""
+    h = hashlib.sha256()
+    for size in range(2, 18):
+        for precision in (4, 8, 10, 11, 12, 16, 24):
+            k, ext = random_rows(1, size, precision, salt=1).extension()
+            h.update(bytes([k]) + ext.freq.astype("<u4").tobytes())
+    assert h.hexdigest() == (
+        "fd65fc7b1772613b651b4a75863a86172c09c48b8f93b1baf6b669fefed663fa")
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 7, 1001])

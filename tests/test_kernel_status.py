@@ -81,7 +81,8 @@ def test_shape_retries_need_more_sym_with_a_doubled_buffer(monkeypatch):
     calls = stub(monkeypatch, kernel,
                  [(0, _kernels.NEED_MORE_SYM), (2, _kernels.OK)])
     symbols, used = run()
-    assert used == 2 and symbols.size == 2
+    # two tuples of the BSC's k = 4 samples
+    assert used == 8 and symbols.size == 8
     first, second = (len(args[-1]) for args in calls)
     assert second == 2 * first
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ffsc import _kernels
-from ffsc.coder import QuantizedModel, quantize
+from ffsc.coder import QuantizedModel, from_tuples, quantize
 from ffsc.errors import CodingError
 from ffsc.model import Pmf
 from ffsc.shaping import PAD_PATTERN, shape
@@ -309,8 +309,8 @@ def test_shape_kernel_status_contract():
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 1000, 8000])
 def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     """Shaping against a single row is the frame decoder run over the
-    padded bits: its symbols are decode_kernel's first symbols on the
-    same stream."""
+    padded bits: its samples are those of decode_kernel's first tuples
+    on the same stream, decoded with the frames' tuple table."""
     model = quantize(Pmf(np.array(freq) / sum(freq)), 16)
     rng = np.random.default_rng(m)
     bits = rng.integers(0, 2, m).astype(np.uint8)
@@ -320,11 +320,12 @@ def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     nbytes = m // 8 + 8
     stream = np.packbits(np.concatenate([bits,
                                          np.resize(pad, 8 * nbytes - m)]))
-    out = np.empty(nsym, dtype=np.int64)
-    _, status = _kernels.decode_kernel(stream, nsym, model.cum[0],
-                                       model.slots[0], 16, out)
+    k, _, table = model.frame_table()
+    out = np.empty(nsym // k, dtype=np.int64)
+    _, status = _kernels.decode_kernel(stream, out.size, table.cum[0],
+                                       table.slots[0], 16, out)
     assert status == _kernels.OK
-    assert np.array_equal(out, symbols)
+    assert np.array_equal(from_tuples(out, model.size, k), symbols)
 
 
 SLOT_PRECISIONS = [2, 7, 8, 9, 12, 16, 24]

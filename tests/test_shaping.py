@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ffsc.coder import quantize_channel
+from ffsc import _kernels
+from ffsc.coder import QuantizedModel, quantize_channel
 from ffsc.errors import ShapingError
 from ffsc.model import (
     Pmf, TestChannel, conditional_entropy, is_strongly_typical,
@@ -308,22 +309,148 @@ def test_constant_payloads_round_trip(m, precision):
 @pytest.mark.parametrize("precision", [4, 16, 24])
 def test_shape_stops_at_the_shortest_settling_prefix(precision):
     """The symbols shape() returns settle all m bits when re-encoded,
-    and the same symbols less the last one do not.  Round trips cannot
-    see a shaper that stops late, since the extra symbols carry pad,
-    which unshaping accepts."""
+    and the same symbols less the last k-sample tuple do not.  Round
+    trips cannot see a shaper that stops late, since the extra tuples
+    carry pad, which unshaping accepts."""
     rng = np.random.default_rng(precision)
     for rows in ([[0.89, 0.11], [0.11, 0.89]],
                  [[0.99, 0.01], [0.01, 0.99]],
                  rng.dirichlet(np.ones(3), size=3).tolist()):
         cm = quantize_channel(TestChannel(rows), precision)
+        k = cm.extension()[0]
         for m in [*range(1, 40), 64, 65, 1000, 1003, 8001]:
             side = rng.integers(0, len(rows), 40 * m + 512).astype(np.int64)
             for bits in (rng.integers(0, 2, size=m), [0] * m, [1] * m):
                 xhat, used = shape(np.asarray(bits, np.uint8), side, cm)
                 _, settled = deshape_raw(xhat, side[:used], cm)
                 assert settled >= m
-                _, settled = deshape_raw(xhat[:-1], side[:used - 1], cm)
+                _, settled = deshape_raw(xhat[:-k], side[:used - k], cm)
                 assert settled < m
+
+
+# ---------------------------------------------------------------------------
+# k-sample tuples
+
+
+def rotations(row):
+    return [row[-i:] + row[:-i] for i in range(len(row))]
+
+
+# (channel rows, precision, the k of its extension)
+TUPLE_CHANNELS = [
+    ([[0.89, 0.11], [0.11, 0.89]], 16, 4),
+    ([[0.89, 0.11], [0.11, 0.89]], 11, 3),
+    ([[0.89, 0.11], [0.11, 0.89]], 10, 2),
+    ([[0.89, 0.11], [0.11, 0.89]], 8, 1),
+    (rotations([0.8, 0.15, 0.05]), 16, 2),
+    (rotations([0.7, 0.15, 0.1, 0.05]), 16, 2),
+    (rotations([0.6, 0.2, 0.1, 0.06, 0.04]), 16, 1),
+    ([[0.8, 0.05, 0.15], [0.05, 0.8, 0.15]], 16, 2),  # erasure output
+]
+
+
+@pytest.mark.parametrize("rows, precision, k", TUPLE_CHANNELS)
+def test_tuple_shaping_round_trips_every_remainder(rows, precision, k):
+    """Every m mod 8k, short and long, on a side that ends mid-tuple:
+    the block is whole tuples, and it unshapes to the bits."""
+    cm = quantize_channel(TestChannel(rows), precision)
+    assert cm.extension()[0] == k
+    rng = np.random.default_rng([precision, len(rows), k])
+    for m in [*range(1, 8 * k + 1), *range(1000, 1000 + 8 * k)]:
+        bits = rng.integers(0, 2, m).astype(np.uint8)
+        side = rng.integers(0, len(rows), 8 * m + 513).astype(np.int64)
+        xhat, used = shape(bits, side, cm)
+        assert xhat.size == used and used % k == 0
+        assert np.array_equal(unshape(xhat, side[:used], cm, m), bits)
+
+
+@pytest.mark.parametrize("rows, precision, k", TUPLE_CHANNELS)
+def test_deshape_refuses_a_block_of_part_tuples(rows, precision, k):
+    cm = quantize_channel(TestChannel(rows), precision)
+    rng = np.random.default_rng(k)
+    side = rng.integers(0, len(rows), 4000).astype(np.int64)
+    xhat, used = shape(rng.integers(0, 2, 500), side, cm)
+    for cut in range(1, k):
+        with pytest.raises(ShapingError, match=f"whole {k}-sample tuples"):
+            deshape_raw(xhat[:-cut], side[:used - cut], cm)
+    with pytest.raises(ShapingError, match="exhausted"):
+        shape(rng.integers(0, 2, 500), side[:k - 1], cm)
+
+
+def test_deshape_rejects_an_impossible_pair_in_a_tuple():
+    asym = quantize_channel(TestChannel([[1.0, 0.0], [0.5, 0.5]]), 16)
+    k = asym.extension()[0]
+    x = np.zeros(k, dtype=np.int64)
+    deshape_raw(np.zeros(k, dtype=np.int64), x, asym)
+    with pytest.raises(ShapingError, match="zero model frequency"):
+        deshape_raw(np.eye(1, k, k - 1, dtype=np.int64)[0], x, asym)
+
+
+def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
+    """shape_kernel decodes used/4 tuples, and the deshape re-encode
+    codes used/4 tuples."""
+    seen = []
+    shape_kernel = _kernels.shape_kernel
+    encode_kernel = _kernels.encode_kernel
+
+    def shape_spy(*args):
+        nsym, status = shape_kernel(*args)
+        seen.append(("shape", nsym, status))
+        return nsym, status
+
+    def encode_spy(codes, *args):
+        seen.append(("encode", len(codes)))
+        return encode_kernel(codes, *args)
+
+    monkeypatch.setattr(_kernels, "shape_kernel", shape_spy)
+    monkeypatch.setattr(_kernels, "encode_kernel", encode_spy)
+    rng = np.random.default_rng(44)
+    for m in (1, 100, 3000):
+        bits, side = random_case(rng, m)
+        seen.clear()
+        xhat, used = shape(bits, side, BSC11)
+        assert seen[-1] == ("shape", used // 4, _kernels.OK)
+        assert all(status == _kernels.NEED_MORE_SYM
+                   for _, _, status in seen[:-1])
+        seen.clear()
+        assert np.array_equal(unshape(xhat, side[:used], BSC11, m), bits)
+        assert seen == [("encode", used // 4)]
+
+
+def extension_cost(cm):
+    """Bits per sample that coding with cm's extension costs over the
+    exact products of its rows, for the worst row (the KL divergence)."""
+    k, ext = cm.extension()
+    total = 1 << cm.precision
+    exact = cm.freq / total
+    for _ in range(k - 1):
+        exact = np.kron(exact, cm.freq / total)
+    coded = ext.freq / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(exact > 0, exact * np.log2(exact / coded), 0.0)
+    return terms.sum(axis=1).max() / k
+
+
+def test_extension_rounding_costs_under_a_millionth_of_a_bit():
+    cm = quantize_channel(TestChannel.bsc(0.11), 16)
+    assert cm.extension()[0] == 4
+    assert 0 < extension_cost(cm) < 1e-6
+
+
+@pytest.mark.parametrize("freq, precision", [
+    ([15, 1], 4), ([63, 1], 6), ([248, 8], 8)])
+def test_low_precision_shaping_keeps_single_samples(freq, precision):
+    """At a precision too low to round the tuples finely, shaping runs
+    sample by sample, so each sample still carries only its row's
+    entropy: with k = 4 at q = 4 every tuple would get at least one
+    unit of 16, and the samples would carry far more."""
+    cm = QuantizedModel([freq, freq[::-1]], precision)
+    assert cm.extension()[0] == 1
+    p = np.array(freq) / sum(freq)
+    entropy = -(p * np.log2(p)).sum()
+    bits, side = random_case(np.random.default_rng(precision), 4000, 40)
+    _, used = shape(bits, side, cm)
+    assert used >= 0.95 * bits.size / entropy
 
 
 def first_pad_mismatch_by_loop(data, m_bits, settled_bits):
