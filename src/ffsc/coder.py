@@ -7,15 +7,19 @@ p(xhat|x) one row per source symbol x.
 Both the frames and the shaper (see ``shaping``) code samples k at a
 time, as symbols of the model's k-th extension: the memoryless source
 of k-sample tuples, whose rows are the products of the model's rows
-(``QuantizedModel.extension``).  k is the largest value with
-max(rows, size)^k <= 16 and size^k <= 2^(precision - 8): at precisions
-from 12 up, 4 for a one-row binary marginal and the BSC, 2 for ternary
-and 4-ary ones, 1 from 5 symbols or rows up.  The second bound keeps
-the unit that rounding must give each tuple within 1/256 of the total
-in all; without it a skewed row at a low precision would code every
-tuple alike.  A tuple is indexed in base size (base rows for a tuple
-of row indices), its first sample the most significant digit, as
-coding the samples one by one would order them.
+(``QuantizedModel.extension``).  One rule gives k for every table: the
+largest value with (rows * size)^k <= 256 cells and size^k <=
+2^(precision - 8).  At precisions from 16 up, a one-row frame table
+gets k = 8 on a binary marginal, 5 on a ternary one, 4 on a 4-ary one,
+3 on 5 or 6 symbols and 2 on 7 to 16 (1 from 17 up); a square test
+channel gets k = 4 on the BSC, 2 on ternary and 4-ary channels and 1
+from 5 symbols up, and the binary source's 2 x 3 erasure channel gets
+k = 3.  The second bound keeps the unit that rounding must give each
+tuple within 1/256 of the total in all; without it a skewed row at a
+low precision would code every tuple alike.  A tuple is indexed in
+base size (base rows for a tuple of row indices), its first sample the
+most significant digit, as coding the samples one by one would order
+them.
 
 A ``Frame`` is a varint sample count n followed by a byte-aligned
 payload, which codes the samples as ceil(n/k) symbols of row 0 of the
@@ -25,9 +29,9 @@ decoder requires.  By the coder's deterministic flush (see
 ``_kernels``), the decoder recomputes the payload length from the
 sample count, so frames are self-delimiting without a separate length
 field, and both truncation and trailing garbage are detectable.
-Tuple frames came with stream version 3 and tuple shaping with
-version 4 (``codec.STREAM_VERSION``); earlier versions coded one
-sample per symbol, and are refused.
+Tuple frames came with stream version 3, tuple shaping with version 4
+and the cell cap with version 5 (``codec.STREAM_VERSION``); streams of
+earlier versions are refused.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ __all__ = [
     "model_digest",
 ]
 
-# An extension has at most this many rows and this many symbols.
-_MAX_TUPLES = 16
+# An extension has at most this many cells, rows times symbols.
+_MAX_CELLS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +121,7 @@ class QuantizedModel:
             rows, size = self.freq.shape
             total = 1 << self.precision
             k = 1
-            while (1 < max(rows, size) ** (k + 1) <= _MAX_TUPLES
+            while (1 < (rows * size) ** (k + 1) <= _MAX_CELLS
                    and size ** (k + 1) <= total >> 8):
                 k += 1
             p = self.freq / total  # exact: dyadic rationals

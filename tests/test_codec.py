@@ -9,6 +9,7 @@ from ffsc import _kernels
 from ffsc.codec import (
     HEADER_LEN,
     MAGIC,
+    STREAM_VERSION,
     CodecConfig,
     FeedforwardOracle,
     _pack_header,
@@ -309,9 +310,10 @@ def test_header_magic_and_version_checked():
     oracle = FeedforwardOracle(src[src.size - res.n:])
     with pytest.raises(StreamFormatError):
         decode(corrupt(res.bitstream, 0, 0x00), oracle, cfg)
-    # v1 carried the seed, v2 coded frames a sample at a time and v3
-    # shaped a sample at a time; all are refused too
-    for version in (99, 1, 2, 3):
+    # v1 carried the seed, v2 coded frames a sample at a time, v3
+    # shaped a sample at a time and v4 capped frame tuples at 16
+    # symbols; all are refused too
+    for version in (99, 1, 2, 3, 4):
         with pytest.raises(StreamFormatError,
                            match=f"unsupported stream version {version}"):
             decode(corrupt(res.bitstream, 4, version), oracle, cfg)
@@ -494,26 +496,46 @@ def test_final_frame_longer_than_the_oracle_is_refused_before_decoding(
         decode(res.bitstream, short, cfg)
 
 
+def recorded_stream(size, rows, seed):
+    """The stream of a small fixed configuration: a uniform source with
+    the BSC(0.11) (`rows` None) or the channel `rows`."""
+    channel = (TestChannel.bsc(0.11) if rows is None
+               else TestChannel(rows))
+    cfg = CodecConfig(prior=Pmf.uniform(size), channel=channel,
+                      distortion=DistortionMatrix.hamming(size),
+                      min_block=256, passes=3, seed=seed)
+    return encode(uniform_source(seed, 6000, size), cfg).bitstream
+
+
 @pytest.mark.parametrize("size, rows, seed, digest", [
     (2, None, 7,
-     "41a7a791709d950201d4aa171652228c804a0923f67ca0662ae9900c68a52f4a"),
+     "3db7a8d53a06f61c86eddb419d3bc042eb59117a2042ab60fc80dd01a3e515d6"),
     (2, None, 8,
-     "99264a5c4695bf758d7eae2d376e7a4b0d703304b8eda3d96e01aa6fb64fe622"),
+     "8d83d7b67f4ce9c3d81bd15578524cc249235292de44faf9745575a09f12a1c9"),
     (3, [[0.8, 0.15, 0.05], [0.05, 0.8, 0.15], [0.15, 0.05, 0.8]], 9,
-     "d198483b07c0a4d15721c5f39dbad69d3d80b26cb68dd8cf4af7454955d89590"),
+     "01a8666e84fb2d04a4d6ae28a6d5797eacd91b789bfa171ef0803c787c3cddde"),
 ])
 def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
     """Small fixed configurations encode to recorded bytes, so a change
     to any layer that moves the wire format fails here.  The ternary
     channel is given by fixed rows, not solved for, so that the
     solver's floating point cannot move the digest."""
-    channel = (TestChannel.bsc(0.11) if rows is None
-               else TestChannel(rows))
-    cfg = CodecConfig(prior=Pmf.uniform(size), channel=channel,
-                      distortion=DistortionMatrix.hamming(size),
-                      min_block=256, passes=3, seed=seed)
-    res = encode(uniform_source(seed, 6000, size), cfg)
-    assert hashlib.sha256(res.bitstream).hexdigest() == digest
+    stream = recorded_stream(size, rows, seed)
+    assert hashlib.sha256(stream).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (7, "41a7a791709d950201d4aa171652228c804a0923f67ca0662ae9900c68a52f4a"),
+    (8, "99264a5c4695bf758d7eae2d376e7a4b0d703304b8eda3d96e01aa6fb64fe622"),
+])
+def test_binary_streams_are_stream_v4_but_for_the_version(seed, digest):
+    """A uniform binary marginal's tuples code to the bytes of its
+    samples at any k, and the BSC keeps k = 4, so the binary streams
+    are stream v4's recorded bytes with the version byte raised."""
+    stream = recorded_stream(2, None, seed)
+    assert stream[4] == STREAM_VERSION == 5
+    v4 = stream[:4] + bytes([4]) + stream[5:]
+    assert hashlib.sha256(v4).hexdigest() == digest
 
 
 def test_stream_layout_header_then_single_frame():

@@ -26,6 +26,7 @@ from ffsc.errors import (
     TruncatedFrameError,
 )
 from ffsc.model import Pmf, TestChannel
+from testlib import extension_cost
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,21 @@ def test_quantized_model_validates_total():
             QuantizedModel(freq, precision)
     with pytest.raises(QuantizationError):
         quantize(Pmf.uniform(2), 16.5)
+
+
+@pytest.mark.parametrize("size, dtype, ext_dtype", [
+    (2, np.int8, np.int16),  # the frames' table has 256 tuples
+    (127, np.int8, np.int8),
+    (128, np.int16, np.int16),
+    (300, np.int16, np.int16),
+])
+def test_slot_tables_are_the_smallest_signed_type(size, dtype, ext_dtype):
+    """A slot holds a symbol index, in the smallest signed type that
+    holds every index of its table."""
+    m = quantize(Pmf.uniform(size), 16)
+    ext = m.extension()[1]
+    assert (m.slots.dtype, ext.slots.dtype) == (dtype, ext_dtype)
+    assert not m.slots.flags.writeable and not ext.slots.flags.writeable
 
 
 def test_model_digest_changes_with_tables():
@@ -181,19 +197,19 @@ def test_compress_rejects_out_of_range():
 
 
 def frame_k(size, precision):
-    """The rule: the largest k with size^k <= 16 and size^k <= 2^(q-8)."""
-    return max(k for k in range(1, 5)
-               if size ** k <= min(16, 2 ** (precision - 8)) or k == 1)
+    """The rule: the largest k with size^k <= 256 and size^k <= 2^(q-8)."""
+    return max(k for k in range(1, 9)
+               if size ** k <= min(256, 2 ** (precision - 8)) or k == 1)
 
 
 @pytest.mark.parametrize("probs, precision, k", [
-    ([0.89, 0.11], 16, 4),
+    ([0.89, 0.11], 16, 8),
     ([0.89, 0.11], 11, 3),
     ([0.89, 0.11], 10, 2),
     ([0.89, 0.11], 8, 1),
-    ([0.5, 0.3, 0.2], 16, 2),
-    ([0.4, 0.3, 0.2, 0.1], 24, 2),
-    ([0.3, 0.3, 0.2, 0.1, 0.1], 16, 1),
+    ([0.5, 0.3, 0.2], 16, 5),
+    ([0.4, 0.3, 0.2, 0.1], 24, 4),
+    ([0.3, 0.3, 0.2, 0.1, 0.1], 16, 3),
 ])
 def test_tuple_frames_round_trip_every_remainder(probs, precision, k):
     m = quantize(Pmf(probs), precision)
@@ -247,17 +263,34 @@ def test_uniform_binary_tuples_code_to_the_bytes_of_single_samples():
     binary row is the one its samples narrow to one by one."""
     m = quantize(Pmf.uniform(2), 16)
     rng = np.random.default_rng(8)
-    for n in range(33):  # every remainder at every phase of a byte
+    for n in range(65):  # every remainder at every phase of a byte
         symbols = rng.integers(0, 2, n)
         assert compress(symbols, m).payload == range_encode(
             symbols, 0, m, CodingError)[0]
 
 
+@pytest.mark.parametrize("probs, k, bound", [
+    ([0.89, 0.11], 8, 1e-3),   # 8.2e-5 bit/sample
+    ([0.97, 0.03], 8, 1e-3),   # 4.2e-4
+    ([0.99, 0.01], 8, 1e-3),   # 5.7e-4, 0.70% of the entropy
+    ([1 / 3] * 3, 5, 2e-6),    # 4.0e-7
+    ([1 / 4] * 4, 4, 2e-6),    # 0: the product rows are exact
+    (np.arange(1, 17) / 136, 2, 2e-6),  # 1.6e-6
+])
+def test_frame_rounding_costs_little_at_q16(probs, k, bound):
+    """What rounding the frames' tuple table costs over the exact
+    products of the marginal, in bits per sample."""
+    m = quantize(Pmf(probs), 16)
+    assert m.frame_table()[0] == k
+    assert extension_cost(m) < bound
+
+
 def test_tuple_frames_skip_a_zero_frequency_symbol_0():
     m = QuantizedModel(np.array([0, 40000, 25536]), 16)
     k, pad, table = m.frame_table()
-    assert (k, pad) == (2, 1)
-    assert table.freq[0][[0, 1, 2, 3, 6]].tolist() == [0] * 5  # a digit 0
+    assert (k, pad) == (5, 1)
+    digits = np.arange(3 ** 5)[:, None] // 3 ** np.arange(5) % 3
+    assert (table.freq[0] == 0).tolist() == (digits == 0).any(1).tolist()
     symbols = np.array([2, 1, 1, 2, 2])
     raw = compress(symbols, m).to_bytes()
     assert np.array_equal(decode_frame_prefix(raw, m, 5)[0], symbols)
@@ -267,13 +300,13 @@ def test_tuple_frames_skip_a_zero_frequency_symbol_0():
 
 def test_frame_whose_pad_is_not_the_pad_symbol_is_refused():
     m = quantize(Pmf([0.5, 0.5]), 16)
-    assert m.frame_table()[:2] == (4, 0)
-    f = compress(np.array([0, 1, 1, 1]), m)
-    out, _ = decode_frame_prefix(f.to_bytes(), m, 4)
-    assert out.tolist() == [0, 1, 1, 1]
-    # the same payload declared as 3 samples pads its tuple with a 1
+    assert m.frame_table()[:2] == (8, 0)
+    f = compress(np.array([0, 1, 1, 1, 0, 0, 0, 1]), m)
+    out, _ = decode_frame_prefix(f.to_bytes(), m, 8)
+    assert out.tolist() == [0, 1, 1, 1, 0, 0, 0, 1]
+    # the same payload declared as 7 samples pads its tuple with a 1
     with pytest.raises(CodingError, match="padded"):
-        decode_frame_prefix(Frame(3, f.payload).to_bytes(), m, 3)
+        decode_frame_prefix(Frame(7, f.payload).to_bytes(), m, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +314,10 @@ def test_frame_whose_pad_is_not_the_pad_symbol_is_refused():
 
 
 def extension_k(rows, size, precision):
-    """The rule: the largest k with max(rows, size)^k <= 16 and
+    """The rule: the largest k with (rows * size)^k <= 256 cells and
     size^k <= 2^(q-8), or 1 if there is none."""
-    return max([1] + [k for k in range(2, 5)
-                      if max(rows, size) ** k <= 16
+    return max([1] + [k for k in range(2, 9)
+                      if (rows * size) ** k <= 256
                       and size ** k <= 2 ** (precision - 8)])
 
 
@@ -330,21 +363,34 @@ def test_extension_follows_the_rule(rows, size, precision):
         assert m.frame_table() == (k, int(np.argmax(m.freq[0])), ext)
 
 
-def test_one_row_extension_is_the_stream_v3_frame_table():
+def test_one_row_extension_is_the_stream_v5_frame_table():
     """k and the table of every one-row model below are those that
-    stream v3's frame-only builder made, recorded as a digest."""
+    stream v5's frames code, recorded as a digest."""
     h = hashlib.sha256()
     for size in range(2, 18):
         for precision in (4, 8, 10, 11, 12, 16, 24):
             k, ext = random_rows(1, size, precision, salt=1).extension()
             h.update(bytes([k]) + ext.freq.astype("<u4").tobytes())
     assert h.hexdigest() == (
-        "fd65fc7b1772613b651b4a75863a86172c09c48b8f93b1baf6b669fefed663fa")
+        "70f8b9baadeabc00553cbf831481be3f7d66ba5584be8f6a4302cf1556188cb5")
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 7, 1001])
-def test_binary_frames_take_one_kernel_step_per_four_samples(monkeypatch, n):
-    m = quantize(Pmf([0.89, 0.11]), 16)
+def test_square_tables_keep_the_stream_v4_k():
+    """With as many rows as symbols, (rows * size)^k <= 256 is stream
+    v4's max(rows, size)^k <= 16, so a test channel's extension, and
+    with it every shaped block, is as in stream v4."""
+    for size in range(2, 18):
+        for precision in (4, 8, 10, 11, 12, 16, 24):
+            v4 = max([1] + [k for k in range(2, 5) if size ** k <= 16
+                            and size ** k <= 2 ** (precision - 8)])
+            m = random_rows(size, size, precision)
+            assert m.extension()[0] == v4, (size, precision)
+
+
+def kernel_steps(monkeypatch, precision, n):
+    """The kernel calls, with their symbol counts, that a binary frame
+    of n samples at `precision` makes to encode and then to decode."""
+    m = quantize(Pmf([0.89, 0.11]), precision)
     seen = []
     encode_kernel = _kernels.encode_kernel
     decode_kernel = _kernels.decode_kernel
@@ -363,7 +409,23 @@ def test_binary_frames_take_one_kernel_step_per_four_samples(monkeypatch, n):
     raw = compress(symbols, m).to_bytes()
     out, _ = decode_frame_prefix(raw, m, n)
     assert np.array_equal(out, symbols)
-    assert seen == [("encode", -(-n // 4)), ("decode", -(-n // 4))]
+    return seen
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 1001])
+def test_binary_frames_take_one_kernel_step_per_four_samples(monkeypatch, n):
+    """At q = 12 the precision bound, 2^k <= 2^(12 - 8), holds k at 4."""
+    steps = -(-n // 4)
+    assert kernel_steps(monkeypatch, 12, n) == [("encode", steps),
+                                                ("decode", steps)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 15, 1001])
+def test_binary_frames_take_one_kernel_step_per_eight_samples(monkeypatch, n):
+    """At q = 16 the cell cap, 2^k <= 256, sets k to 8."""
+    steps = -(-n // 8)
+    assert kernel_steps(monkeypatch, 16, n) == [("encode", steps),
+                                                ("decode", steps)]
 
 
 # ---------------------------------------------------------------------------

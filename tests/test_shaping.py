@@ -10,7 +10,7 @@ from ffsc.model import (
     Pmf, TestChannel, conditional_entropy, is_strongly_typical,
 )
 from ffsc.shaping import PAD_PATTERN, deshape_raw, pad_mismatch, shape
-from testlib import unshape
+from testlib import extension_cost, unshape
 
 BSC11 = quantize_channel(TestChannel.bsc(0.11), 16)
 UNIFORM_ROWS = quantize_channel(
@@ -345,7 +345,7 @@ TUPLE_CHANNELS = [
     (rotations([0.8, 0.15, 0.05]), 16, 2),
     (rotations([0.7, 0.15, 0.1, 0.05]), 16, 2),
     (rotations([0.6, 0.2, 0.1, 0.06, 0.04]), 16, 1),
-    ([[0.8, 0.05, 0.15], [0.05, 0.8, 0.15]], 16, 2),  # erasure output
+    ([[0.8, 0.05, 0.15], [0.05, 0.8, 0.15]], 16, 3),  # erasure output
 ]
 
 
@@ -415,20 +415,6 @@ def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
         seen.clear()
         assert np.array_equal(unshape(xhat, side[:used], BSC11, m), bits)
         assert seen == [("encode", used // 4)]
-
-
-def extension_cost(cm):
-    """Bits per sample that coding with cm's extension costs over the
-    exact products of its rows, for the worst row (the KL divergence)."""
-    k, ext = cm.extension()
-    total = 1 << cm.precision
-    exact = cm.freq / total
-    for _ in range(k - 1):
-        exact = np.kron(exact, cm.freq / total)
-    coded = ext.freq / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(exact > 0, exact * np.log2(exact / coded), 0.0)
-    return terms.sum(axis=1).max() / k
 
 
 def test_extension_rounding_costs_under_a_millionth_of_a_bit():

@@ -19,3 +19,17 @@ def unshape(xhat, x, cm, m: int) -> np.ndarray:
     data, settled = deshape_raw(xhat, x, cm)
     check_unshaped(data, settled, m)
     return np.unpackbits(np.frombuffer(data, np.uint8), count=m)
+
+
+def extension_cost(cm) -> float:
+    """Bits per sample that coding with cm's extension costs over the
+    exact products of its rows, for the worst row (the KL divergence)."""
+    k, ext = cm.extension()
+    total = 1 << cm.precision
+    exact = cm.freq / total
+    for _ in range(k - 1):
+        exact = np.kron(exact, cm.freq / total)
+    coded = ext.freq / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(exact > 0, exact * np.log2(exact / coded), 0.0)
+    return terms.sum(axis=1).max() / k
