@@ -1,12 +1,13 @@
-"""Low-level helpers: the three boundary checks, LEB128 varints for
+"""Low-level helpers: the four boundary checks, LEB128 varints for
 the frame and header fields, and the FNV-1a hash of model tables.
 
 Every argument from outside the package passes one check for its kind,
 called with the entry point's own error type: ``as_symbols`` for symbol
-and bit arrays, ``as_int`` for integers and ``as_real`` for real
-numbers.  Symbols and bits are 1-D integer arrays below a size: the
-alphabet's, or 2 for bits, which need no container.  Bytes hold bits
-MSB-first, as ``np.packbits`` and ``np.unpackbits`` do.
+and bit arrays, ``as_int`` for integers, ``as_real`` for real numbers
+and ``as_bytes`` for byte streams.  Symbols and bits are 1-D integer
+arrays below a size: the alphabet's, or 2 for bits, which need no
+container.  Bytes hold bits MSB-first, as ``np.packbits`` and
+``np.unpackbits`` do.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "as_symbols",
     "as_int",
     "as_real",
+    "as_bytes",
     "write_uvarint",
     "read_uvarint",
     "fnv1a64",
@@ -70,6 +72,20 @@ def as_real(value, lo: float, hi: float, error: type[Exception],
         return float(value)
     raise error(f"{name} {value!r} is not a real number, or is outside "
                 f"[{lo}, {hi}]")
+
+
+def as_bytes(data, error: type[Exception], name: str) -> bytes:
+    """`data`, a 1-D buffer of single bytes (bytes, bytearray,
+    memoryview or a 1-D uint8 array), as bytes, or raise `error` about
+    argument `name`: for a str, an int, a list or any other object."""
+    stem = f"{name} must be a 1-D buffer of bytes, not {type(data).__name__}"
+    try:
+        view = memoryview(data)
+    except TypeError:  # no buffer: a str, an int, None, a list
+        raise error(stem) from None
+    if view.ndim != 1 or view.format != "B":
+        raise error(f"{stem} of {view.ndim}-D {view.format!r} items")
+    return bytes(data)
 
 
 # -- varints ---------------------------------------------------------

@@ -204,7 +204,7 @@ def _symbol_file_model(args):
     hold the model's alphabet, which would make decode write a wrong
     reconstruction."""
     _, prior, d = load_model(args.model)
-    size, most = prior.alphabet.size, _FORMAT_SYMBOLS[args.format]
+    size, most = prior.probs.size, _FORMAT_SYMBOLS[args.format]
     if size > most:
         raise ConfigError(f"--format {args.format} holds at most {most} "
                           f"symbols, but the model has {size}")

@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .bits import as_int, as_real, as_symbols
+from .bits import as_bytes, as_int, as_real, as_symbols
 from .coder import (
     QuantizedModel,
     compress,
@@ -193,7 +193,7 @@ def _sample_rows(rng: SplitMix64, model: QuantizedModel, rows: np.ndarray):
 
 
 def _crc(xhat: np.ndarray) -> int:
-    """CRC-32 of xhat as <u2 symbols (``Alphabet`` caps a size at 2^16)."""
+    """CRC-32 of xhat as <u2 symbols (``model.MAX_SYMBOLS`` bounds them)."""
     return zlib.crc32(xhat.astype("<u2").tobytes())
 
 
@@ -209,7 +209,7 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     where rho is the growth factor; the supplied buffer must cover it
     or a ShapingError("side provider exhausted") is raised.
     """
-    src = as_symbols(source, cfg.prior.alphabet.size, CodingError, "source")
+    src = as_symbols(source, cfg.prior.probs.size, CodingError, "source")
     M = cfg.min_block
     if src.size < M:
         raise CodingError(
@@ -250,6 +250,7 @@ def read_header(stream: bytes) -> tuple[int, int, int, int, int]:
     """Check a stream's length, magic and version; return its header
     fields (precision q, passes K, min_block M, model digest, CRC-32 of
     the reconstruction).  No seed: decode rebuilds the seed block."""
+    stream = as_bytes(stream, StreamFormatError, "stream")
     if len(stream) < HEADER_LEN:
         raise StreamFormatError("stream shorter than its header")
     magic, version, *fields = struct.unpack_from(_HEADER_FMT, stream)
@@ -282,6 +283,7 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
 
     The oracle is read only to deshape blocks; ``measure`` scores the
     reconstruction against the source."""
+    stream = as_bytes(stream, StreamFormatError, "stream")
     marg, cond = cfg.quantized()
     crc = _parse_header(stream, cfg, model_digest(marg, cond))
     frame_bytes = stream[HEADER_LEN:]

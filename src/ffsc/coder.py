@@ -41,9 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bits import as_int, as_symbols, fnv1a64, read_uvarint, write_uvarint
+from .bits import (as_bytes, as_int, as_symbols, fnv1a64, read_uvarint,
+                   write_uvarint)
 from .errors import CodingError, QuantizationError, TruncatedFrameError
-from .model import Pmf, TestChannel
+from .model import MAX_SYMBOLS, Pmf, TestChannel
 
 __all__ = [
     "QuantizedModel",
@@ -87,9 +88,10 @@ class QuantizedModel:
             raise QuantizationError("freq rows differ in length") from None
         if f.ndim == 1:
             f = f[None]
-        if f.ndim != 2 or not len(f):
+        if f.ndim != 2 or not len(f) or max(f.shape) > MAX_SYMBOLS:
             raise QuantizationError(
-                f"freq must be one or more rows, not shape {f.shape}")
+                f"freq must be 1 to {MAX_SYMBOLS} rows of at most "
+                f"{MAX_SYMBOLS} symbols, not shape {f.shape}")
         f = as_symbols(f.ravel(), total + 1, QuantizationError,
                        "freq").reshape(f.shape)
         sums = f.sum(axis=1)
@@ -205,7 +207,8 @@ def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
 
 
 def model_digest(marginal: QuantizedModel, channel: QuantizedModel) -> int:
-    """64-bit fingerprint of the quantized tables (FNV-1a)."""
+    """64-bit fingerprint of the quantized tables (FNV-1a).  The symbol
+    and row counts take 2 bytes each, which ``model.MAX_SYMBOLS`` bounds."""
     return fnv1a64(b"".join([
         marginal.precision.to_bytes(1, "little"),
         marginal.size.to_bytes(2, "little"),
@@ -225,9 +228,8 @@ class Frame:
     def __post_init__(self):
         object.__setattr__(self, "symbol_count", as_int(
             self.symbol_count, 0, None, CodingError, "symbol count"))
-        if not isinstance(self.payload, bytes):
-            raise CodingError(
-                f"payload must be bytes, not {type(self.payload).__name__}")
+        object.__setattr__(self, "payload", as_bytes(
+            self.payload, CodingError, "payload"))
 
     def to_bytes(self) -> bytes:
         return write_uvarint(self.symbol_count) + self.payload
@@ -278,7 +280,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     tuple is not padded with ``frame_table``'s pad.
     """
     limit = as_int(limit, 0, None, CodingError, "limit")
-    raw = bytes(data)
+    raw = as_bytes(data, CodingError, "data")
     count, off = read_uvarint(raw)
     if count > limit:
         raise CodingError(

@@ -153,7 +153,7 @@ def _run_trial(cfg: CodecConfig, trial: int) -> tuple[TrialRow, list[str]]:
     seed = cfg.seed + trial
     cfg_t = replace(cfg, seed=seed)
     source = uniform_source(seed ^ _SOURCE_SEED_SALT, _trial_source_len(cfg_t),
-                            cfg_t.prior.alphabet.size)
+                            cfg_t.prior.probs.size)
     enc = encode(source, cfg_t)
     coded = source[source.size - enc.n:]
     oracle = FeedforwardOracle(coded)
@@ -222,20 +222,12 @@ def run_codec_experiment(spec: ExperimentSpec) -> Report:
     for label, reducer in (("mean", np.mean), ("std", np.std)):
         summary[label] = {c: float(reducer(col(c))) for c in _SUMMARY_COLUMNS}
 
-    mean_rate = summary["mean"]["rate"]
-    mean_dist = summary["mean"]["distortion"]
-    if spec.rate_bounds:
-        lo, hi = spec.rate_bounds
-        if not lo <= mean_rate <= hi:
-            violations.append(
-                f"mean rate {mean_rate:.6f} outside [{lo}, {hi}]"
-            )
-    if spec.distortion_bounds:
-        lo, hi = spec.distortion_bounds
-        if not lo <= mean_dist <= hi:
-            violations.append(
-                f"mean distortion {mean_dist:.6f} outside [{lo}, {hi}]"
-            )
+    for column, bounds in (("rate", spec.rate_bounds),
+                           ("distortion", spec.distortion_bounds)):
+        mean = summary["mean"][column]
+        if bounds and not bounds[0] <= mean <= bounds[1]:
+            violations.append(f"mean {column} {mean:.6f} outside "
+                              f"[{bounds[0]}, {bounds[1]}]")
 
     return Report(spec.name, rows, summary, violations)
 

@@ -18,6 +18,7 @@ from .bits import as_int, as_real, as_symbols
 from .errors import ModelError
 
 __all__ = [
+    "MAX_SYMBOLS",
     "Alphabet",
     "Pmf",
     "TestChannel",
@@ -35,12 +36,18 @@ __all__ = [
 
 _LOG2 = np.log(2.0)
 
+# The most symbols, and the most rows, of any table: the model digest
+# writes both counts in 2 bytes (``coder.model_digest``), which also
+# keeps every symbol within the CRC's <u2 (``codec._crc``).
+MAX_SYMBOLS = 2**16 - 1
+
 
 def _prob_table(values, ndim: int, name: str, pmf: bool = True) -> np.ndarray:
     """A read-only float64 copy of `values`, a non-empty array of rank
     `ndim` with finite entries >= 0.  With `pmf`, its rows (along the
-    last axis) are pmfs: entries at most 1, summing to 1 within 1e-12.
-    Raises ModelError otherwise."""
+    last axis) are pmfs: entries at most 1, summing to 1 within 1e-12,
+    and every axis holds 2 to ``MAX_SYMBOLS`` entries.  Raises
+    ModelError otherwise."""
     stem = f"{name} must be a non-empty {ndim}-D array of real numbers"
     try:
         a = np.asarray(values)
@@ -48,6 +55,9 @@ def _prob_table(values, ndim: int, name: str, pmf: bool = True) -> np.ndarray:
         raise ModelError(f"{stem}, not a ragged sequence") from None
     if a.ndim != ndim or a.dtype.kind not in "iuf" or not a.size:
         raise ModelError(f"{stem}, not a {a.dtype} array of shape {a.shape}")
+    if pmf and not all(2 <= n <= MAX_SYMBOLS for n in a.shape):
+        raise ModelError(f"{name} axes must hold 2 to {MAX_SYMBOLS} "
+                         f"entries, not shape {a.shape}")
     p = np.array(a, dtype=np.float64)  # the copy
     hi = 1.0 if pmf else np.inf
     if not (np.isfinite(p) & (0 <= p) & (p <= hi)).all():  # NaN fails all
@@ -62,13 +72,14 @@ def _prob_table(values, ndim: int, name: str, pmf: bool = True) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Alphabet:
-    """A finite symbol set {0, 1, ..., size-1}, with 2 <= size <= 2^16."""
+    """A finite symbol set {0, 1, ..., size-1}, with 2 <= size <=
+    ``MAX_SYMBOLS``."""
 
     size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "size", as_int(self.size, 2, 2**16,
-                                                ModelError, "alphabet size"))
+        object.__setattr__(self, "size", as_int(
+            self.size, 2, MAX_SYMBOLS, ModelError, "alphabet size"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +97,7 @@ class Pmf:
 
     @classmethod
     def uniform(cls, size: int) -> "Pmf":
-        size = Alphabet(size).size
+        size = as_int(size, 2, MAX_SYMBOLS, ModelError, "alphabet size")
         return cls(np.full(size, 1.0 / size))
 
 
@@ -99,14 +110,9 @@ class TestChannel:
     __test__ = False  # keep pytest from collecting this as a test class
 
     rows: np.ndarray
-    input_alphabet: Alphabet = field(init=False)
-    output_alphabet: Alphabet = field(init=False)
 
     def __post_init__(self):
-        w = _prob_table(self.rows, 2, "channel")
-        object.__setattr__(self, "rows", w)
-        object.__setattr__(self, "input_alphabet", Alphabet(w.shape[0]))
-        object.__setattr__(self, "output_alphabet", Alphabet(w.shape[1]))
+        object.__setattr__(self, "rows", _prob_table(self.rows, 2, "channel"))
 
     @classmethod
     def bsc(cls, crossover: float) -> "TestChannel":
@@ -133,14 +139,15 @@ class DistortionMatrix:
 
     @classmethod
     def hamming(cls, size: int) -> "DistortionMatrix":
-        return cls(1.0 - np.eye(Alphabet(size).size))
+        size = as_int(size, 2, MAX_SYMBOLS, ModelError, "alphabet size")
+        return cls(1.0 - np.eye(size))
 
 
 def _check_match(prior: Pmf, ch: TestChannel):
-    if prior.alphabet.size != ch.input_alphabet.size:
+    if prior.probs.size != len(ch.rows):
         raise ModelError(
-            f"prior alphabet {prior.alphabet.size} != channel input "
-            f"{ch.input_alphabet.size}"
+            f"prior alphabet {prior.probs.size} != channel input "
+            f"{len(ch.rows)}"
         )
 
 
@@ -199,7 +206,7 @@ def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
     raises ModelError rather than counting as atypical, as does a delta
     that is not a real number in [0, 1]."""
     delta = as_real(delta, 0, 1, ModelError, "delta")
-    size = p.alphabet.size
+    size = p.probs.size
     seq = as_symbols(seq, size, ModelError, "sequence")
     counts = np.bincount(seq, minlength=size).astype(np.float64)
     if np.any(counts[p.probs == 0] > 0):
@@ -455,7 +462,8 @@ def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
         name = str(doc.get("name", ref))
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model file {ref!r}: {exc}") from exc
-    size = as_int(size, 2, 2**16, ModelError, f"model {name!r}: alphabet_size")
+    size = as_int(size, 2, MAX_SYMBOLS, ModelError,
+                  f"model {name!r}: alphabet_size")
     prior, d = Pmf(probs), DistortionMatrix(dist)
     if prior.probs.shape != (size,) or d.entries.shape != (size, size):
         raise ModelError(

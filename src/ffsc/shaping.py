@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .bits import as_symbols
+from .bits import as_bytes, as_symbols
 from .coder import QuantizedModel, from_tuples, range_encode, to_tuples
 from .errors import ShapingError
 
@@ -57,6 +57,7 @@ def _padded_stream(bits: np.ndarray, nbytes: int) -> np.ndarray:
 def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
     """Index of the first bit in [m_bits, settled_bits) of data that
     differs from the pad pattern started at m_bits, or None."""
+    data = as_bytes(data, ShapingError, "data")
     if settled_bits <= m_bits:
         return None
     start = m_bits - m_bits % 8

@@ -1,8 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 every exported name has a caller in the package itself, every submodule
 is imported by the package, and every export that takes a symbol array,
-an integer, a real number or a pmf or distortion table refuses a
-malformed one with a package error."""
+a byte stream, an integer, a real number or a pmf or distortion table
+refuses a malformed one with a package error."""
 
 import ast
 import importlib
@@ -43,7 +43,9 @@ from ffsc import (
     quantize_channel,
     shape,
 )
+from ffsc.codec import read_header
 from ffsc.experiments import ExperimentSpec, uniform_source
+from ffsc.shaping import check_unshaped, pad_mismatch
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(ffsc.__path__))
 
@@ -217,6 +219,50 @@ def test_malformed_symbol_array_raises_a_package_error(name, arg, label):
         call(*args)
 
 
+# -- malformed byte streams ------------------------------------------------
+
+UNSHAPED, SETTLED = deshape_raw(XHAT, SIDE[:USED], CHANNEL)
+
+# call that takes a byte stream: its well-formed stream.  pad_mismatch
+# takes the path that returns before reading a bit.
+BYTE_STREAM_TABLE = {
+    "decode": (lambda b: decode(b, FeedforwardOracle(CODED), CFG),
+               ENC.bitstream),
+    "read_header": (read_header, ENC.bitstream),
+    "decode_frame_prefix": (lambda b: decode_frame_prefix(b, MODEL, BITS.size),
+                            compress(BITS, MODEL).to_bytes()),
+    "pad_mismatch": (lambda b: pad_mismatch(b, 8, 8), UNSHAPED),
+    "check_unshaped": (lambda b: check_unshaped(b, SETTLED, BITS.size),
+                       UNSHAPED),
+    "Frame": (lambda b: Frame(3, b), b"\x01\x02"),
+}
+
+
+def _byte_variants(good):
+    """Malformed byte streams: none is a 1-D buffer of single bytes,
+    though the int, the list and both arrays convert to bytes."""
+    as_array = np.frombuffer(good, dtype=np.uint8)
+    return {"str": "x" * 40, "int": 5, "None": None, "list": list(good),
+            "2-D": as_array[None, :], "int64": as_array.astype(np.int64)}
+
+
+@pytest.mark.parametrize("name", BYTE_STREAM_TABLE)
+def test_every_byte_buffer_is_accepted(name):
+    call, good = BYTE_STREAM_TABLE[name]
+    for buffer in (good, bytearray(good), memoryview(good),
+                   np.frombuffer(good, dtype=np.uint8)):
+        call(buffer)
+
+
+@pytest.mark.parametrize("name, label", [
+    (name, label) for name, (_, good) in BYTE_STREAM_TABLE.items()
+    for label in _byte_variants(good)])
+def test_malformed_byte_stream_raises_a_package_error(name, label):
+    call, good = BYTE_STREAM_TABLE[name]
+    with pytest.raises(FfscError):
+        call(_byte_variants(good)[label])
+
+
 def test_constructors_keep_a_copy_of_the_callers_array():
     """A write into the caller's array after construction reaches none
     of the object's tables, and the caller's array stays writable."""
@@ -276,7 +322,7 @@ DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
 # export or method: (call, its well-formed arguments, each one's malformed
 # values).  The last two are exported by their submodule only.
 SCALAR_TABLE = {
-    "Alphabet": (Alphabet, (2,), (_int(1, 2**16 + 1),)),
+    "Alphabet": (Alphabet, (2,), (_int(1, 2**16, 2**16 + 1),)),
     "CodecConfig": (
         lambda m, k, q, seed, delta: CodecConfig(
             prior=CFG.prior, channel=CFG.channel, distortion=CFG.distortion,
@@ -286,7 +332,7 @@ SCALAR_TABLE = {
     "DistortionMatrix": (DistortionMatrix, ([[0, 1], [1, 0]],),
                          (DISTORTION_BAD,)),
     "DistortionMatrix.hamming": (DistortionMatrix.hamming, (2,),
-                                 (_int(1, 2**16 + 1),)),
+                                 (_int(1, 2**16, 2**16 + 1),)),
     "ErasurePattern": (ErasurePattern, ([1, 3],), ((5, None, ["a"], [0]),)),
     "ErasurePattern.of": (ErasurePattern.of, (2,), (_int(0),)),
     "FeedforwardOracle.emit": (lambda k: _emitted(0).emit(k), (3,),
@@ -296,7 +342,7 @@ SCALAR_TABLE = {
         (_int(-1, 4), _int(0, 5))),
     "Frame": (Frame, (3, b""), (_int(-1), ("ab",))),
     "Pmf": (Pmf, ([0.5, 0.5],), (PMF_BAD,)),
-    "Pmf.uniform": (Pmf.uniform, (2,), (_int(1, 2**16 + 1),)),
+    "Pmf.uniform": (Pmf.uniform, (2,), (_int(1, 2**16, 2**16 + 1),)),
     "QuantizedModel": (lambda q: QuantizedModel([32768, 32768], q), (16,),
                        (_int(1, 25),)),
     "SplitMix64": (SplitMix64, (1,), (_int(),)),
@@ -359,6 +405,43 @@ def test_malformed_scalar_raises_a_package_error(name, arg, value):
     args[arg] = value
     with pytest.raises(FfscError):
         call(*args)
+
+
+# -- the alphabet-size limit -----------------------------------------------
+
+
+def _quantized(rows, size):
+    """Uniform-ish rows at the least precision that gives every symbol a
+    unit; symbol 0 takes the spare units."""
+    precision = max(2, (size - 1).bit_length())
+    freq = np.ones((rows, size), dtype=np.int64)
+    freq[:, 0] += (1 << precision) - size
+    return QuantizedModel(freq, precision)
+
+
+# table: (rows, symbols) -> the table, whose shape bounds both.
+SIZED_TABLES = {
+    "Pmf": lambda rows, size: Pmf(np.full(size, 1.0 / size)),
+    "TestChannel": lambda rows, size: TestChannel(
+        np.full((rows, size), 1.0 / size)),
+    "QuantizedModel": _quantized,
+}
+
+
+@pytest.mark.parametrize("name, axis", [
+    ("Pmf", 1), ("TestChannel", 0), ("TestChannel", 1),
+    ("QuantizedModel", 0), ("QuantizedModel", 1)])
+def test_tables_hold_at_most_65535_symbols_and_rows(name, axis):
+    """A stream counts symbols and rows in 2 bytes (model_digest), so a
+    table of 65 535 is built and one of 65 536 refused, not left to
+    overflow when it is coded."""
+    build = SIZED_TABLES[name]
+    shape = [1 if name == "Pmf" else 2, 2]
+    shape[axis] = 2**16 - 1
+    build(*shape)
+    shape[axis] = 2**16
+    with pytest.raises(FfscError):
+        build(*shape)
 
 
 def test_numpy_integers_are_stored_as_python_ints():

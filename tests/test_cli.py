@@ -231,6 +231,17 @@ def _model_fractional_alphabet_size(tmp_path, coded_dir):
     return ("rd", "--model", tmp_path / "bad.json"), "alphabet_size 2.7"
 
 
+def _model_alphabet_past_the_streams_limit(tmp_path, coded_dir):
+    """The size itself is refused, before the tables: a stream counts
+    symbols in 2 bytes."""
+    (tmp_path / "bad.json").write_text(json.dumps({
+        "alphabet_size": 2**16, "probs": [0.5, 0.5],
+        "distortion": [[0, 1], [1, 0]],
+    }))
+    return (("rd", "--model", tmp_path / "bad.json"),
+            "alphabet_size 65536 is not an integer in [2, 65535]")
+
+
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
@@ -342,7 +353,8 @@ def _missing_bitstream(tmp_path, coded_dir):
 
 @pytest.mark.parametrize("case", [
     _ascii_symbol_x, _grid_without_count, _model_not_json, _model_not_utf8,
-    _model_fractional_alphabet_size, _model_nested_too_deeply, _zero_trials,
+    _model_fractional_alphabet_size, _model_alphabet_past_the_streams_limit,
+    _model_nested_too_deeply, _zero_trials,
     _sidecar_not_an_object, _sidecar_nested_too_deeply, _negative_offset,
     _missing_bitstream, _source_outside_alphabet, _duality_message_012,
     _duality_message_abc, _duality_erasures_a_b, _passes_2000, _passes_100,
