@@ -80,10 +80,10 @@ _CODEC_DEFAULTS = {f.name: f.default for f in fields(CodecConfig)}
 _CODEC_FLAGS = ("min_block", "passes", "seed", "precision")
 
 
-def _config_args(p: argparse.ArgumentParser, *names: str):
-    """A flag per named CodecConfig field.  An unset flag stays off the
-    namespace, so CodecConfig's own default applies."""
-    for name in names:
+def _config_args(p: argparse.ArgumentParser):
+    """A flag per CodecConfig field in _CODEC_FLAGS.  An unset flag stays
+    off the namespace, so CodecConfig's own default applies."""
+    for name in _CODEC_FLAGS:
         default = _CODEC_DEFAULTS[name]
         p.add_argument("--" + name.replace("_", "-"), type=type(default),
                        default=argparse.SUPPRESS,
@@ -101,7 +101,7 @@ def _experiment_args(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _config_args(p, *_CODEC_FLAGS)
+    _config_args(p)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bytes", "ascii"), default="bytes")
     _target_d_arg(p)
-    _config_args(p, *_CODEC_FLAGS, "delta")
+    _config_args(p)
 
     p = sub.add_parser("decode", help="reconstruct from a bitstream")
     p.add_argument("--model", default="binary_hamming")

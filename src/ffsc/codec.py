@@ -18,7 +18,6 @@ seed block, which is never deshaped, is never read.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -26,8 +25,10 @@ from itertools import islice
 
 import numpy as np
 
-from .bits import as_bytes, as_int, as_real, as_symbols
+from .bits import as_bytes, as_int, as_symbols
 from .coder import (
+    MAX_PRECISION,
+    MIN_PRECISION,
     QuantizedModel,
     compress,
     decode_frame_prefix,
@@ -69,6 +70,8 @@ STREAM_VERSION = 5
 # magic, version, q, K, M, model digest, CRC-32 of the reconstruction
 _HEADER_FMT = "<4sBBHIQI"
 HEADER_LEN = struct.calcsize(_HEADER_FMT)  # 24 bytes
+# Typicality tolerance for EncodeResult.atypical_blocks; moves no byte.
+_TYPICAL_DELTA = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +83,15 @@ class CodecConfig:
     passes: int = 5
     precision: int = 16
     seed: int = 1
-    delta: float = 0.02
 
     def __post_init__(self):
         # the header carries q in 1 byte, K in 2 and M in 4
         for name, lo, hi in (("min_block", 1, 2**32 - 1),
-                             ("passes", 1, 2**16 - 1), ("precision", 2, 24),
+                             ("passes", 1, 2**16 - 1),
+                             ("precision", MIN_PRECISION, MAX_PRECISION),
                              ("seed", None, None)):
             object.__setattr__(self, name, as_int(getattr(self, name), lo, hi,
                                                   ConfigError, name))
-        # the open interval (0, 1)
-        object.__setattr__(self, "delta", as_real(
-            self.delta, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0),
-            ConfigError, "delta"))
         if self.distortion.entries.shape != self.channel.rows.shape:
             raise ConfigError("distortion matrix shape must match the channel")
         growth_factor(self.prior, self.channel)  # rejects degenerate channels
@@ -203,7 +202,7 @@ def _pack_header(cfg: CodecConfig, digest: int, crc: int) -> bytes:
 
 
 def encode(source, cfg: CodecConfig) -> EncodeResult:
-    """Compress a source prefix; consumes a data-dependent n samples.
+    """Compress the last n samples of source, where n is data-dependent.
 
     The amount consumed is roughly min_block * (rho^K - 1)/(rho - 1)
     where rho is the growth factor; the supplied buffer must cover it
@@ -228,7 +227,7 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
         edges.append(edges[-1] + consumed)
         frame = compress(symbols, marg)
     atypical = [k for k in range(1, len(edges)) if not is_strongly_typical(
-        rev[edges[k - 1]:edges[k]], cfg.prior, cfg.delta)]
+        rev[edges[k - 1]:edges[k]], cfg.prior, _TYPICAL_DELTA)]
 
     xhat = np.concatenate(blocks)[::-1].copy()
     header = _pack_header(cfg, model_digest(marg, cond), _crc(xhat))
@@ -371,11 +370,12 @@ def measure(x, result: DecodeResult, d: DistortionMatrix) -> MeasureReport:
     answers: how far is this run from the best possible rate for what
     it actually delivered?
     """
-    size = d.entries.shape[0]
+    size, cols = d.entries.shape
     x = as_symbols(x, size, ConfigError, "source")
-    if x.size != result.xhat.size:
+    xhat = as_symbols(result.xhat, cols, ConfigError, "reconstruction")
+    if x.size != xhat.size:
         raise ConfigError("source length does not match the reconstruction")
-    per_sample = d.entries[x, result.xhat]
+    per_sample = d.entries[x, xhat]
     mean_d = float(per_sample.mean()) if x.size else 0.0
     counts = np.bincount(x, minlength=size).astype(np.float64)
     prior = Pmf(counts / max(x.size, 1))

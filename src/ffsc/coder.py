@@ -47,6 +47,8 @@ from .errors import CodingError, QuantizationError, TruncatedFrameError
 from .model import MAX_SYMBOLS, Pmf, TestChannel
 
 __all__ = [
+    "MIN_PRECISION",
+    "MAX_PRECISION",
     "QuantizedModel",
     "Frame",
     "quantize",
@@ -56,6 +58,9 @@ __all__ = [
     "model_digest",
 ]
 
+# Bounds of a table's precision q: at q = 2 a binary row can first be skewed
+# (1 and 3 of 4), and the kernels' range stays >= 2^24, so range >> q >= 1.
+MIN_PRECISION, MAX_PRECISION = 2, 24
 # An extension has at most this many cells, rows times symbols.
 _MAX_CELLS = 256
 
@@ -79,7 +84,8 @@ class QuantizedModel:
     slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q = as_int(self.precision, 2, 24, QuantizationError, "precision")
+        q = as_int(self.precision, MIN_PRECISION, MAX_PRECISION,
+                   QuantizationError, "precision")
         object.__setattr__(self, "precision", q)
         total = 1 << q
         try:
@@ -166,7 +172,8 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     Positive-probability symbols are guaranteed frequency >= 1, taking
     units from the largest entries if rounding starved any of them.
     """
-    total = 1 << as_int(precision, 2, 24, QuantizationError, "precision")
+    total = 1 << as_int(precision, MIN_PRECISION, MAX_PRECISION,
+                        QuantizationError, "precision")
     return QuantizedModel(_round(p.probs, total), precision)
 
 
@@ -202,7 +209,8 @@ def _round(probs: np.ndarray, total: int) -> np.ndarray:
 
 def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
     """One ``quantize``d row per input symbol of the channel."""
-    total = 1 << as_int(precision, 2, 24, QuantizationError, "precision")
+    total = 1 << as_int(precision, MIN_PRECISION, MAX_PRECISION,
+                        QuantizationError, "precision")
     return QuantizedModel([_round(row, total) for row in ch.rows], precision)
 
 

@@ -36,13 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .bits import as_bytes, as_symbols
+from .bits import as_bytes, as_int, as_symbols
 from .coder import QuantizedModel, from_tuples, range_encode, to_tuples
 from .errors import ShapingError
 
-__all__ = [
-    "PAD_PATTERN", "shape", "deshape_raw", "check_unshaped", "pad_mismatch",
-]
+__all__ = ["PAD_PATTERN", "shape", "deshape_raw", "check_unshaped"]
 
 PAD_PATTERN = b"\xb4\x5a\x1c\xe3\x8f\x26\xd9\x71"
 _PAD_BITS = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
@@ -52,19 +50,6 @@ def _padded_stream(bits: np.ndarray, nbytes: int) -> np.ndarray:
     """The bits followed by the repeating pad pattern, packed to bytes."""
     pad = np.resize(_PAD_BITS, nbytes * 8 - bits.size)
     return np.packbits(np.concatenate([bits, pad]))
-
-
-def pad_mismatch(data: bytes, m_bits: int, settled_bits: int) -> int | None:
-    """Index of the first bit in [m_bits, settled_bits) of data that
-    differs from the pad pattern started at m_bits, or None."""
-    data = as_bytes(data, ShapingError, "data")
-    if settled_bits <= m_bits:
-        return None
-    start = m_bits - m_bits % 8
-    tail = np.unpackbits(np.frombuffer(data, dtype=np.uint8)[start // 8:])
-    tail = tail[m_bits - start:settled_bits - start]
-    bad = np.flatnonzero(tail != np.resize(_PAD_BITS, tail.size))
-    return m_bits + int(bad[0]) if bad.size else None
 
 
 def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
@@ -145,15 +130,21 @@ def check_unshaped(data: bytes, settled: int, m: int):
     """Check that the first m bits of `data`, a ``deshape_raw`` output
     with `settled` settled bits, are a payload that shape() consumed
     whole: all m bits are settled, and the settled bits past them are
-    the pad.  Raises ShapingError otherwise."""
+    the pad.  Raises ShapingError otherwise, or unless `data` is a byte
+    buffer, m a count and `settled` an integer up to 8 * len(data)."""
+    data = as_bytes(data, ShapingError, "data")
+    m = as_int(m, 0, None, ShapingError, "m")
+    settled = as_int(settled, None, 8 * len(data), ShapingError, "settled")
     if settled < m:
         raise ShapingError(
             f"re-encoded sequence settles only {settled} bits, fewer than "
             f"the {m} of its payload: inconsistent inputs"
         )
-    bad = pad_mismatch(data, m, settled)
-    if bad is not None:
+    tail = np.unpackbits(np.frombuffer(data, dtype=np.uint8)[m // 8:],
+                         count=settled - m // 8 * 8)[m % 8:]
+    bad = np.flatnonzero(tail != np.resize(_PAD_BITS, tail.size))
+    if bad.size:
         raise ShapingError(
-            f"pad mismatch at bit {bad}: (xhat, x) does not deshape to "
-            f"an m={m} bit string"
+            f"pad mismatch at bit {m + int(bad[0])}: (xhat, x) does not "
+            f"deshape to an m={m} bit string"
         )

@@ -8,6 +8,7 @@ import ast
 import importlib
 import math
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from ffsc import (
 )
 from ffsc.codec import read_header
 from ffsc.experiments import ExperimentSpec, uniform_source
-from ffsc.shaping import check_unshaped, pad_mismatch
+from ffsc.shaping import PAD_PATTERN, check_unshaped
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(ffsc.__path__))
 
@@ -143,7 +144,9 @@ ERASURES = np.array([0, 2, 2, 1, 2, 0])
 # sample the decoder never reads is left alone.
 HOSTILE_TABLE = {
     "encode": (lambda x: encode(x, CFG), (SOURCE,), (2,)),
-    "measure": (lambda x: measure(x, DEC, CFG.distortion), (CODED,), (2,)),
+    "measure": (lambda x, xhat: measure(x, replace(DEC, xhat=xhat),
+                                         CFG.distortion),
+                (CODED, DEC.xhat), (2, 2)),
     "compress": (lambda s: compress(s, MODEL), (BITS,), (2,)),
     "shape": (lambda b, side: shape(b, side, CHANNEL), (BITS, SIDE), (2, 2)),
     "deshape_raw": (lambda xhat, x: deshape_raw(xhat, x, CHANNEL),
@@ -223,15 +226,13 @@ def test_malformed_symbol_array_raises_a_package_error(name, arg, label):
 
 UNSHAPED, SETTLED = deshape_raw(XHAT, SIDE[:USED], CHANNEL)
 
-# call that takes a byte stream: its well-formed stream.  pad_mismatch
-# takes the path that returns before reading a bit.
+# call that takes a byte stream: its well-formed stream.
 BYTE_STREAM_TABLE = {
     "decode": (lambda b: decode(b, FeedforwardOracle(CODED), CFG),
                ENC.bitstream),
     "read_header": (read_header, ENC.bitstream),
     "decode_frame_prefix": (lambda b: decode_frame_prefix(b, MODEL, BITS.size),
                             compress(BITS, MODEL).to_bytes()),
-    "pad_mismatch": (lambda b: pad_mismatch(b, 8, 8), UNSHAPED),
     "check_unshaped": (lambda b: check_unshaped(b, SETTLED, BITS.size),
                        UNSHAPED),
     "Frame": (lambda b: Frame(3, b), b"\x01\x02"),
@@ -320,15 +321,14 @@ DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
                   [[math.inf, 1], [1, 0]], np.zeros((0, 0)))
 
 # export or method: (call, its well-formed arguments, each one's malformed
-# values).  The last two are exported by their submodule only.
+# values).  The last three are exported by their submodule only.
 SCALAR_TABLE = {
     "Alphabet": (Alphabet, (2,), (_int(1, 2**16, 2**16 + 1),)),
     "CodecConfig": (
-        lambda m, k, q, seed, delta: CodecConfig(
+        lambda m, k, q, seed: CodecConfig(
             prior=CFG.prior, channel=CFG.channel, distortion=CFG.distortion,
-            min_block=m, passes=k, precision=q, seed=seed, delta=delta),
-        (64, 2, 16, 1, 0.02),
-        (_int(0, 2**32), _int(0, 2**16), _int(1, 25), _int(), _real(0, 1))),
+            min_block=m, passes=k, precision=q, seed=seed),
+        (64, 2, 16, 1), (_int(0, 2**32), _int(0, 2**16), _int(1, 25), _int())),
     "DistortionMatrix": (DistortionMatrix, ([[0, 1], [1, 0]],),
                          (DISTORTION_BAD,)),
     "DistortionMatrix.hamming": (DistortionMatrix.hamming, (2,),
@@ -365,6 +365,9 @@ SCALAR_TABLE = {
                        (_int(0),)),
     "uniform_source": (uniform_source, (1, 4, 3),
                        (_int(), _int(-1), _int(0, 2**32 + 1))),
+    # the pad alone: an empty payload whose 64 settled bits are the pad
+    "check_unshaped": (lambda s, m: check_unshaped(PAD_PATTERN, s, m),
+                       (64, 0), (_int(65, 1000), _int(-3))),
 }
 
 # Exports that take no integer, real number or real table: errors, records

@@ -340,7 +340,7 @@ def test_config_refuses_what_the_header_cannot_carry():
     with pytest.raises(ConfigError, match="min_block"):
         bsc_config(min_block=2**32)
     for name, value in (("min_block", 64.5), ("passes", 2.5), ("seed", 1.5),
-                        ("precision", 16.5), ("delta", "x")):
+                        ("precision", 16.5)):
         with pytest.raises(ConfigError, match=name):
             bsc_config(**{name: value})
 
@@ -555,7 +555,7 @@ def test_stream_layout_header_then_single_frame():
 
 
 def test_atypical_source_is_flagged_but_still_transported():
-    cfg = bsc_config(passes=3, min_block=2048, delta=0.02)
+    cfg = bsc_config(passes=3, min_block=2048)
     src = np.zeros(60_000, dtype=np.int64)  # wildly atypical for uniform prior
     res = encode(src, cfg)
     assert res.atypical_blocks  # at least one consumed block flagged

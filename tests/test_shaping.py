@@ -9,7 +9,7 @@ from ffsc.errors import ShapingError
 from ffsc.model import (
     Pmf, TestChannel, conditional_entropy, is_strongly_typical,
 )
-from ffsc.shaping import PAD_PATTERN, deshape_raw, pad_mismatch, shape
+from ffsc.shaping import PAD_PATTERN, check_unshaped, deshape_raw, shape
 from testlib import extension_cost, unshape
 
 BSC11 = quantize_channel(TestChannel.bsc(0.11), 16)
@@ -440,7 +440,8 @@ def test_low_precision_shaping_keeps_single_samples(freq, precision):
 
 
 def first_pad_mismatch_by_loop(data, m_bits, settled_bits):
-    """Bit-by-bit reference for pad_mismatch."""
+    """Bit-by-bit reference for the bit at which check_unshaped finds
+    the pad broken."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     pad = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
     for i in range(m_bits, settled_bits):
@@ -454,7 +455,8 @@ def first_pad_mismatch_by_loop(data, m_bits, settled_bits):
        st.integers(0, 2**31))
 def test_pad_mismatch_matches_bitwise_reference(m, tail, flip, salt):
     """m payload bits, then `tail` pad bits, with bit `flip` of the tail
-    inverted (none when flip is -1 or past the tail)."""
+    inverted (none when flip is -1 or past the tail): check_unshaped
+    raises at the reference's bit, or passes when it finds none."""
     rng = np.random.default_rng(salt)
     pad = np.tile(np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8)),
                   tail // 64 + 1)[:tail]
@@ -463,5 +465,9 @@ def test_pad_mismatch_matches_bitwise_reference(m, tail, flip, salt):
         bits[m + flip] ^= 1
     data = np.packbits(bits).tobytes()
     want = first_pad_mismatch_by_loop(data, m, m + tail)
-    assert pad_mismatch(data, m, m + tail) == want
     assert want == (m + flip if 0 <= flip < tail else None)
+    if want is None:
+        check_unshaped(data, m + tail, m)
+    else:
+        with pytest.raises(ShapingError, match=f"pad mismatch at bit {want}:"):
+            check_unshaped(data, m + tail, m)
