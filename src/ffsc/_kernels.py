@@ -34,16 +34,17 @@ literals, ``len()`` rather than ``.shape``, indexing and nothing else.
 Only the loops (and ``_carry``) are compiled; the two decoder entry
 points are plain Python on both backends.  Without numba each loop
 runs its own source as plain Python on Python ints
-(``python_encode_kernel``, ``python_decode_loop``): inputs go in as
-lists (``.tolist()``) or ``bytes``, and outputs are written through
-``memoryview``s straight into the caller's numpy buffers, so nothing is
-copied back and a large output buffer is touched only where symbols
-land.  Arithmetic on numpy scalars and element writes into numpy
-arrays cost 2-4x more per step.  The fallback is bit-identical to the
-compiled loops, and the tests check both byte for byte against a
-readable reference coder, ``tests/rangecoder.py``.  On 2 cores one
-trial of the binary benchmark (n ~ 128k, encode and decode) takes about
-0.06 s.
+(``python_encode_kernel``, ``python_decode_loop``): a table goes in as
+the nested lists that ``kernel_form`` builds once per table (see
+``coder.KernelForm``), each call's own inputs as lists or ``bytes``,
+and outputs are written through ``memoryview``s straight into the
+caller's numpy buffers, so nothing is copied back and a large output
+buffer is touched only where symbols land.  Arithmetic on numpy scalars
+and element writes into numpy arrays cost 2-4x more per step.  The
+fallback is bit-identical to the compiled loops, and the tests check
+both byte for byte against a readable reference coder,
+``tests/rangecoder.py``.  On 2 cores one trial of the binary benchmark
+(n ~ 128k, encode and decode) takes about 0.055 s.
 
 Kernels never raise: they return a status code so the compiled loops
 stay allocation-free and exception-free.  Buffers are caller-allocated
@@ -291,9 +292,9 @@ _NO_SIDE = np.frombuffer(b"", dtype=np.int64)
 
 
 def decode_kernel(data, count, cum, slots, precision, out):
-    """Decode up to `count` symbols against the 1-D table `cum` and its
-    slot table `slots` (``slot_table``); bytes past the end of `data`
-    read as 0.
+    """Decode up to `count` symbols against the one row `cum` and its
+    slot table `slots` (``slot_table``), 1-D arrays or rows of a
+    ``kernel_form``; bytes past the end of `data` read as 0.
 
     Returns (shifts, status).  A frame's payload is exactly shifts+2
     bytes, so the decoder stops with TRUNCATED as soon as shifts+2
@@ -301,9 +302,11 @@ def decode_kernel(data, count, cum, slots, precision, out):
     the terminator; the caller compares shifts+2 with the payload
     length to detect oversized frames.
     """
+    rows = ((cum[None], slots[None]) if isinstance(cum, np.ndarray)
+            else ([cum], [slots]))
     # A stop at len(data) never fires, as TRUNCATED comes first.
-    _, shifts, _ = _decode_loop(data, count, _NO_SIDE, cum[None],
-                                slots[None], precision, out, len(data))
+    _, shifts, _ = _decode_loop(data, count, _NO_SIDE, *rows, precision, out,
+                                len(data))
     return shifts, TRUNCATED if shifts + 2 > len(data) else OK
 
 
@@ -325,23 +328,30 @@ def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
     return nsym, status
 
 
+def kernel_form(cum, slots):
+    """A table's (cum rows, cum rows end to end, slot rows) as the loops
+    take them: the arrays for the compiled loops, nested lists for the
+    plain-Python ones (which take numpy tables too, at numpy speed)."""
+    if HAVE_NUMBA:
+        return cum, cum.ravel(), slots
+    return cum.tolist(), cum.ravel().tolist(), slots.tolist()
+
+
 # The loops' sources as plain Python, whether or not numba compiled them.
 _py_encode = getattr(encode_kernel, "py_func", encode_kernel)
 _py_loop = getattr(_decode_loop, "py_func", _decode_loop)
 
 
 def python_encode_kernel(codes, cum, precision, buf):
-    """encode_kernel run as plain Python on Python ints."""
-    return _py_encode(codes.tolist(), cum.tolist(), int(precision),
-                      memoryview(buf))
+    """encode_kernel run as plain Python on the table `cum` as given."""
+    return _py_encode(codes.tolist(), cum, int(precision), memoryview(buf))
 
 
 def python_decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
                        stop):
-    """_decode_loop run as plain Python on Python ints."""
-    return _py_loop(data.tobytes(), int(count), side.tolist(),
-                    cum_rows.tolist(), slot_rows.tolist(), int(precision),
-                    memoryview(out), int(stop))
+    """_decode_loop run as plain Python on the tables as given."""
+    return _py_loop(data.tobytes(), int(count), side.tolist(), cum_rows,
+                    slot_rows, int(precision), memoryview(out), int(stop))
 
 
 if not HAVE_NUMBA:  # pragma: no cover - exercised only without numba

@@ -77,7 +77,8 @@ def as_real(value, lo: float, hi: float, error: type[Exception],
 def as_bytes(data, error: type[Exception], name: str) -> bytes:
     """`data`, a 1-D buffer of single bytes (bytes, bytearray,
     memoryview or a 1-D uint8 array), as bytes, or raise `error` about
-    argument `name`: for a str, an int, a list or any other object."""
+    argument `name`: for a str, an int, a list or any other object.  A
+    bytes input is returned as the same object, not copied."""
     stem = f"{name} must be a 1-D buffer of bytes, not {type(data).__name__}"
     try:
         view = memoryview(data)
@@ -92,8 +93,7 @@ def as_bytes(data, error: type[Exception], name: str) -> bytes:
 
 def write_uvarint(value: int) -> bytes:
     """LEB128-encode a non-negative integer (7 bits per byte, LSB group first)."""
-    if value < 0:
-        raise ValueError("uvarint must be non-negative")
+    value = as_int(value, 0, None, StreamFormatError, "varint")
     out = bytearray()
     while True:
         b = value & 0x7F
@@ -108,6 +108,7 @@ def write_uvarint(value: int) -> bytes:
 def read_uvarint(data: bytes) -> tuple[int, int]:
     """Decode the LEB128 varint at the start of `data`; returns (value,
     its length in bytes)."""
+    data = as_bytes(data, StreamFormatError, "varint data")
     value = 0
     shift = 0
     pos = 0
@@ -133,6 +134,7 @@ _MASK64 = (1 << 64) - 1
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash, used to fingerprint quantized model tables."""
+    data = as_bytes(data, StreamFormatError, "hashed data")
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte

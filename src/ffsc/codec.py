@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -97,22 +98,20 @@ class CodecConfig:
         growth_factor(self.prior, self.channel)  # rejects degenerate channels
 
     def quantized(self) -> tuple[QuantizedModel, QuantizedModel]:
-        """The marginal's one-row table and the channel's, built on the
-        first call and shared by every later one (both are read-only)."""
-        tables = self.__dict__.get("_tables")
-        if tables is None:
-            tables = (quantize(self.channel.marginal(self.prior), self.precision),
-                      quantize_channel(self.channel, self.precision))
-            # setdefault is atomic, so racing threads still share one pair
-            tables = self.__dict__.setdefault("_tables", tables)
-        return tables
+        """The marginal's one-row table and the channel's (read-only),
+        shared by every config of this prior, channel and precision."""
+        return _quantized(self.prior, self.channel, self.precision)
 
-    def __getstate__(self):
-        # The tables are rebuilt on demand rather than pickled: configs
-        # travel to worker processes, which build their own.
-        state = dict(self.__dict__)
-        state.pop("_tables", None)
-        return state
+
+# Keyed by the prior and channel objects (read-only, compared by
+# identity, kept by ``replace``), so reseeded configs share one pair of
+# tables.  The cache holds its keys, so no identity is reused while
+# cached.  The bound keeps a process that codes many models from holding
+# them all: tables outlive their configs until 8 later models evict them.
+@lru_cache(maxsize=8)
+def _quantized(prior: Pmf, channel: TestChannel, precision: int):
+    return (quantize(channel.marginal(prior), precision),
+            quantize_channel(channel, precision))
 
 
 class FeedforwardOracle:

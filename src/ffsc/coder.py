@@ -7,7 +7,10 @@ p(xhat|x) one row per source symbol x.
 Both the frames and the shaper (see ``shaping``) code samples k at a
 time, as symbols of the model's k-th extension: the memoryless source
 of k-sample tuples, whose rows are the products of the model's rows
-(``QuantizedModel.extension``).  One rule gives k for every table: the
+(``QuantizedModel.extension``).  A model builds its extension once,
+with its kernel form (``KernelForm``): the extension's tables as the
+kernels take them, and the place values and digits that turn samples
+into tuple indices and back.  One rule gives k for every table: the
 largest value with (rows * size)^k <= 256 cells and size^k <=
 2^(precision - 8).  At precisions from 16 up, a one-row frame table
 gets k = 8 on a binary marginal, 5 on a ternary one, 4 on a 4-ary one,
@@ -36,6 +39,7 @@ earlier versions are refused.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +67,9 @@ __all__ = [
 MIN_PRECISION, MAX_PRECISION = 2, 24
 # An extension has at most this many cells, rows times symbols.
 _MAX_CELLS = 256
+# A model's extension as the kernels and tuple indices take it.
+KernelForm = namedtuple(
+    "KernelForm", "k pad table cum flat slots place row_place digits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +82,7 @@ class QuantizedModel:
     symbols are detected instead of silently coded).  ``freq`` (a copy
     of the caller's), ``cum`` and ``slots`` (``_kernels.slot_table``)
     are 2-D, one row per model row, built once and read-only, and so is
-    the model's k-th extension (``extension``).
+    the model's k-th extension with its kernel form (``kernel_form``).
     """
 
     freq: np.ndarray
@@ -114,18 +121,22 @@ class QuantizedModel:
     def size(self) -> int:
         return self.freq.shape[1]
 
-    def extension(self) -> tuple[int, QuantizedModel]:
-        """(k, table): `table` is the k-th extension of these rows, with
-        one row per tuple of row indices and one symbol per tuple of
-        symbols (see the module docstring).
-
-        Its rows are the products of the quantized rows, so
-        ``model_digest`` covers them, each rounded back to 2^precision
-        by ``quantize``'s rule.  Built on the first call and shared by
-        every later one.
+    def kernel_form(self) -> KernelForm:
+        """How these rows are coded: (k, pad, table, cum, flat, slots,
+        place, row_place, digits), built on the first call and shared by
+        every later one.  Samples are coded k at a time as symbols of
+        `table`, the k-th extension (see the module docstring), whose
+        rows are the products of the quantized rows, so ``model_digest``
+        covers them, each rounded back to 2^precision by ``quantize``'s
+        rule.  `cum`, `flat` (its rows end to end) and `slots` are the
+        table's in the kernels' input form (``_kernels.kernel_form``).
+        ``to_tuples`` indexes sample tuples with `place` and row tuples
+        with `row_place`; digits[c] are the samples of tuple c.  Frames
+        pad their last tuple with `pad`, row 0's most frequent symbol
+        (the lowest such index).
         """
-        table = self.__dict__.get("_extension")
-        if table is None:
+        form = self.__dict__.get("_form")
+        if form is None:
             rows, size = self.freq.shape
             total = 1 << self.precision
             k = 1
@@ -138,32 +149,36 @@ class QuantizedModel:
                 probs = np.kron(probs, p)
             ext = QuantizedModel([_round(row, total) for row in probs],
                                  self.precision)
-            # setdefault is atomic, so racing threads still share one table
-            table = self.__dict__.setdefault("_extension", (k, ext))
-        return table
+            place = size ** np.arange(k - 1, -1, -1)
+            form = KernelForm(
+                k, int(np.argmax(self.freq[0])), ext,
+                *_kernels.kernel_form(ext.cum, ext.slots), place,
+                rows ** np.arange(k - 1, -1, -1),
+                np.arange(size ** k)[:, None] // place % size)
+            # setdefault is atomic, so racing threads still share one form
+            form = self.__dict__.setdefault("_form", form)
+        return form
+
+    def extension(self) -> tuple[int, QuantizedModel]:
+        """(k, table): `table` is the k-th extension of these rows, with
+        one row per tuple of row indices and one symbol per tuple of
+        symbols (``kernel_form``)."""
+        form = self.kernel_form()
+        return form.k, form.table
 
     def frame_table(self) -> tuple[int, int, QuantizedModel]:
         """(k, pad, table): frames code row 0's samples k at a time, as
         symbols of row 0 of `table` (``extension``), and pad their last
         tuple with the symbol `pad`, row 0's most frequent."""
-        k, table = self.extension()
-        return k, int(np.argmax(self.freq[0])), table
+        return self.kernel_form()[:3]
 
 
-def to_tuples(samples: np.ndarray, base: int, k: int) -> np.ndarray:
-    """Each k consecutive samples as one tuple index, in base `base`
-    with the first sample the most significant digit; the sample count
-    is a multiple of k."""
-    return samples.reshape(-1, k) @ base ** np.arange(k - 1, -1, -1)
-
-
-def from_tuples(codes: np.ndarray, base: int, k: int) -> np.ndarray:
-    """The samples of the tuple indices `codes`, each below base^k
-    (``to_tuples`` inverted)."""
-    # Gathering each tuple's row of digits beats dividing every code.
-    place = base ** np.arange(k - 1, -1, -1)
-    digits = np.arange(base ** k)[:, None] // place % base
-    return digits[codes].ravel()
+def to_tuples(samples: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """Each k consecutive samples as one tuple index, with the place
+    values `place` of its k digits (``QuantizedModel.kernel_form``), the
+    first sample the most significant; the sample count is a multiple
+    of k."""
+    return samples.reshape(-1, place.size) @ place
 
 
 def quantize(p: Pmf, precision: int) -> QuantizedModel:
@@ -243,17 +258,18 @@ class Frame:
         return write_uvarint(self.symbol_count) + self.payload
 
 
-def range_encode(symbols: np.ndarray, rows, model: QuantizedModel,
+def range_encode(codes: np.ndarray, rows, form: KernelForm,
                  error: type[Exception]) -> tuple[bytes, int]:
-    """Range-code each symbol s against the model's row x (`rows` holds
-    the x, or is one x for all) as the flat index x * (size + 1) + s.
-    The caller checks s and x, which a flat index cannot see.  Returns
-    (all flushed bytes, settled bytes before the flush); raises `error`."""
-    bound = _kernels.encoded_bytes_bound(symbols.size, model.precision)
+    """Range-code each tuple c against row x of the form's table (`rows`
+    holds the x, or is one x for all) as the flat index
+    x * (size + 1) + c.  The caller checks c and x, which a flat index
+    cannot see.  Returns (all flushed bytes, settled bytes before the
+    flush); raises `error`."""
+    table = form.table
+    bound = _kernels.encoded_bytes_bound(codes.size, table.precision)
     buf = np.empty(bound, dtype=np.uint8)
     nbytes, settled, status = _kernels.encode_kernel(
-        rows * (model.size + 1) + symbols, model.cum.ravel(),
-        model.precision, buf)
+        rows * (table.size + 1) + codes, form.flat, table.precision, buf)
     if status == _kernels.OK:
         return buf[:nbytes].tobytes(), int(settled)
     if status == _kernels.ERR_ZERO_FREQ:
@@ -265,10 +281,11 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     """Entropy-code an i.i.d. symbol sequence into a frame against the
     model's row 0, k samples per coded tuple (``frame_table``)."""
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
-    k, pad, table = model.frame_table()
-    padded = np.append(sym, np.full(-sym.size % k, pad, dtype=np.int64))
-    codes = to_tuples(padded, model.size, k)
-    return Frame(int(sym.size), range_encode(codes, 0, table, CodingError)[0])
+    form = model.kernel_form()
+    padded = np.append(sym, np.full(-sym.size % form.k, form.pad,
+                                    dtype=np.int64))
+    codes = to_tuples(padded, form.place)
+    return Frame(int(sym.size), range_encode(codes, 0, form, CodingError)[0])
 
 
 def decode_frame_prefix(data, model: QuantizedModel,
@@ -295,11 +312,11 @@ def decode_frame_prefix(data, model: QuantizedModel,
             f"frame declares {count} samples, more than the {limit} "
             f"expected; refusing to decode"
         )
-    k, pad, table = model.frame_table()
-    out = np.empty(-(-count // k), dtype=np.int64)
+    form = model.kernel_form()
+    out = np.empty(-(-count // form.k), dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(raw, dtype=np.uint8)[off:], out.size, table.cum[0],
-        table.slots[0], model.precision, out,
+        np.frombuffer(raw, dtype=np.uint8)[off:], out.size, form.cum[0],
+        form.slots[0], model.precision, out,
     )
     nbytes = off + int(shifts) + 2
     if status == _kernels.TRUNCATED:
@@ -312,7 +329,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     if raw[nbytes - 1] & 0x7F:
         # the flush ends every frame with bits 16-23 of a multiple of 2^23
         raise CodingError("frame does not end in a range-coder terminator")
-    samples = from_tuples(out, model.size, k)
-    if (samples[count:] != pad).any():
-        raise CodingError(f"frame's last tuple is not padded with {pad}")
+    samples = form.digits[out].ravel()
+    if (samples[count:] != form.pad).any():
+        raise CodingError(f"frame's last tuple is not padded with {form.pad}")
     return samples[:count], nbytes

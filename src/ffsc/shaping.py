@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import as_bytes, as_int, as_symbols
-from .coder import QuantizedModel, from_tuples, range_encode, to_tuples
+from .coder import QuantizedModel, range_encode, to_tuples
 from .errors import ShapingError
 
 __all__ = ["PAD_PATTERN", "shape", "deshape_raw", "check_unshaped"]
@@ -69,7 +69,8 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     m = bits.size
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0
-    k, ext = cm.extension()
+    form = cm.kernel_form()
+    k = form.k
 
     # The shaper reads four stream bytes, then one per shift, and stops
     # after the tuple whose renormalisation takes the shift count past
@@ -82,12 +83,12 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     while True:
         out = np.zeros(cap, dtype=np.int64)
         # Only the side tuples the buffer can use are built.
-        given = to_tuples(side_arr[:k * min(cap, side_tuples)], len(cm.freq),
-                          k)
+        given = to_tuples(side_arr[:k * min(cap, side_tuples)],
+                          form.row_place)
         ntup, status = _kernels.shape_kernel(
-            stream, m, given, ext.cum, ext.slots, cm.precision, out)
+            stream, m, given, form.cum, form.slots, cm.precision, out)
         if status == _kernels.OK:
-            return from_tuples(out[:ntup], cm.size, k), k * int(ntup)
+            return form.digits[out[:ntup]].ravel(), k * int(ntup)
         if status == _kernels.NEED_MORE_SYM and cap < side_tuples:
             cap *= 2
             continue
@@ -115,13 +116,13 @@ def deshape_raw(xhat, x, cm: QuantizedModel) -> tuple[bytes, int]:
     rows = as_symbols(x, len(cm.freq), ShapingError, "x")
     if sym.size != rows.size:
         raise ShapingError("xhat and x must be of equal length")
-    k, ext = cm.extension()
-    if sym.size % k:
+    form = cm.kernel_form()
+    if sym.size % form.k:
         raise ShapingError(
-            f"shaped blocks are whole {k}-sample tuples, and {sym.size} "
+            f"shaped blocks are whole {form.k}-sample tuples, and {sym.size} "
             f"samples are not")
-    data, settled = range_encode(to_tuples(sym, cm.size, k),
-                                 to_tuples(rows, len(cm.freq), k), ext,
+    data, settled = range_encode(to_tuples(sym, form.place),
+                                 to_tuples(rows, form.row_place), form,
                                  ShapingError)
     return data, 8 * settled
 

@@ -44,6 +44,7 @@ from ffsc import (
     quantize_channel,
     shape,
 )
+from ffsc.bits import fnv1a64, read_uvarint, write_uvarint
 from ffsc.codec import read_header
 from ffsc.experiments import ExperimentSpec, uniform_source
 from ffsc.shaping import PAD_PATTERN, check_unshaped
@@ -236,6 +237,8 @@ BYTE_STREAM_TABLE = {
     "check_unshaped": (lambda b: check_unshaped(b, SETTLED, BITS.size),
                        UNSHAPED),
     "Frame": (lambda b: Frame(3, b), b"\x01\x02"),
+    "read_uvarint": (read_uvarint, b"\x05"),
+    "fnv1a64": (fnv1a64, b"ab"),
 }
 
 
@@ -321,7 +324,7 @@ DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
                   [[math.inf, 1], [1, 0]], np.zeros((0, 0)))
 
 # export or method: (call, its well-formed arguments, each one's malformed
-# values).  The last three are exported by their submodule only.
+# values).  The last four are exported by their submodule only.
 SCALAR_TABLE = {
     "Alphabet": (Alphabet, (2,), (_int(1, 2**16, 2**16 + 1),)),
     "CodecConfig": (
@@ -368,6 +371,7 @@ SCALAR_TABLE = {
     # the pad alone: an empty payload whose 64 settled bits are the pad
     "check_unshaped": (lambda s, m: check_unshaped(PAD_PATTERN, s, m),
                        (64, 0), (_int(65, 1000), _int(-3))),
+    "write_uvarint": (write_uvarint, (5,), (_int(-1),)),
 }
 
 # Exports that take no integer, real number or real table: errors, records

@@ -3,6 +3,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ffsc.bits import (
+    as_bytes,
     fnv1a64,
     read_uvarint,
     write_uvarint,
@@ -37,3 +38,9 @@ def test_fnv1a64_reference_values():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def test_as_bytes_returns_a_bytes_input_itself():
+    """So the frame decoder's checks of a bytes stream copy nothing."""
+    raw = b"\x05\x01"
+    assert as_bytes(raw, StreamFormatError, "data") is raw

@@ -1,11 +1,13 @@
 import hashlib
 import pickle
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ffsc import _kernels
+from ffsc import _kernels, codec
 from ffsc.codec import (
     HEADER_LEN,
     MAGIC,
@@ -69,7 +71,7 @@ def table_arrays(tables):
 
 
 # ---------------------------------------------------------------------------
-# coding tables, built once per config
+# coding tables, built once per model
 
 
 def test_quantized_returns_the_same_tables_on_every_call():
@@ -96,6 +98,62 @@ def test_replaced_config_gets_its_own_tables():
     assert marg12.precision == cond12.precision == 12
     assert marg12.cum[0][-1] == 1 << 12
     assert marg.precision == 16  # the original's tables are untouched
+
+
+def test_reseeded_config_shares_the_tables():
+    cfg = bsc_config()
+    marg, cond = cfg.quantized()
+    again = replace(cfg, seed=2, min_block=64).quantized()
+    assert again[0] is marg and again[1] is cond
+
+
+def test_equal_but_distinct_models_code_identical_bytes():
+    """Tables are shared by the identity of the prior and the channel, so
+    equal models built apart get tables of their own, and the same
+    bytes."""
+    a, b = bsc_config(min_block=256, passes=3), bsc_config(min_block=256,
+                                                           passes=3)
+    assert a.quantized()[0] is not b.quantized()[0]
+    src = uniform_source(3, 4000, 2)
+    res_a, dec_a, _ = run_pair(a, src)
+    res_b = encode(src, b)
+    assert res_a.bitstream == res_b.bitstream
+    # each decodes the other's stream: the model digests agree
+    oracle = FeedforwardOracle(src[src.size - res_a.n:])
+    assert np.array_equal(decode(res_a.bitstream, oracle, b).xhat, dec_a.xhat)
+
+
+def test_tables_displaced_from_the_cache_are_rebuilt_equal():
+    cfg = bsc_config()
+    tables = cfg.quantized()
+    for _ in range(codec._quantized.cache_info().maxsize):
+        bsc_config().quantized()  # a new prior and channel each time
+    rebuilt = cfg.quantized()
+    assert rebuilt[0] is not tables[0] and rebuilt[1] is not tables[1]
+    for a, b in zip(table_arrays(rebuilt), table_arrays(tables)):
+        assert np.array_equal(a, b)
+
+
+def test_threads_racing_to_build_tables_code_identical_bytes():
+    """Threads that race to build one fresh model's tables and kernel
+    forms each code the bytes of a serial encode."""
+    src = uniform_source(5, 4000, 2)
+    want = encode(src, bsc_config(min_block=256, passes=3)).bitstream
+    cfg = bsc_config(min_block=256, passes=3)  # nothing built for it yet
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(
+        encode(src, replace(cfg, seed=1)).bitstream)) for _ in range(6)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(threads)
 
 
 def test_pickled_config_carries_no_tables():

@@ -18,7 +18,7 @@ from ffsc.coder import (
     model_digest,
     quantize,
     quantize_channel,
-    range_encode,
+    to_tuples,
 )
 from ffsc.errors import (
     CodingError,
@@ -265,8 +265,10 @@ def test_uniform_binary_tuples_code_to_the_bytes_of_single_samples():
     rng = np.random.default_rng(8)
     for n in range(65):  # every remainder at every phase of a byte
         symbols = rng.integers(0, 2, n)
-        assert compress(symbols, m).payload == range_encode(
-            symbols, 0, m, CodingError)[0]
+        buf = np.empty(_kernels.encoded_bytes_bound(n, 16), dtype=np.uint8)
+        nbytes, _, status = _kernels.encode_kernel(symbols, m.cum[0], 16, buf)
+        assert status == _kernels.OK
+        assert compress(symbols, m).payload == buf[:nbytes].tobytes()
 
 
 @pytest.mark.parametrize("probs, k, bound", [
@@ -361,6 +363,25 @@ def test_extension_follows_the_rule(rows, size, precision):
     assert m.extension()[1] is ext
     if rows == 1:
         assert m.frame_table() == (k, int(np.argmax(m.freq[0])), ext)
+
+
+@pytest.mark.parametrize("rows, size", [(1, 3), (2, 2), (4, 4)])
+def test_kernel_form_is_built_once_in_the_kernels_input_form(rows, size):
+    m = random_rows(rows, size, 16)
+    form = m.kernel_form()
+    assert m.kernel_form() is form
+    k, table = m.extension()
+    assert (form.k, form.table) == (k, table)
+    if _kernels.HAVE_NUMBA:
+        assert form.cum is table.cum and form.slots is table.slots
+    else:
+        assert form.cum == table.cum.tolist()
+        assert form.slots == table.slots.tolist()
+    assert list(form.flat) == table.cum.ravel().tolist()
+    # digits and place values invert each other over every tuple
+    codes = np.arange(size ** k)
+    assert np.array_equal(to_tuples(form.digits[codes].ravel(), form.place),
+                          codes)
 
 
 def test_one_row_extension_is_the_stream_v5_frame_table():
