@@ -10,7 +10,7 @@ kernel guards the table index; the caller guards the alphabet, which a
 flat index cannot see (row x's symbol -1 is row x - 1's last).
 Shaping is the decoder run over payload bits, so the decoder's one
 symbol step has two entry points: ``decode_kernel`` decodes a frame's
-k-sample tuples against one table (see ``coder``), and
+k-sample tuples against row 0 of a tuple table (see ``coder``), and
 ``shape_kernel`` decodes k-sample tuples against the rows of the
 channel's k-th extension, keyed by side tuples, until the payload is
 settled (see ``shaping``).
@@ -26,8 +26,9 @@ bounded by the table's symbol count, up to 256 on a one-row tuple
 table, and only the buckets that hold a boundary scan at all.  A table
 whose every symbol spans a bucket, as the near-uniform tuple tables of
 a uniform source's marginal do, takes at most one scan step per
-symbol.  The models build their tables once (see
-``coder.QuantizedModel``) and pass them in beside ``cum``.
+symbol.  ``kernel_form`` builds a table's slot rows from its cum rows,
+once per table (see ``coder.QuantizedModel.kernel_form``), and the
+decoder takes them beside the cum rows.
 
 Each loop is written once, in a form numba can compile: plain-int
 literals, ``len()`` rather than ``.shape``, indexing and nothing else.
@@ -291,10 +292,10 @@ def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
 _NO_SIDE = np.frombuffer(b"", dtype=np.int64)
 
 
-def decode_kernel(data, count, cum, slots, precision, out):
-    """Decode up to `count` symbols against the one row `cum` and its
-    slot table `slots` (``slot_table``), 1-D arrays or rows of a
-    ``kernel_form``; bytes past the end of `data` read as 0.
+def decode_kernel(data, count, cum_rows, slot_rows, precision, out):
+    """Decode up to `count` symbols against row 0 of a table's cum rows
+    and slot rows, as ``kernel_form`` gives them; bytes past the end of
+    `data` read as 0.
 
     Returns (shifts, status).  A frame's payload is exactly shifts+2
     bytes, so the decoder stops with TRUNCATED as soon as shifts+2
@@ -302,11 +303,9 @@ def decode_kernel(data, count, cum, slots, precision, out):
     the terminator; the caller compares shifts+2 with the payload
     length to detect oversized frames.
     """
-    rows = ((cum[None], slots[None]) if isinstance(cum, np.ndarray)
-            else ([cum], [slots]))
     # A stop at len(data) never fires, as TRUNCATED comes first.
-    _, shifts, _ = _decode_loop(data, count, _NO_SIDE, *rows, precision, out,
-                                len(data))
+    _, shifts, _ = _decode_loop(data, count, _NO_SIDE, cum_rows, slot_rows,
+                                precision, out, len(data))
     return shifts, TRUNCATED if shifts + 2 > len(data) else OK
 
 
@@ -328,11 +327,15 @@ def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
     return nsym, status
 
 
-def kernel_form(cum, slots):
-    """A table's (cum rows, cum rows end to end, slot rows) as the loops
-    take them: the arrays for the compiled loops, nested lists for the
-    plain-Python ones (which take numpy tables too, at numpy speed)."""
+def kernel_form(cum, precision):
+    """The table of read-only cum rows `cum` as the loops take it: (cum
+    rows, cum rows end to end, slot rows, one ``slot_table`` per row).
+    The compiled loops take the arrays, the slot rows read-only too; the
+    plain-Python ones take nested lists (and numpy tables, at numpy
+    speed)."""
+    slots = np.stack([slot_table(row, precision) for row in cum])
     if HAVE_NUMBA:
+        slots.setflags(write=False)
         return cum, cum.ravel(), slots
     return cum.tolist(), cum.ravel().tolist(), slots.tolist()
 

@@ -91,7 +91,7 @@ def _config_args(p: argparse.ArgumentParser):
 
 
 def _target_d_arg(p: argparse.ArgumentParser):
-    p.add_argument("--target-d", "--d0", dest="target_d", type=float,
+    p.add_argument("--target-d", dest="target_d", type=float,
                    default=0.11,
                    help="distortion level; the test channel is the "
                         "solver's channel at this level")
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="binary_hamming")
     p.add_argument("--grid", default=None,
                    help="D grid as lo:hi:count (e.g. 0:0.5:11)")
-    p.add_argument("--target-d", "--d0", dest="target_d", type=float,
+    p.add_argument("--target-d", dest="target_d", type=float,
                    action="append", default=None,
                    help="single distortion level (repeatable)")
     p.add_argument("--out", default="-")

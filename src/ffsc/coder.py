@@ -6,35 +6,32 @@ p(xhat|x) one row per source symbol x.
 
 Both the frames and the shaper (see ``shaping``) code samples k at a
 time, as symbols of the model's k-th extension: the memoryless source
-of k-sample tuples, whose rows are the products of the model's rows
-(``QuantizedModel.extension``).  A model builds its extension once,
-with its kernel form (``KernelForm``): the extension's tables as the
-kernels take them, and the place values and digits that turn samples
-into tuple indices and back.  One rule gives k for every table: the
-largest value with (rows * size)^k <= 256 cells and size^k <=
-2^(precision - 8).  At precisions from 16 up, a one-row frame table
-gets k = 8 on a binary marginal, 5 on a ternary one, 4 on a 4-ary one,
-3 on 5 or 6 symbols and 2 on 7 to 16 (1 from 17 up); a square test
-channel gets k = 4 on the BSC, 2 on ternary and 4-ary channels and 1
-from 5 symbols up, and the binary source's 2 x 3 erasure channel gets
-k = 3.  The second bound keeps the unit that rounding must give each
-tuple within 1/256 of the total in all; without it a skewed row at a
-low precision would code every tuple alike.  A tuple is indexed in
-base size (base rows for a tuple of row indices), its first sample the
-most significant digit, as coding the samples one by one would order
-them.
+of k-sample tuples, whose rows are the products of the model's rows.
+A model builds its extension once, in its kernel form
+(``QuantizedModel.kernel_form``), the one coded view of its rows: the
+extension's table, its rows as the kernels take them, and the place
+values and digits that turn samples into tuple indices and back.  One
+rule gives k for every table: the largest value with (rows * size)^k
+<= 256 cells and size^k <= 2^(precision - 8).  At precisions from 16
+up, a one-row frame table gets k = 8 on a binary marginal, 5 on a
+ternary one, 4 on a 4-ary one, 3 on 5 or 6 symbols and 2 on 7 to 16
+(1 from 17 up); a square test channel gets k = 4 on the BSC, 2 on
+ternary and 4-ary channels and 1 from 5 symbols up, and the binary
+source's 2 x 3 erasure channel gets k = 3.  The second bound keeps the
+unit that rounding must give each tuple within 1/256 of the total in
+all; without it a skewed row at a low precision would code every tuple
+alike.  A tuple is indexed in base size (base rows for a tuple of row
+indices), its first sample the most significant digit, as coding the
+samples one by one would order them.
 
 A ``Frame`` is a varint sample count n followed by a byte-aligned
 payload, which codes the samples as ceil(n/k) symbols of row 0 of the
-extension (``QuantizedModel.frame_table``); the last tuple is padded
-with the row's most frequent symbol (the lowest such index), which the
-decoder requires.  By the coder's deterministic flush (see
-``_kernels``), the decoder recomputes the payload length from the
-sample count, so frames are self-delimiting without a separate length
-field, and both truncation and trailing garbage are detectable.
-Tuple frames came with stream version 3, tuple shaping with version 4
-and the cell cap with version 5 (``codec.STREAM_VERSION``); streams of
-earlier versions are refused.
+extension; the last tuple is padded with the form's ``pad``, the row's
+most frequent symbol (the lowest such index), which the decoder
+requires.  By the coder's deterministic flush (see ``_kernels``), the
+decoder recomputes the payload length from the sample count, so frames
+are self-delimiting without a separate length field, and both
+truncation and trailing garbage are detectable.
 """
 
 from __future__ import annotations
@@ -80,15 +77,14 @@ class QuantizedModel:
     Symbols whose true probability is positive always get frequency
     >= 1 (so they stay codable); true zeros stay zero (so impossible
     symbols are detected instead of silently coded).  ``freq`` (a copy
-    of the caller's), ``cum`` and ``slots`` (``_kernels.slot_table``)
-    are 2-D, one row per model row, built once and read-only, and so is
-    the model's k-th extension with its kernel form (``kernel_form``).
+    of the caller's) and ``cum`` are 2-D, one row per model row, built
+    once and read-only, and so is the kernel form of the model's k-th
+    extension (``kernel_form``), where every coded view of them lives.
     """
 
     freq: np.ndarray
     precision: int
     cum: np.ndarray = field(init=False)
-    slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         q = as_int(self.precision, MIN_PRECISION, MAX_PRECISION,
@@ -112,8 +108,7 @@ class QuantizedModel:
             raise QuantizationError(f"rows sum to {sums}, expected {total}")
         cum = np.zeros((len(f), f.shape[1] + 1), dtype=np.int64)
         np.cumsum(f, axis=1, out=cum[:, 1:])
-        slots = np.stack([_kernels.slot_table(row, q) for row in cum])
-        for name, table in (("freq", f), ("cum", cum), ("slots", slots)):
+        for name, table in (("freq", f), ("cum", cum)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -128,12 +123,13 @@ class QuantizedModel:
         `table`, the k-th extension (see the module docstring), whose
         rows are the products of the quantized rows, so ``model_digest``
         covers them, each rounded back to 2^precision by ``quantize``'s
-        rule.  `cum`, `flat` (its rows end to end) and `slots` are the
-        table's in the kernels' input form (``_kernels.kernel_form``).
-        ``to_tuples`` indexes sample tuples with `place` and row tuples
-        with `row_place`; digits[c] are the samples of tuple c.  Frames
-        pad their last tuple with `pad`, row 0's most frequent symbol
-        (the lowest such index).
+        rule.  `cum`, `flat` (its rows end to end) and `slots` (the
+        decoder's slot rows) are the table's in the kernels' input form
+        (``_kernels.kernel_form``).  ``to_tuples`` indexes sample tuples
+        with `place` and row tuples with `row_place`; digits[c] are the
+        samples of tuple c.  Frames code row 0 of `table` and pad their
+        last tuple with `pad`, row 0's most frequent symbol (the lowest
+        such index).
         """
         form = self.__dict__.get("_form")
         if form is None:
@@ -147,30 +143,16 @@ class QuantizedModel:
             probs = p
             for _ in range(k - 1):  # each later sample is a lower digit
                 probs = np.kron(probs, p)
-            ext = QuantizedModel([_round(row, total) for row in probs],
-                                 self.precision)
+            ext = _quantize_rows(probs, self.precision)
             place = size ** np.arange(k - 1, -1, -1)
             form = KernelForm(
                 k, int(np.argmax(self.freq[0])), ext,
-                *_kernels.kernel_form(ext.cum, ext.slots), place,
+                *_kernels.kernel_form(ext.cum, self.precision), place,
                 rows ** np.arange(k - 1, -1, -1),
                 np.arange(size ** k)[:, None] // place % size)
             # setdefault is atomic, so racing threads still share one form
             form = self.__dict__.setdefault("_form", form)
         return form
-
-    def extension(self) -> tuple[int, QuantizedModel]:
-        """(k, table): `table` is the k-th extension of these rows, with
-        one row per tuple of row indices and one symbol per tuple of
-        symbols (``kernel_form``)."""
-        form = self.kernel_form()
-        return form.k, form.table
-
-    def frame_table(self) -> tuple[int, int, QuantizedModel]:
-        """(k, pad, table): frames code row 0's samples k at a time, as
-        symbols of row 0 of `table` (``extension``), and pad their last
-        tuple with the symbol `pad`, row 0's most frequent."""
-        return self.kernel_form()[:3]
 
 
 def to_tuples(samples: np.ndarray, place: np.ndarray) -> np.ndarray:
@@ -187,9 +169,16 @@ def quantize(p: Pmf, precision: int) -> QuantizedModel:
     Positive-probability symbols are guaranteed frequency >= 1, taking
     units from the largest entries if rounding starved any of them.
     """
+    return _quantize_rows([p.probs], precision)
+
+
+def _quantize_rows(rows, precision) -> QuantizedModel:
+    """A model of the pmfs `rows`, each rounded by ``_round``: the one
+    way every table, a prior's, a channel's or an extension's, is
+    built from probabilities."""
     total = 1 << as_int(precision, MIN_PRECISION, MAX_PRECISION,
                         QuantizationError, "precision")
-    return QuantizedModel(_round(p.probs, total), precision)
+    return QuantizedModel([_round(row, total) for row in rows], precision)
 
 
 def _round(probs: np.ndarray, total: int) -> np.ndarray:
@@ -224,9 +213,7 @@ def _round(probs: np.ndarray, total: int) -> np.ndarray:
 
 def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
     """One ``quantize``d row per input symbol of the channel."""
-    total = 1 << as_int(precision, MIN_PRECISION, MAX_PRECISION,
-                        QuantizationError, "precision")
-    return QuantizedModel([_round(row, total) for row in ch.rows], precision)
+    return _quantize_rows(ch.rows, precision)
 
 
 def model_digest(marginal: QuantizedModel, channel: QuantizedModel) -> int:
@@ -279,7 +266,7 @@ def range_encode(codes: np.ndarray, rows, form: KernelForm,
 
 def compress(symbols, model: QuantizedModel) -> Frame:
     """Entropy-code an i.i.d. symbol sequence into a frame against the
-    model's row 0, k samples per coded tuple (``frame_table``)."""
+    model's row 0, k samples per coded tuple (``kernel_form``)."""
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
     form = model.kernel_form()
     padded = np.append(sym, np.full(-sym.size % form.k, form.pad,
@@ -302,7 +289,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     caller knows how many it can accept.  Raises TruncatedFrameError if
     `data` cannot even hold the frame it declares, and CodingError if
     the frame's last byte is not one the flush can write or its last
-    tuple is not padded with ``frame_table``'s pad.
+    tuple is not padded with the kernel form's pad.
     """
     limit = as_int(limit, 0, None, CodingError, "limit")
     raw = as_bytes(data, CodingError, "data")
@@ -315,8 +302,8 @@ def decode_frame_prefix(data, model: QuantizedModel,
     form = model.kernel_form()
     out = np.empty(-(-count // form.k), dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(raw, dtype=np.uint8)[off:], out.size, form.cum[0],
-        form.slots[0], model.precision, out,
+        np.frombuffer(raw, dtype=np.uint8)[off:], out.size, form.cum,
+        form.slots, model.precision, out,
     )
     nbytes = off + int(shifts) + 2
     if status == _kernels.TRUNCATED:

@@ -69,6 +69,9 @@ class ErasureSource:
 
     @classmethod
     def from_string(cls, text: str) -> "ErasureSource":
+        if not isinstance(text, str):
+            raise ModelError("an erasure source must be a str of 0, 1 and "
+                             f"*, not {type(text).__name__}")
         try:
             return cls(np.array([_CHARS[c] for c in text.strip()], dtype=np.int64))
         except KeyError as exc:

@@ -174,8 +174,9 @@ def _run_trial(cfg: CodecConfig, trial: int) -> tuple[TrialRow, list[str]]:
 
 def harness_workers(trials: int) -> int:
     """Trials run at once: FFSC_THREADS if set, else the core count (at
-    most 8), never more than there are trials.  Raises ConfigError if
-    FFSC_THREADS is set to anything but a positive integer."""
+    most 8), never more than there are trials.  Raises ConfigError
+    unless `trials`, and FFSC_THREADS if set, are positive integers."""
+    trials = as_int(trials, 1, None, ConfigError, "trial count")
     env = os.environ.get("FFSC_THREADS")
     if env:
         if not (env.isascii() and env.isdigit()) or int(env) < 1:
@@ -258,11 +259,11 @@ def run_beq_example(source_str: str) -> dict:
 
 def run_duality_example(message_str: str, erasures: tuple[int, ...]) -> dict:
     """Feedback transmission over an erasure channel, plus its dual."""
-    if set(message_str) - {"0", "1"}:
+    if not isinstance(message_str, str) or set(message_str) - {"0", "1"}:
         raise ConfigError(f"message {message_str!r} is not a string of 0s "
                           f"and 1s")
     message = np.array([int(c) for c in message_str], dtype=np.uint8)
-    pattern = ErasurePattern.of(*erasures)
+    pattern = ErasurePattern(erasures)
     sent, uses = bec_feedback_send(message, pattern)
     seen = apply_erasures(sent, pattern)
     # The receiver keeps the delivered symbols: it is the quantizer's

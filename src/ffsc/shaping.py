@@ -5,7 +5,7 @@ conditionally-distributed symbol sequence, exactly invertibly.
 model row that the side sequence picks at each position — the same
 trick as bits-back coding: uniform bits in, model-distributed symbols
 out.  It works k samples at a time, on the channel's k-th extension
-(``coder.QuantizedModel.extension``): each k side samples are one
+(``coder.QuantizedModel.kernel_form``): each k side samples are one
 side tuple, which picks a row of the extension, and each decoded
 symbol is a tuple of k samples, so a shaped block is a whole number
 of tuples.  Unshaping is a plain re-encode of the tuples keyed by the
@@ -54,7 +54,7 @@ def _padded_stream(bits: np.ndarray, nbytes: int) -> np.ndarray:
 
 def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     """Turn bits, a 1-D array of 0s and 1s, into symbols distributed per
-    cm's rows, keyed by side, k samples at a time (``cm.extension``).
+    cm's rows, keyed by side, k samples at a time (``cm.kernel_form``).
 
     Returns (symbols, consumed_side_count); the two counts are equal —
     each emitted tuple of k symbols consumes one side tuple of k

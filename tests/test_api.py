@@ -1,8 +1,9 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 every exported name has a caller in the package itself, every submodule
-is imported by the package, and every export that takes a symbol array,
-a byte stream, an integer, a real number or a pmf or distortion table
-refuses a malformed one with a package error."""
+is imported by the package, and every export, of the package or of a
+submodule, that takes a symbol array, a byte stream, an integer, a real
+number, a string or a pmf or distortion table refuses a malformed one
+with a package error."""
 
 import ast
 import importlib
@@ -44,12 +45,20 @@ from ffsc import (
     quantize_channel,
     shape,
 )
-from ffsc.bits import fnv1a64, read_uvarint, write_uvarint
+from ffsc.bits import (as_bytes, as_int, as_real, as_symbols, fnv1a64,
+                       read_uvarint, write_uvarint)
 from ffsc.codec import read_header
-from ffsc.experiments import ExperimentSpec, uniform_source
+from ffsc.errors import CodingError, StreamFormatError
+from ffsc.experiments import (ExperimentSpec, harness_workers,
+                              run_beq_example, run_duality_example,
+                              uniform_source)
 from ffsc.shaping import PAD_PATTERN, check_unshaped
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(ffsc.__path__))
+# Every name the package or one of its submodules exports.
+EXPORTS = set(ffsc.__all__).union(*(
+    getattr(importlib.import_module(f"ffsc.{name}"), "__all__", ())
+    for name in SUBMODULES))
 
 # Exported names that nothing in the package calls, each kept on purpose.
 NO_CALLER_IN_SRC = {
@@ -115,11 +124,7 @@ def test_every_submodule_is_imported_by_the_package():
 
 
 def test_every_export_has_a_caller_in_src():
-    exported = set(ffsc.__all__)
-    for name in SUBMODULES:
-        mod = importlib.import_module(f"ffsc.{name}")
-        exported |= set(getattr(mod, "__all__", ()))
-    assert sorted(exported - _names_read_in_src()) == sorted(NO_CALLER_IN_SRC)
+    assert sorted(EXPORTS - _names_read_in_src()) == sorted(NO_CALLER_IN_SRC)
 
 
 # -- malformed symbol arrays -----------------------------------------------
@@ -164,22 +169,31 @@ HOSTILE_TABLE = {
         (2,)),
     "QuantizedModel": (lambda f: QuantizedModel(f, 16),
                        (np.array([32768, 32768]),), (2**16 + 1,)),
+    "as_symbols": (lambda a: as_symbols(a, 2, CodingError, "a"), (BITS,),
+                   (2,)),
 }
 
-# Exports that take no symbol array: errors, records, float tables,
-# scalars, bytes, and objects that were checked when they were built.
+# Exports that take no symbol array: errors, constants, records, float
+# tables, scalars, bytes, strings, and objects that were checked when they
+# were built.
 NO_SYMBOL_ARRAY = {
     "CausalityError", "CodingError", "ConfigError", "FfscError",
     "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",
     "TruncatedFrameError",
+    "ERASED", "HEADER_LEN", "MAGIC", "MAX_PRECISION", "MAX_SYMBOLS",
+    "MIN_PRECISION", "PAD_PATTERN", "STREAM_VERSION",
     "Alphabet", "CodecConfig", "DecodeResult",
-    "DistortionMatrix", "ERASED", "EncodeResult", "ErasurePattern", "Frame",
-    "MeasureReport", "Pmf", "SplitMix64", "TestChannel",
-    "beq_encode", "blahut_arimoto", "bundled_model_names",
-    "conditional_entropy", "decode", "decode_frame_prefix", "entropy",
-    "erasure_distortion", "expected_distortion", "growth_factor",
-    "load_model", "model_digest", "mutual_information", "plan_passes",
-    "quantize", "quantize_channel",
+    "DistortionMatrix", "EncodeResult", "ErasurePattern", "ExperimentSpec",
+    "Frame", "MeasureReport", "Pmf", "Report", "SplitMix64", "TestChannel",
+    "TrialRow",
+    "as_bytes", "as_int", "as_real", "beq_encode", "blahut_arimoto",
+    "bundled_model_names", "check_unshaped", "conditional_entropy", "decode",
+    "decode_frame_prefix", "entropy", "erasure_distortion",
+    "estimate_total_samples", "expected_distortion", "fnv1a64",
+    "growth_factor", "harness_workers", "load_model", "model_digest",
+    "mutual_information", "plan_passes", "quantize", "quantize_channel",
+    "read_header", "read_uvarint", "run_beq_example", "run_codec_experiment",
+    "run_duality_example", "uniform_source", "write_uvarint",
 }
 
 
@@ -206,7 +220,7 @@ HOSTILE_CASES = [
 
 def test_every_export_takes_symbol_arrays_only_through_the_table():
     assert not set(HOSTILE_TABLE) & NO_SYMBOL_ARRAY
-    assert sorted(set(HOSTILE_TABLE) | NO_SYMBOL_ARRAY) == sorted(ffsc.__all__)
+    assert sorted(set(HOSTILE_TABLE) | NO_SYMBOL_ARRAY) == sorted(EXPORTS)
 
 
 @pytest.mark.parametrize("name, arg, label", HOSTILE_CASES)
@@ -239,6 +253,31 @@ BYTE_STREAM_TABLE = {
     "Frame": (lambda b: Frame(3, b), b"\x01\x02"),
     "read_uvarint": (read_uvarint, b"\x05"),
     "fnv1a64": (fnv1a64, b"ab"),
+    "as_bytes": (lambda b: as_bytes(b, StreamFormatError, "b"), b"ab"),
+}
+
+# Exports that take no byte stream: errors, constants, records, symbol
+# arrays, scalars, tables, strings and paths, and objects that were
+# checked when they were built.
+NO_BYTE_STREAM = {
+    "CausalityError", "CodingError", "ConfigError", "FfscError",
+    "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",
+    "TruncatedFrameError",
+    "ERASED", "HEADER_LEN", "MAGIC", "MAX_PRECISION", "MAX_SYMBOLS",
+    "MIN_PRECISION", "PAD_PATTERN", "STREAM_VERSION",
+    "Alphabet", "CodecConfig", "DecodeResult", "DistortionMatrix",
+    "EncodeResult", "ErasurePattern", "ErasureSource", "ExperimentSpec",
+    "FeedforwardOracle", "MeasureReport", "Pmf", "QuantizedModel", "Report",
+    "SplitMix64", "TestChannel", "TrialRow",
+    "apply_erasures", "as_int", "as_real", "as_symbols", "bec_feedback_send",
+    "beq_decode", "beq_encode", "blahut_arimoto", "bundled_model_names",
+    "compress", "conditional_entropy", "deshape_raw", "encode", "entropy",
+    "erasure_distortion", "estimate_total_samples", "expected_distortion",
+    "growth_factor", "harness_workers", "is_strongly_typical", "load_model",
+    "measure", "model_digest", "mutual_information", "plan_passes",
+    "quantize", "quantize_channel", "run_beq_example",
+    "run_codec_experiment", "run_duality_example", "shape", "uniform_source",
+    "write_uvarint",
 }
 
 
@@ -248,6 +287,11 @@ def _byte_variants(good):
     as_array = np.frombuffer(good, dtype=np.uint8)
     return {"str": "x" * 40, "int": 5, "None": None, "list": list(good),
             "2-D": as_array[None, :], "int64": as_array.astype(np.int64)}
+
+
+def test_every_export_takes_byte_streams_only_through_the_table():
+    assert not set(BYTE_STREAM_TABLE) & NO_BYTE_STREAM
+    assert sorted(set(BYTE_STREAM_TABLE) | NO_BYTE_STREAM) == sorted(EXPORTS)
 
 
 @pytest.mark.parametrize("name", BYTE_STREAM_TABLE)
@@ -293,7 +337,7 @@ def test_constructors_keep_a_copy_of_the_callers_array():
     assert d.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
-# -- malformed scalars and real tables -------------------------------------
+# -- malformed scalars, strings and real tables -----------------------------
 
 
 def _int(*past):
@@ -324,7 +368,7 @@ DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
                   [[math.inf, 1], [1, 0]], np.zeros((0, 0)))
 
 # export or method: (call, its well-formed arguments, each one's malformed
-# values).  The last four are exported by their submodule only.
+# values).
 SCALAR_TABLE = {
     "Alphabet": (Alphabet, (2,), (_int(1, 2**16, 2**16 + 1),)),
     "CodecConfig": (
@@ -338,6 +382,8 @@ SCALAR_TABLE = {
                                  (_int(1, 2**16, 2**16 + 1),)),
     "ErasurePattern": (ErasurePattern, ([1, 3],), ((5, None, ["a"], [0]),)),
     "ErasurePattern.of": (ErasurePattern.of, (2,), (_int(0),)),
+    "ErasureSource.from_string": (ErasureSource.from_string, ("0*1",),
+                                  ((None, 5, b"0*1", ["0", "*"], "0x"),)),
     "FeedforwardOracle.emit": (lambda k: _emitted(0).emit(k), (3,),
                                (_int(-1, CODED.size + 1),)),
     "FeedforwardOracle.reveal_range": (
@@ -372,21 +418,34 @@ SCALAR_TABLE = {
     "check_unshaped": (lambda s, m: check_unshaped(PAD_PATTERN, s, m),
                        (64, 0), (_int(65, 1000), _int(-3))),
     "write_uvarint": (write_uvarint, (5,), (_int(-1),)),
+    "as_int": (lambda v: as_int(v, 0, 9, CodingError, "v"), (3,),
+               (_int(-1, 10),)),
+    "as_real": (lambda v: as_real(v, 0.0, 1.0, CodingError, "v"), (0.5,),
+                (_real(-0.1, 1.1),)),
+    "harness_workers": (harness_workers, (2,), (_int(0),)),
+    "run_beq_example": (run_beq_example, ("0**1",), ((None, 5, b"0**1"),)),
+    "run_duality_example": (run_duality_example, ("0101", (2, 3)),
+                            ((None, 5, b"0101", "012"),
+                             (None, 5, "23", [0]))),
 }
 
-# Exports that take no integer, real number or real table: errors, records
-# the package builds, symbol arrays, paths and objects that were checked
-# when they were built.
+# Exports that take no integer, real number, string or real table: errors,
+# constants, records the package builds, symbol arrays, bytes, paths and
+# objects that were checked when they were built.
 NO_SCALAR = {
     "CausalityError", "CodingError", "ConfigError", "FfscError",
     "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",
     "TruncatedFrameError",
-    "DecodeResult", "EncodeResult", "MeasureReport", "ERASED",
-    "ErasureSource", "apply_erasures", "bec_feedback_send", "beq_decode",
-    "beq_encode", "bundled_model_names", "compress", "conditional_entropy",
-    "decode", "deshape_raw", "encode", "entropy", "erasure_distortion",
-    "expected_distortion", "growth_factor", "load_model", "measure",
-    "model_digest", "mutual_information", "shape",
+    "ERASED", "HEADER_LEN", "MAGIC", "MAX_PRECISION", "MAX_SYMBOLS",
+    "MIN_PRECISION", "PAD_PATTERN", "STREAM_VERSION",
+    "DecodeResult", "EncodeResult", "MeasureReport", "Report", "TrialRow",
+    "apply_erasures", "as_bytes", "as_symbols", "bec_feedback_send",
+    "beq_decode", "beq_encode", "bundled_model_names", "compress",
+    "conditional_entropy", "decode", "deshape_raw", "encode", "entropy",
+    "erasure_distortion", "estimate_total_samples", "expected_distortion",
+    "fnv1a64", "growth_factor", "load_model", "measure", "model_digest",
+    "mutual_information", "read_header", "read_uvarint",
+    "run_codec_experiment", "shape",
 }
 
 SCALAR_CASES = [
@@ -400,8 +459,7 @@ SCALAR_CASES = [
 def test_every_export_takes_scalars_only_through_the_table():
     covered = {name.split(".")[0] for name in SCALAR_TABLE}
     assert not covered & NO_SCALAR
-    assert sorted((covered & set(ffsc.__all__)) | NO_SCALAR) == sorted(
-        ffsc.__all__)
+    assert sorted(covered | NO_SCALAR) == sorted(EXPORTS)
 
 
 @pytest.mark.parametrize("name, arg, value", SCALAR_CASES)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffsc import _kernels
-from ffsc.cli import main
+from ffsc.cli import _build_parser, main
 from ffsc.codec import HEADER_LEN, CodecConfig, encode
 from ffsc.experiments import uniform_source
 from ffsc.model import blahut_arimoto, load_model
@@ -49,6 +49,24 @@ def test_rd_grid_monotone(tmp_path):
 def test_rd_unknown_model_exits_2(capsys):
     assert run("rd", "--model", "no_such_model") == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Each command that takes a distortion level, with its required flags.
+TARGET_D_COMMANDS = [
+    ["rd"], ["encode", "--in", "s", "--out", "o"],
+    ["decode", "--in", "s", "--source", "s", "--out", "o"], ["exp-general"]]
+
+
+@pytest.mark.parametrize("argv", TARGET_D_COMMANDS, ids=lambda a: a[0])
+def test_target_d_is_the_distortion_levels_only_spelling(argv, capsys):
+    """--target-d sets the level; --d0, once its alias, is an unknown
+    flag."""
+    args = _build_parser().parse_args([*argv, "--target-d", "0.2"])
+    assert args.target_d in (0.2, [0.2])  # rd takes a list of levels
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--d0", 0.2)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

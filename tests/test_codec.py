@@ -63,11 +63,10 @@ def run_pair(cfg, src):
 
 
 def table_arrays(tables):
-    """Every array of a quantized() pair: each model's freq/cum/slots,
-    and those of its k-th extension, which frames and the shaper code
-    with."""
-    return [getattr(t, name) for m in tables for t in (m, m.extension()[1])
-            for name in ("freq", "cum", "slots")]
+    """Every array of a quantized() pair: each model's freq and cum, and
+    those of its k-th extension, which frames and the shaper code with."""
+    return [getattr(t, name) for m in tables
+            for t in (m, m.kernel_form().table) for name in ("freq", "cum")]
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,18 @@ def test_quantized_model_validates_total():
 ])
 def test_slot_tables_are_the_smallest_signed_type(size, dtype, ext_dtype):
     """A slot holds a symbol index, in the smallest signed type that
-    holds every index of its table."""
+    holds every index of its table; the compiled loops take the kernel
+    form's slot rows as read-only arrays of that type."""
     m = quantize(Pmf.uniform(size), 16)
-    ext = m.extension()[1]
-    assert (m.slots.dtype, ext.slots.dtype) == (dtype, ext_dtype)
-    assert not m.slots.flags.writeable and not ext.slots.flags.writeable
+    form = m.kernel_form()
+    slots = _kernels.slot_table(form.table.cum[0], 16)
+    assert (_kernels.slot_table(m.cum[0], 16).dtype, slots.dtype) == (
+        dtype, ext_dtype)
+    if _kernels.HAVE_NUMBA:
+        assert form.slots.dtype == ext_dtype
+        assert not form.slots.flags.writeable
+    else:
+        assert form.slots == [slots.tolist()]
 
 
 def test_model_digest_changes_with_tables():
@@ -213,7 +220,7 @@ def frame_k(size, precision):
 ])
 def test_tuple_frames_round_trip_every_remainder(probs, precision, k):
     m = quantize(Pmf(probs), precision)
-    assert m.frame_table()[0] == k
+    assert m.kernel_form().k == k
     rng = np.random.default_rng([k, precision])
     for n in range(3 * k + 1):
         symbols = rng.choice(len(probs), size=n, p=probs)
@@ -235,7 +242,7 @@ def test_tuple_table_exists_for_every_alphabet_and_precision(size, precision):
     freq[:support] = 1 + rng.multinomial(total - support,
                                          np.full(support, 1 / support))
     m = QuantizedModel(freq, precision)
-    k, pad, table = m.frame_table()
+    k, pad, table = m.kernel_form()[:3]
     assert k == frame_k(size, precision)
     assert table.size == size ** k and m.freq[0][pad] == freq.max()
     symbols = rng.integers(0, support, 2 * k + 1)
@@ -251,7 +258,7 @@ def test_low_precision_frames_code_near_the_entropy(freq, precision):
     sample by sample: with k = 4 at q = 4, (15/16, 1/16) would cost a
     bit per sample, as every tuple would get one unit of the 16."""
     m = QuantizedModel(np.array(freq), precision)
-    assert m.frame_table()[0] == 1
+    assert m.kernel_form().k == 1
     p = np.array(freq) / sum(freq)
     symbols = np.random.default_rng(precision).choice(len(freq), 20_000, p=p)
     bits = 8 * len(compress(symbols, m).payload) / symbols.size
@@ -283,13 +290,13 @@ def test_frame_rounding_costs_little_at_q16(probs, k, bound):
     """What rounding the frames' tuple table costs over the exact
     products of the marginal, in bits per sample."""
     m = quantize(Pmf(probs), 16)
-    assert m.frame_table()[0] == k
+    assert m.kernel_form().k == k
     assert extension_cost(m) < bound
 
 
 def test_tuple_frames_skip_a_zero_frequency_symbol_0():
     m = QuantizedModel(np.array([0, 40000, 25536]), 16)
-    k, pad, table = m.frame_table()
+    k, pad, table = m.kernel_form()[:3]
     assert (k, pad) == (5, 1)
     digits = np.arange(3 ** 5)[:, None] // 3 ** np.arange(5) % 3
     assert (table.freq[0] == 0).tolist() == (digits == 0).any(1).tolist()
@@ -302,7 +309,7 @@ def test_tuple_frames_skip_a_zero_frequency_symbol_0():
 
 def test_frame_whose_pad_is_not_the_pad_symbol_is_refused():
     m = quantize(Pmf([0.5, 0.5]), 16)
-    assert m.frame_table()[:2] == (8, 0)
+    assert m.kernel_form()[:2] == (8, 0)
     f = compress(np.array([0, 1, 1, 1, 0, 0, 0, 1]), m)
     out, _ = decode_frame_prefix(f.to_bytes(), m, 8)
     assert out.tolist() == [0, 1, 1, 1, 0, 0, 0, 1]
@@ -355,14 +362,13 @@ def extension_by_loop(m, k):
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 16, 17])
 def test_extension_follows_the_rule(rows, size, precision):
     m = random_rows(rows, size, precision)
-    k, ext = m.extension()
+    k, pad, ext = m.kernel_form()[:3]
     assert k == extension_k(rows, size, precision)
     assert ext.freq.shape == (rows ** k, size ** k)
     assert ext.precision == precision
     assert np.array_equal(ext.freq, extension_by_loop(m, k))
-    assert m.extension()[1] is ext
-    if rows == 1:
-        assert m.frame_table() == (k, int(np.argmax(m.freq[0])), ext)
+    assert m.kernel_form().table is ext
+    assert pad == int(np.argmax(m.freq[0]))
 
 
 @pytest.mark.parametrize("rows, size", [(1, 3), (2, 2), (4, 4)])
@@ -370,16 +376,17 @@ def test_kernel_form_is_built_once_in_the_kernels_input_form(rows, size):
     m = random_rows(rows, size, 16)
     form = m.kernel_form()
     assert m.kernel_form() is form
-    k, table = m.extension()
-    assert (form.k, form.table) == (k, table)
+    table = form.table
+    slots = np.stack([_kernels.slot_table(row, 16) for row in table.cum])
     if _kernels.HAVE_NUMBA:
-        assert form.cum is table.cum and form.slots is table.slots
+        assert form.cum is table.cum
+        assert np.array_equal(form.slots, slots)
     else:
         assert form.cum == table.cum.tolist()
-        assert form.slots == table.slots.tolist()
+        assert form.slots == slots.tolist()
     assert list(form.flat) == table.cum.ravel().tolist()
     # digits and place values invert each other over every tuple
-    codes = np.arange(size ** k)
+    codes = np.arange(size ** form.k)
     assert np.array_equal(to_tuples(form.digits[codes].ravel(), form.place),
                           codes)
 
@@ -390,7 +397,8 @@ def test_one_row_extension_is_the_stream_v5_frame_table():
     h = hashlib.sha256()
     for size in range(2, 18):
         for precision in (4, 8, 10, 11, 12, 16, 24):
-            k, ext = random_rows(1, size, precision, salt=1).extension()
+            model = random_rows(1, size, precision, salt=1)
+            k, _, ext = model.kernel_form()[:3]
             h.update(bytes([k]) + ext.freq.astype("<u4").tobytes())
     assert h.hexdigest() == (
         "70f8b9baadeabc00553cbf831481be3f7d66ba5584be8f6a4302cf1556188cb5")
@@ -405,7 +413,7 @@ def test_square_tables_keep_the_stream_v4_k():
             v4 = max([1] + [k for k in range(2, 5) if size ** k <= 16
                             and size ** k <= 2 ** (precision - 8)])
             m = random_rows(size, size, precision)
-            assert m.extension()[0] == v4, (size, precision)
+            assert m.kernel_form().k == v4, (size, precision)
 
 
 def kernel_steps(monkeypatch, precision, n):
@@ -526,9 +534,10 @@ def test_decode_work_is_bounded_by_frame_length(count, header):
         decode_frame_prefix(frame, m, count)
     assert time.perf_counter() - t0 < 0.25
     out = np.empty(count, dtype=np.int64)
+    cum_rows, _, slot_rows = _kernels.kernel_form(m.cum, 16)
     shifts, status = _kernels.decode_kernel(
-        np.frombuffer(frame[header:], dtype=np.uint8), count, m.cum[0],
-        m.slots[0], 16, out
+        np.frombuffer(frame[header:], dtype=np.uint8), count, cum_rows,
+        slot_rows, 16, out
     )
     assert (shifts, status) == (9, _kernels.TRUNCATED)
 

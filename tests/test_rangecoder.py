@@ -67,12 +67,19 @@ def kernel_encode(symbols, freq, precision):
     return bytes(buf[:nbytes].tobytes()), settled
 
 
+def decoder_rows(cum_rows, precision):
+    """The decoder's (cum rows, slot rows) of the table `cum_rows`, as
+    ``_kernels.kernel_form`` gives them to decode_kernel and shape_kernel."""
+    cum_rows, _, slot_rows = _kernels.kernel_form(cum_rows, precision)
+    return cum_rows, slot_rows
+
+
 def kernel_decode(data, count, freq, precision):
     cum = np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
     arr = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(count, dtype=np.int64)
     shifts, status = _kernels.decode_kernel(
-        arr, count, cum, _kernels.slot_table(cum, precision), precision, out)
+        arr, count, *decoder_rows(cum[None], precision), precision, out)
     assert status == _kernels.OK
     return out.tolist(), shifts
 
@@ -320,10 +327,11 @@ def test_shaping_one_row_is_a_frame_decode_prefix(freq, m):
     nbytes = m // 8 + 8
     stream = np.packbits(np.concatenate([bits,
                                          np.resize(pad, 8 * nbytes - m)]))
-    k, _, table = model.frame_table()
+    form = model.kernel_form()
+    k = form.k
     out = np.empty(nsym // k, dtype=np.int64)
-    _, status = _kernels.decode_kernel(stream, out.size, table.cum[0],
-                                       table.slots[0], 16, out)
+    _, status = _kernels.decode_kernel(stream, out.size, form.cum,
+                                       form.slots, 16, out)
     assert status == _kernels.OK
     digits = out[:, None] // model.size ** np.arange(k - 1, -1, -1) % model.size
     assert np.array_equal(digits.ravel(), symbols)
@@ -362,9 +370,8 @@ def test_slot_table_and_scan_find_every_symbol(precision):
     total = 1 << precision
     rng = np.random.default_rng(precision)
     for freq in rows + [wide]:
-        model = QuantizedModel(freq, precision)
-        slots, cum = model.slots[0], model.cum[0]
-        assert not slots.flags.writeable
+        cum = QuantizedModel(freq, precision).cum[0]
+        slots = _kernels.slot_table(cum, precision)
         assert slots.size <= total and total % slots.size == 0
         sh = precision - (slots.size.bit_length() - 1)
         if precision <= 16:
@@ -401,8 +408,8 @@ def test_decode_kernel_matches_reference_with_zero_frequencies(precision):
             ref = decode_reference(data, 600, freq, precision)
             out = np.empty(600, dtype=np.int64)
             _, status = _kernels.decode_kernel(
-                np.frombuffer(data, dtype=np.uint8), 600, model.cum[0],
-                model.slots[0], precision, out)
+                np.frombuffer(data, dtype=np.uint8), 600,
+                *decoder_rows(model.cum, precision), precision, out)
             assert status == _kernels.OK
             assert out.tolist() == ref
             assert want is None or ref == want
@@ -422,7 +429,7 @@ def test_shape_kernel_matches_reference_over_rows(precision):
         stream = rng.integers(0, 256, 8 + 600 // 8).astype(np.uint8)
         out = np.empty(side.size, dtype=np.int64)
         nsym, status = _kernels.shape_kernel(
-            stream, 600, side, cm.cum, cm.slots, precision,
+            stream, 600, side, *decoder_rows(cm.cum, precision), precision,
             out)
         assert status == _kernels.OK and nsym > 0
         ref = decode_reference_rows(stream.tobytes(), side[:nsym],
@@ -450,7 +457,7 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
     rng = np.random.default_rng(3)
     for freqs, q in cases:
         cm = QuantizedModel(np.array(freqs), q)
-        cum0, slots0 = cm.cum[0], cm.slots[0]
+        tables = decoder_rows(cm.cum, q)
         side = rng.integers(0, len(freqs), 4000).astype(np.int64)
         # symbols drawn from their own row, so the flat codes encode them
         probs = np.array(freqs) / (1 << q)
@@ -460,7 +467,7 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
 
         for symbols, rows in ((fixed, np.zeros(800, dtype=np.int64)),
                               (sym, side[:sym.size])):
-            codes, table = ((symbols, cum0) if symbols is fixed
+            codes, table = ((symbols, cm.cum[0]) if symbols is fixed
                             else flat_codes(symbols, rows, cm.cum))
             buf_a = np.zeros(8192, dtype=np.uint8)
             buf_b = np.zeros(8192, dtype=np.uint8)
@@ -473,15 +480,14 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
             if symbols is fixed:
                 payload = buf_a[:res_a[0]]
 
-        # The decoder reads one table; a payload cut in half ends in TRUNCATED.
+        # The decoder reads row 0; a payload cut in half ends in TRUNCATED.
         for data, want in ((payload, _kernels.OK),
                            (payload[:payload.size // 2], _kernels.TRUNCATED)):
             out_a = np.zeros(fixed.size, dtype=np.int64)
             out_b = np.zeros(fixed.size, dtype=np.int64)
-            res_a = _kernels.decode_kernel(data, fixed.size, cum0, slots0, q,
-                                           out_a)
+            res_a = _kernels.decode_kernel(data, fixed.size, *tables, q, out_a)
             res_b = on_python_loop(monkeypatch, "decode_kernel", data,
-                                   fixed.size, cum0, slots0, q, out_b)
+                                   fixed.size, *tables, q, out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
 
@@ -490,10 +496,9 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
                               (4000, _kernels.OK)):
             out_a = np.zeros(sym_cap, dtype=np.int64)
             out_b = np.zeros(sym_cap, dtype=np.int64)
-            res_a = _kernels.shape_kernel(stream, 2000, side, cm.cum,
-                                          cm.slots, q, out_a)
+            res_a = _kernels.shape_kernel(stream, 2000, side, *tables, q, out_a)
             res_b = on_python_loop(monkeypatch, "shape_kernel", stream, 2000,
-                                   side, cm.cum, cm.slots, q, out_b)
+                                   side, *tables, q, out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
 
@@ -510,7 +515,7 @@ def test_python_decode_kernel_writes_only_where_symbols_land(monkeypatch):
     out = np.full(len(symbols) + 8, -1, dtype=np.int64)
     shifts, status = on_python_loop(
         monkeypatch, "decode_kernel", np.frombuffer(data, dtype=np.uint8),
-        len(symbols), cum, _kernels.slot_table(cum, 16), 16, out
+        len(symbols), *decoder_rows(cum[None], 16), 16, out
     )
     assert status == _kernels.OK and shifts + 2 == len(data)
     assert out[:len(symbols)].tolist() == symbols

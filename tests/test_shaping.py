@@ -317,7 +317,7 @@ def test_shape_stops_at_the_shortest_settling_prefix(precision):
                  [[0.99, 0.01], [0.01, 0.99]],
                  rng.dirichlet(np.ones(3), size=3).tolist()):
         cm = quantize_channel(TestChannel(rows), precision)
-        k = cm.extension()[0]
+        k = cm.kernel_form().k
         for m in [*range(1, 40), 64, 65, 1000, 1003, 8001]:
             side = rng.integers(0, len(rows), 40 * m + 512).astype(np.int64)
             for bits in (rng.integers(0, 2, size=m), [0] * m, [1] * m):
@@ -354,7 +354,7 @@ def test_tuple_shaping_round_trips_every_remainder(rows, precision, k):
     """Every m mod 8k, short and long, on a side that ends mid-tuple:
     the block is whole tuples, and it unshapes to the bits."""
     cm = quantize_channel(TestChannel(rows), precision)
-    assert cm.extension()[0] == k
+    assert cm.kernel_form().k == k
     rng = np.random.default_rng([precision, len(rows), k])
     for m in [*range(1, 8 * k + 1), *range(1000, 1000 + 8 * k)]:
         bits = rng.integers(0, 2, m).astype(np.uint8)
@@ -379,7 +379,7 @@ def test_deshape_refuses_a_block_of_part_tuples(rows, precision, k):
 
 def test_deshape_rejects_an_impossible_pair_in_a_tuple():
     asym = quantize_channel(TestChannel([[1.0, 0.0], [0.5, 0.5]]), 16)
-    k = asym.extension()[0]
+    k = asym.kernel_form().k
     x = np.zeros(k, dtype=np.int64)
     deshape_raw(np.zeros(k, dtype=np.int64), x, asym)
     with pytest.raises(ShapingError, match="zero model frequency"):
@@ -419,7 +419,7 @@ def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
 
 def test_extension_rounding_costs_under_a_millionth_of_a_bit():
     cm = quantize_channel(TestChannel.bsc(0.11), 16)
-    assert cm.extension()[0] == 4
+    assert cm.kernel_form().k == 4
     assert 0 < extension_cost(cm) < 1e-6
 
 
@@ -431,7 +431,7 @@ def test_low_precision_shaping_keeps_single_samples(freq, precision):
     entropy: with k = 4 at q = 4 every tuple would get at least one
     unit of 16, and the samples would carry far more."""
     cm = QuantizedModel([freq, freq[::-1]], precision)
-    assert cm.extension()[0] == 1
+    assert cm.kernel_form().k == 1
     p = np.array(freq) / sum(freq)
     entropy = -(p * np.log2(p)).sum()
     bits, side = random_case(np.random.default_rng(precision), 4000, 40)

@@ -24,7 +24,7 @@ def unshape(xhat, x, cm, m: int) -> np.ndarray:
 def extension_cost(cm) -> float:
     """Bits per sample that coding with cm's extension costs over the
     exact products of its rows, for the worst row (the KL divergence)."""
-    k, ext = cm.extension()
+    k, _, ext = cm.kernel_form()[:3]
     total = 1 << cm.precision
     exact = cm.freq / total
     for _ in range(k - 1):
