@@ -96,10 +96,6 @@ class ErasurePattern:
         object.__setattr__(self, "indices", frozenset(
             as_int(i, 1, None, ModelError, "erasure index") for i in indices))
 
-    @classmethod
-    def of(cls, *indices: int) -> "ErasurePattern":
-        return cls(frozenset(indices))
-
 
 def beq_encode(src: ErasureSource) -> np.ndarray:
     """Keep the constrained values, in order: exactly n - e bits."""

@@ -9,6 +9,7 @@ threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -223,12 +224,16 @@ def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
 # is far below any mass that can move a rate or a distortion.
 _Q_FLOOR = 1e-300
 
-# Convergence tolerance: on the functional's last change in each slope
-# solve (bits), and on the distortion width of the slope search's final
-# bracket or that width times its slope width.  A slope solve that has
-# not met it after _MAX_ITER iterations raises ModelError.
+# Convergence tolerance (bits): every rate that blahut_arimoto's slope
+# search returns is within _TOL of R(D), by Blahut's lower bound.  Each
+# slope solve stops once its channel is within _TOL/4 of its slope's
+# optimum (log2 max_j c_j <= _TOL/4, ``_C_STOP``).  A slope solve that
+# has not after _MAX_ITER iterations, or a search that has not met _TOL
+# after _MAX_SOLVES solves, raises ModelError.
 _TOL = 1e-9
+_C_STOP = 2.0 ** (_TOL / 4)
 _MAX_ITER = 10_000
+_MAX_SOLVES = 200
 
 # Share of the uniform pmf mixed into every starting marginal.  Exact
 # zeros (or floored underflows) in a warm start would otherwise stay
@@ -236,187 +241,211 @@ _MAX_ITER = 10_000
 # revive them, and the search would close its bracket on a false jump.
 _WARM_MIX = 0.01
 
+# Starting exponent g of the over-relaxed update q <- q * c**g,
+# normalised, that replaces Blahut's q <- q * c (Yu, IEEE T-IT 56(7),
+# 2010).  g doubles after each step that less than halves max_j c_j - 1,
+# and comes back to _RELAX, with Blahut's step taken instead, after a
+# step that loses ground.
+_RELAX = 1.6
+
 
 def _ba_solve_slope(
     prior: np.ndarray, d: np.ndarray, beta: float, q0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blahut's fixed-slope iteration.  Returns (channel rows, marginal).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Blahut's fixed-slope iteration, with the over-relaxed update of
+    ``_RELAX``.  Returns (channel rows, their output marginal, L).
 
-    Starts from q0 mixed with 1% of the uniform pmf and stops once the
-    Lagrangian functional (in bits) moves by at most ``_TOL`` in one
-    iteration.  Each row's kernel 2^(-beta*d) is scaled so that its
-    largest entry is 1, which leaves the channel unchanged and keeps
-    every iterate to a handful of array operations.
+    Starts from q0 mixed with 1% of the uniform pmf.  At an output
+    marginal q the channel is w_xj = q_j 2^(-beta*d_xj) / Z_x, and c_j =
+    sum_x p_x 2^(-beta*d_xj) / Z_x is w's output marginal over q.  By
+    Blahut's theorem each q gives the supporting line R(D') >= L -
+    beta*D', with L = beta*sum_x p_x*dmin_x - sum_x p_x*log2 Z_x - log2
+    max_j c_j, while w's I + beta*D is at most L + log2 max_j c_j.  The
+    solve returns the first w with log2 max_j c_j <= ``_TOL``/4, so w is
+    within that of the curve.  Each row's kernel is scaled so that its
+    largest entry is 1 (Z_x above is the scaled row's), which leaves the
+    channel unchanged and keeps every iterate to a handful of array
+    operations.
     """
     d_min = d.min(axis=1, keepdims=True)
-    with np.errstate(over="ignore"):
-        kern = np.exp2(-beta * (d - d_min))
     q = (1.0 - _WARM_MIX) * q0 + _WARM_MIX / q0.size
-    tol_nat = _TOL * _LOG2
-    prev_f = np.inf
-    for _ in range(_MAX_ITER):
-        w = q * kern
-        z = w.sum(axis=1)
-        w /= z[:, None]
-        # Minus the Lagrangian functional in nats, short of the constant
-        # that the kernel scaling took out; monotone under these updates.
-        f = float(prior @ np.log(z))
-        q = np.maximum(prior @ w, _Q_FLOOR)
-        if abs(prev_f - f) <= tol_nat:
-            return w, q
-        prev_f = f
-    last = beta * float(prior @ d_min[:, 0]) - prev_f / _LOG2
+    gamma, relaxed = _RELAX, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = np.exp2(-beta * (d - d_min))
+        for _ in range(_MAX_ITER):
+            z = kern @ q
+            # sum_x p_x ln Z_x: Blahut's steps raise it, so a relaxed step
+            # that does not (or that overflowed to NaN) gives way to his.
+            f = float(prior @ np.log(z))
+            if relaxed and not f >= f_last:
+                q = np.maximum(q_last * c, _Q_FLOOR)
+                gamma, relaxed = _RELAX, False
+                continue
+            c = (prior / z) @ kern
+            c_max = float(c.max())
+            if c_max <= _C_STOP:
+                line = (beta * float(prior @ d_min[:, 0])
+                        - (f + np.log(c_max)) / _LOG2)
+                return q * kern / z[:, None], np.maximum(q * c, _Q_FLOOR), line
+            if relaxed and c_max - 1.0 > 0.5 * (c_last - 1.0):
+                gamma *= 2.0
+            q_last, f_last, c_last, relaxed = q, f, c_max, True
+            q = q * c**gamma
+            q = np.maximum(q / q.sum(), _Q_FLOOR)
     raise ModelError(
         f"rate-distortion solver did not converge in {_MAX_ITER} iterations "
-        f"(last functional {last:.12g}, slope {beta:.6g})"
+        f"(log2 max c {np.log2(c_max):.3g}, slope {beta:.6g})"
     )
+
+
+def _illinois(lo: float, hi: float, g_lo: float, g_hi: float):
+    """Illinois steps of regula falsi on a non-increasing g with g(lo) > 0
+    >= g(hi): yields each next point and is sent g there.  When the same
+    end moves twice running, the other end's g is halved, so both ends
+    close in; a point outside the open bracket becomes the midpoint."""
+    side = 0
+    while True:
+        x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        g = yield x
+        if g > 0:
+            lo, g_lo = x, g
+            if side > 0:
+                g_hi *= 0.5
+            side = 1
+        else:
+            hi, g_hi = x, g
+            if side < 0:
+                g_lo *= 0.5
+            side = -1
 
 
 def _one_step_slope(
     weighted_d: np.ndarray, d: np.ndarray, target_D: float
 ) -> float:
     """Slope at which one Blahut update from the uniform marginal meets
-    ``target_D``, to about 1e-3 relative.
+    ``target_D``, to about 1e-12 relative.
 
     That update's channel is the row-normalised kernel 2^(-beta*d); its
-    distortion falls as beta grows, and it is the exact optimum when the
-    optimal output marginal is uniform, as in symmetric problems.
-    Doubling brackets the crossing and bisection narrows it; no Blahut
+    distortion falls as beta grows.  It is the exact optimum when the
+    optimal output marginal is uniform, as in symmetric problems.  For
+    Hamming distortion with D <= (m-1)*min p its slope is the optimal
+    slope for any prior, as both solve 2^-beta = D/((m-1)(1-D)).
+    Doubling brackets the crossing and Illinois steps close it; no Blahut
     iterations are run.
     """
     d_rel = d - d.min(axis=1, keepdims=True)
 
-    def dist(beta):
+    def g(beta):
         k = np.exp2(-beta * d_rel)
-        return float(np.vdot(weighted_d, k / k.sum(axis=1, keepdims=True)))
+        k /= k.sum(axis=1, keepdims=True)
+        return float(np.vdot(weighted_d, k)) - target_D
 
     lo, hi = 0.0, 1.0
-    while dist(hi) > target_D and hi < 2.0**60:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if dist(mid) > target_D:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    g_lo, g_hi = g(lo), g(hi)
+    while g_hi > 0 and hi < 2.0**60:
+        lo, hi, g_lo = hi, 2.0 * hi, g_hi
+        g_hi = g(hi)
+    if g_hi > 0:
+        return hi
+    steps = _illinois(lo, hi, g_lo, g_hi)
+    beta = next(steps)
+    for _ in range(200):
+        g_beta = g(beta)
+        if g_beta == 0.0:
+            break
+        beta, last = steps.send(g_beta), beta
+        if abs(beta - last) <= 1e-12 * beta:
+            break
+    return beta
 
 
 def blahut_arimoto(
     prior: Pmf, d: DistortionMatrix, target_D: float
 ) -> tuple[TestChannel, float, float]:
-    """Rate-distortion point at the requested distortion level.
+    """Rate-distortion point at the requested distortion level, with its
+    rate within ``_TOL`` bits of R(D).
 
     Runs Blahut's alternating minimisation in the Lagrangian (slope)
-    parameterisation and searches the slope until the achieved
-    distortion matches ``min(target_D, distortion of the zero-rate
-    point)``.  The first slope solve, from the uniform pmf, is at the
-    slope where one Blahut update from the uniform marginal meets the
-    target (``_one_step_slope``), which is the answer for symmetric
-    problems; the zero-rate channel at slope 0 is the bracket's other
-    end.  The search doubles the slope until it brackets the target,
-    then closes the bracket by the Illinois variant of regula falsi on
-    D(slope) - target_D, with a bisection step whenever the secant point
-    leaves the open bracket.  Each later slope solve starts from the
-    previous one's output marginal, mixed with 1% of the uniform pmf.
+    parameterisation and searches the slope until a mixture of two
+    channels, one on each side of ``min(target_D, distortion of the
+    zero-rate point)``, is certified.  Before any slope solve lands on a
+    side, that side's channel is the zero-rate channel (slope 0, above
+    the target) or the best-per-row channel (infinite slope, below it).
+    The first slope solve, from the uniform pmf, is at
+    ``_one_step_slope``, the answer for symmetric problems and for
+    Hamming distortion with D <= (m-1)*min p.  While the side below the
+    target has no solve, each next slope is the last one times 1 + s,
+    with s = 1e-6 growing eightfold per solve; after that, Illinois steps
+    of regula falsi on D(slope) - target_D close the bracket.  Each later
+    slope solve starts from the previous one's output marginal, mixed
+    with 1% of the uniform pmf.
 
-    The search stops once the bracket's distortion width is at most
-    ``_TOL``, or once that width times its slope width is.  R(D) is
-    convex with slopes -lo and -hi at the bracket's ends, so in the
-    second case the chord between them, and with it the rate of the
-    convex mixture of the two channels that meets the target, is within
-    ``_TOL/4`` bits of the curve.  ``_TOL`` also bounds the functional's
-    last change in every slope solve (bits).  Returns ``(channel, R,
-    D)``: R is the channel's ``mutual_information`` in bits/symbol and D
-    its ``expected_distortion``.
+    After each solve the two sides' channels are mixed to meet the target
+    (distortion is linear in the channel), and the search stops once the
+    mixture's I(X;X̂) is within ``_TOL`` of the best lower bound on
+    R(target_D) that the solves' supporting lines give (Blahut, IEEE
+    T-IT 18(4), 1972).  Returns ``(channel, R, D)``: R is that mixture's
+    ``mutual_information`` in bits/symbol and D its
+    ``expected_distortion``.
     """
     p = prior.probs
     dm = np.asarray(d.entries, dtype=np.float64)
     if dm.shape[0] != p.size:
         raise ModelError("distortion matrix rows must match prior alphabet")
     target_D = as_real(target_D, 0, d.d_max, ModelError, "target distortion")
-    n_out = dm.shape[1]
+    rows, n_out = dm.shape
 
     # Zero-rate endpoint: the best constant reproduction.
     col_cost = p @ dm
     j_star = int(np.argmin(col_cost))
-    d_zero = float(col_cost[j_star])
-    if target_D >= d_zero:
-        w = np.zeros((p.size, n_out))
-        w[:, j_star] = 1.0
-        return TestChannel(w), 0.0, d_zero
+    d_above = float(col_cost[j_star])
+    w_above = np.zeros((rows, n_out))
+    w_above[:, j_star] = 1.0
+    if target_D >= d_above:
+        return TestChannel(w_above), 0.0, d_above
 
     # Maximum-rate endpoint: deterministic best-per-row reproduction.
     row_best = dm.argmin(axis=1)
-    d_floor = float(p @ dm[np.arange(p.size), row_best])
-    if target_D <= d_floor + 1e-15:
-        w = np.zeros((p.size, n_out))
-        w[np.arange(p.size), row_best] = 1.0
-        ch = TestChannel(w)
+    d_below = float(p @ dm[np.arange(rows), row_best])
+    w_below = np.zeros((rows, n_out))
+    w_below[np.arange(rows), row_best] = 1.0
+    if target_D <= d_below + 1e-15:
+        ch = TestChannel(w_below)
         return ch, mutual_information(prior, ch), expected_distortion(prior, ch, d)
 
-    # A channel w's distortion is vdot(weighted_d, w); the search needs no
-    # rate until the end.
+    # A channel w's distortion is vdot(weighted_d, w).
     weighted_d = p[:, None] * dm
-
-    def solve(beta, q_start):
-        w, q_out = _ba_solve_slope(p, dm, beta, q_start)
-        return w, q_out, float(np.vdot(weighted_d, w))
-
-    # Bracket the slope: distortion is non-increasing in beta.  Keep the
-    # nearest feasible channel on each side of the target so we can finish
-    # with an exact convex combination (distortion is linear in the channel,
-    # so the mixture hits target_D to rounding error; convexity of R(D)
-    # keeps the mixture's rate within the bracket of the true curve).
-    w_above = np.zeros((p.size, n_out))
-    w_above[:, j_star] = 1.0
-    d_above = d_zero
-    lo = 0.0
-    hi = _one_step_slope(weighted_d, dm, target_D)
-    w_hi, q, dist = solve(hi, np.full(n_out, 1.0 / n_out))
-    while dist > target_D:
-        w_above, d_above = w_hi, dist
-        lo = hi
-        hi *= 2.0
-        if hi > 2.0**60:
-            break
-        w_hi, q, dist = solve(hi, q)
-    w_below, d_below = w_hi, dist
-
-    # Illinois steps on g(beta) = D(beta) - target_D, positive at lo and
-    # non-positive at hi.  When the same end moves twice running, the
-    # other end's g is halved, so both ends close in.
-    g_above = d_above - target_D
-    g_below = d_below - target_D
-    last_side = 0
-    for _ in range(200):
-        if (d_above - d_below <= _TOL
-                or (d_above - d_below) * (hi - lo) <= _TOL
-                or hi - lo <= 1e-15 * max(1.0, hi)):
-            break
-        beta = lo + (hi - lo) * g_above / (g_above - g_below)
-        if not lo < beta < hi:
-            beta = 0.5 * (lo + hi)
-        w, q, dist = solve(beta, q)
+    lo, hi, best = 0.0, np.inf, 0.0  # best: the highest bound on R(target_D)
+    beta = _one_step_slope(weighted_d, dm, target_D)
+    q = np.full(n_out, 1.0 / n_out)
+    step, steps = 1e-6, None
+    for _ in range(_MAX_SOLVES):
+        w, q, line = _ba_solve_slope(p, dm, beta, q)
+        dist = float(np.vdot(weighted_d, w))
+        best = max(best, line - beta * target_D)
         if dist > target_D:
-            w_above, d_above, lo, g_above = w, dist, beta, dist - target_D
-            if last_side > 0:
-                g_below *= 0.5
-            last_side = 1
+            w_above, d_above, lo = w, dist, beta
         else:
-            w_below, d_below, hi, g_below = w, dist, beta, dist - target_D
-            if last_side < 0:
-                g_above *= 0.5
-            last_side = -1
-
-    if d_above > d_below:
+            w_below, d_below, hi = w, dist, beta
         lam = (target_D - d_below) / (d_above - d_below)
-        lam = min(max(lam, 0.0), 1.0)
-        w = lam * w_above + (1.0 - lam) * w_below
-    else:
-        w = w_below
-    ch = TestChannel(w)
-    return ch, mutual_information(prior, ch), expected_distortion(prior, ch, d)
+        ch = TestChannel(lam * w_above + (1.0 - lam) * w_below)
+        rate = mutual_information(prior, ch)
+        if rate - best <= _TOL:
+            return ch, rate, expected_distortion(prior, ch, d)
+        if hi == np.inf:
+            beta, step = lo * (1.0 + step), 8.0 * step
+        elif steps is None:
+            steps = _illinois(lo, hi, d_above - target_D, d_below - target_D)
+            beta = next(steps)
+        else:
+            beta = steps.send(dist - target_D)
+    raise ModelError(
+        f"rate-distortion search did not come within {_TOL:g} bits of "
+        f"R({target_D:.6g}) in {_MAX_SOLVES} slope solves "
+        f"(gap {rate - best:.3g})"
+    )
 
 
 # -- model files -------------------------------------------------------
@@ -427,15 +456,18 @@ def bundled_model_names() -> list[str]:
                   if f.name.endswith(".json"))
 
 
-def load_model(ref: str) -> tuple[str, Pmf, DistortionMatrix]:
+def load_model(ref: str | os.PathLike) -> tuple[str, Pmf, DistortionMatrix]:
     """Load a model file: a path, or the name of a bundled model.
 
     Schema: UTF-8 JSON object with fields ``name`` (string),
     ``alphabet_size`` (a JSON integer), ``probs`` (list of floats),
-    ``distortion`` (list of rows).
+    ``distortion`` (list of rows).  A ``ref`` that is neither a str nor
+    a path object (an int would be taken as a file descriptor) raises
+    ModelError.
     """
-    import os
-
+    if not isinstance(ref, (str, os.PathLike)):
+        raise ModelError(f"model reference must be a path or a bundled "
+                         f"model's name, not {type(ref).__name__}")
     if os.path.exists(ref):
         with open(ref, "rb") as fh:
             raw = fh.read()

@@ -8,6 +8,7 @@ with a package error."""
 import ast
 import importlib
 import math
+import os
 import pkgutil
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +40,7 @@ from ffsc import (
     deshape_raw,
     encode,
     is_strongly_typical,
+    load_model,
     measure,
     plan_passes,
     quantize,
@@ -48,7 +50,7 @@ from ffsc import (
 from ffsc.bits import (as_bytes, as_int, as_real, as_symbols, fnv1a64,
                        read_uvarint, write_uvarint)
 from ffsc.codec import read_header
-from ffsc.errors import CodingError, StreamFormatError
+from ffsc.errors import CodingError, ModelError, StreamFormatError
 from ffsc.experiments import (ExperimentSpec, harness_workers,
                               run_beq_example, run_duality_example,
                               uniform_source)
@@ -141,7 +143,7 @@ CHANNEL = quantize_channel(TestChannel.bsc(0.11), 16)
 BITS = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1])
 SIDE = np.resize([0, 1, 1], 512)
 XHAT, USED = shape(BITS, SIDE, CHANNEL)
-PATTERN = ErasurePattern.of(2, 3)
+PATTERN = ErasurePattern({2, 3})
 ERASURES = np.array([0, 2, 2, 1, 2, 0])
 
 # export: (call, its well-formed symbol arrays, each one's alphabet size).
@@ -380,8 +382,8 @@ SCALAR_TABLE = {
                          (DISTORTION_BAD,)),
     "DistortionMatrix.hamming": (DistortionMatrix.hamming, (2,),
                                  (_int(1, 2**16, 2**16 + 1),)),
-    "ErasurePattern": (ErasurePattern, ([1, 3],), ((5, None, ["a"], [0]),)),
-    "ErasurePattern.of": (ErasurePattern.of, (2,), (_int(0),)),
+    "ErasurePattern": (ErasurePattern, ([1, 3],),
+                       ((5, None, ["a"], [0], [2.5], ["3"], [True], [None]),)),
     "ErasureSource.from_string": (ErasureSource.from_string, ("0*1",),
                                   ((None, 5, b"0*1", ["0", "*"], "0x"),)),
     "FeedforwardOracle.emit": (lambda k: _emitted(0).emit(k), (3,),
@@ -406,6 +408,8 @@ SCALAR_TABLE = {
     "is_strongly_typical": (
         lambda delta: is_strongly_typical(SOURCE, CFG.prior, delta), (0.5,),
         (_real(-0.1, 1.1),)),
+    "load_model": (load_model, ("binary_hamming",),
+                   ((None, 2.5, True, ["binary_hamming"], b"binary_hamming"),)),
     "plan_passes": (lambda n: plan_passes(CFG, n), (1000,), (_int(63),)),
     "quantize": (lambda q: quantize(CFG.prior, q), (16,), (_int(1, 25),)),
     "quantize_channel": (lambda q: quantize_channel(CFG.channel, q), (16,),
@@ -430,8 +434,8 @@ SCALAR_TABLE = {
 }
 
 # Exports that take no integer, real number, string or real table: errors,
-# constants, records the package builds, symbol arrays, bytes, paths and
-# objects that were checked when they were built.
+# constants, records the package builds, symbol arrays, bytes and objects
+# that were checked when they were built.
 NO_SCALAR = {
     "CausalityError", "CodingError", "ConfigError", "FfscError",
     "ModelError", "QuantizationError", "ShapingError", "StreamFormatError",
@@ -443,7 +447,7 @@ NO_SCALAR = {
     "beq_decode", "beq_encode", "bundled_model_names", "compress",
     "conditional_entropy", "decode", "deshape_raw", "encode", "entropy",
     "erasure_distortion", "estimate_total_samples", "expected_distortion",
-    "fnv1a64", "growth_factor", "load_model", "measure", "model_digest",
+    "fnv1a64", "growth_factor", "measure", "model_digest",
     "mutual_information", "read_header", "read_uvarint",
     "run_codec_experiment", "shape",
 }
@@ -470,6 +474,20 @@ def test_malformed_scalar_raises_a_package_error(name, arg, value):
     args[arg] = value
     with pytest.raises(FfscError):
         call(*args)
+
+
+def test_load_model_leaves_a_file_descriptor_alone():
+    """An int is refused before any filesystem call, so load_model neither
+    reads it as a file descriptor nor closes it."""
+    r, w = os.pipe()
+    try:
+        os.write(w, b"{}")
+        os.close(w)
+        with pytest.raises(ModelError):
+            load_model(r)
+        assert os.read(r, 2) == b"{}"
+    finally:
+        os.close(r)
 
 
 # -- the alphabet-size limit -----------------------------------------------

@@ -46,7 +46,7 @@ def test_worked_example_quantizer():
 
 def test_worked_example_channel():
     message = np.array([0, 1, 0, 1], dtype=np.uint8)
-    pattern = ErasurePattern.of(2, 3, 6, 7)
+    pattern = ErasurePattern({2, 3, 6, 7})
     inputs, uses = bec_feedback_send(message, pattern)
     assert inputs.dtype == np.uint8
     assert inputs.tolist() == [0, 1, 1, 1, 0, 1, 1, 1]
@@ -142,14 +142,14 @@ def test_source_string_roundtrip():
 
 def test_pattern_validates_indices():
     with pytest.raises(ModelError):
-        ErasurePattern.of(0)
-    assert ErasurePattern.of(3, 1).indices == frozenset({1, 3})
+        ErasurePattern({0})
+    assert ErasurePattern({3, 1}).indices == frozenset({1, 3})
 
 
 @pytest.mark.parametrize("index", [2.7, "x", None, -1])
 def test_pattern_refuses_an_index_that_is_not_a_positive_integer(index):
     with pytest.raises(ModelError):
-        ErasurePattern.of(1, index)
+        ErasurePattern({1, index})
 
 
 def test_erasure_distortion_matrix():
@@ -166,5 +166,5 @@ def test_all_erased_source_needs_empty_message():
     recon, oracle = decode_with_audit(m, src)
     assert recon.tolist() == [0, 0, 0, 0]
     assert oracle.audit_clean()
-    inputs, uses = bec_feedback_send(m, ErasurePattern.of(1, 2, 3, 4))
+    inputs, uses = bec_feedback_send(m, ErasurePattern({1, 2, 3, 4}))
     assert uses == 0 and len(inputs) == 0
