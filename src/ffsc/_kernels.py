@@ -45,7 +45,7 @@ and element writes into numpy arrays cost 2-4x more per step.  The
 fallback is bit-identical to the compiled loops, and the tests check
 both byte for byte against a readable reference coder,
 ``tests/rangecoder.py``.  On 2 cores one trial of the binary benchmark
-(n ~ 128k, encode and decode) takes about 0.055 s.
+(n ~ 128k, encode and decode) takes about 0.046 s.
 
 Kernels never raise: they return a status code so the compiled loops
 stay allocation-free and exception-free.  Buffers are caller-allocated

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 MAGIC = b"FFSC"
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 # magic, version, q, K, M, model digest, CRC-32 of the reconstruction
 _HEADER_FMT = "<4sBBHIQI"
 HEADER_LEN = struct.calcsize(_HEADER_FMT)  # 24 bytes

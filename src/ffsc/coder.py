@@ -12,17 +12,21 @@ A model builds its extension once, in its kernel form
 extension's table, its rows as the kernels take them, and the place
 values and digits that turn samples into tuple indices and back.  One
 rule gives k for every table: the largest value with (rows * size)^k
-<= 256 cells and size^k <= 2^(precision - 8).  At precisions from 16
-up, a one-row frame table gets k = 8 on a binary marginal, 5 on a
-ternary one, 4 on a 4-ary one, 3 on 5 or 6 symbols and 2 on 7 to 16
-(1 from 17 up); a square test channel gets k = 4 on the BSC, 2 on
-ternary and 4-ary channels and 1 from 5 symbols up, and the binary
-source's 2 x 3 erasure channel gets k = 3.  The second bound keeps the
-unit that rounding must give each tuple within 1/256 of the total in
-all; without it a skewed row at a low precision would code every tuple
-alike.  A tuple is indexed in base size (base rows for a tuple of row
-indices), its first sample the most significant digit, as coding the
-samples one by one would order them.
+<= 4096 cells, size^k <= min(256, 2^(precision - 8)) symbols per row
+and fmin^k >= (2^precision)^(k - 1), fmin the least nonzero frequency
+of any row.  The last bound gives every nonzero tuple an exact product
+of at least one unit, so rounding, which must give each tuple a unit,
+moves almost no mass onto rare tuples (Moffat, Neal & Witten,
+"Arithmetic coding revisited", 1998); it is integer arithmetic on the
+quantized rows, so a decoder derives the same k on any platform.  The
+256 keeps a row within the decoder's slot buckets, and 2^(precision -
+8) keeps the units a row's tuples must get within 1/256 of its total.
+At precision 16, uniform frames keep k = 8, 5 and 4 on 2, 3 and 4
+symbols; the BSC(0.11) gets k = 5, the solver's ternary and 4-ary
+D = 0.15 channels k = 3, and skewed tables less: BSC(0.001) and a
+(0.999, 0.001) frame code sample by sample.  A tuple is indexed in base
+size (base rows for a tuple of row indices), its first sample the most
+significant digit, as coding the samples one by one would order them.
 
 A ``Frame`` is a varint sample count n followed by a byte-aligned
 payload, which codes the samples as ceil(n/k) symbols of row 0 of the
@@ -62,8 +66,10 @@ __all__ = [
 # Bounds of a table's precision q: at q = 2 a binary row can first be skewed
 # (1 and 3 of 4), and the kernels' range stays >= 2^24, so range >> q >= 1.
 MIN_PRECISION, MAX_PRECISION = 2, 24
-# An extension has at most this many cells, rows times symbols.
-_MAX_CELLS = 256
+# An extension has at most this many cells, rows times symbols, and a row
+# at most as many symbols as the decoder has slot buckets.
+_MAX_CELLS = 4096
+_MAX_ROW = 1 << _kernels._SLOT_BITS
 # A model's extension as the kernels and tuple indices take it.
 KernelForm = namedtuple(
     "KernelForm", "k pad table cum flat slots place row_place digits")
@@ -135,9 +141,11 @@ class QuantizedModel:
         if form is None:
             rows, size = self.freq.shape
             total = 1 << self.precision
+            fmin = int(self.freq[self.freq > 0].min())
             k = 1
             while (1 < (rows * size) ** (k + 1) <= _MAX_CELLS
-                   and size ** (k + 1) <= total >> 8):
+                   and size ** (k + 1) <= min(_MAX_ROW, total >> 8)
+                   and fmin ** (k + 1) >= total ** k):
                 k += 1
             p = self.freq / total  # exact: dyadic rationals
             probs = p

@@ -365,12 +365,13 @@ def test_header_magic_and_version_checked():
     src = uniform_source(2, 180_000, 2)
     res = encode(src, cfg)
     oracle = FeedforwardOracle(src[src.size - res.n:])
+    assert res.bitstream[4] == STREAM_VERSION == 6
     with pytest.raises(StreamFormatError):
         decode(corrupt(res.bitstream, 0, 0x00), oracle, cfg)
     # v1 carried the seed, v2 coded frames a sample at a time, v3
-    # shaped a sample at a time and v4 capped frame tuples at 16
-    # symbols; all are refused too
-    for version in (99, 1, 2, 3, 4):
+    # shaped a sample at a time, v4 capped frame tuples at 16 symbols
+    # and v5 set k by table shape alone; all are refused too
+    for version in (99, 1, 2, 3, 4, 5):
         with pytest.raises(StreamFormatError,
                            match=f"unsupported stream version {version}"):
             decode(corrupt(res.bitstream, 4, version), oracle, cfg)
@@ -566,11 +567,11 @@ def recorded_stream(size, rows, seed):
 
 @pytest.mark.parametrize("size, rows, seed, digest", [
     (2, None, 7,
-     "3db7a8d53a06f61c86eddb419d3bc042eb59117a2042ab60fc80dd01a3e515d6"),
+     "08d9098190f328f8f54730e448d65b423005d9d2f14f39de85fb6a0f0fa4d674"),
     (2, None, 8,
-     "8d83d7b67f4ce9c3d81bd15578524cc249235292de44faf9745575a09f12a1c9"),
+     "63c8c2f5313c306217c30e9af4de10b76e9b9f7355732462fc8858599723f70f"),
     (3, [[0.8, 0.15, 0.05], [0.05, 0.8, 0.15], [0.15, 0.05, 0.8]], 9,
-     "01a8666e84fb2d04a4d6ae28a6d5797eacd91b789bfa171ef0803c787c3cddde"),
+     "bcfa903fd003376b54342734726c13376caa63df7fd46f3aba70ba665b35d236"),
 ])
 def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
     """Small fixed configurations encode to recorded bytes, so a change
@@ -579,20 +580,6 @@ def test_bitstream_matches_recorded_digest(size, rows, seed, digest):
     solver's floating point cannot move the digest."""
     stream = recorded_stream(size, rows, seed)
     assert hashlib.sha256(stream).hexdigest() == digest
-
-
-@pytest.mark.parametrize("seed, digest", [
-    (7, "41a7a791709d950201d4aa171652228c804a0923f67ca0662ae9900c68a52f4a"),
-    (8, "99264a5c4695bf758d7eae2d376e7a4b0d703304b8eda3d96e01aa6fb64fe622"),
-])
-def test_binary_streams_are_stream_v4_but_for_the_version(seed, digest):
-    """A uniform binary marginal's tuples code to the bytes of its
-    samples at any k, and the BSC keeps k = 4, so the binary streams
-    are stream v4's recorded bytes with the version byte raised."""
-    stream = recorded_stream(2, None, seed)
-    assert stream[4] == STREAM_VERSION == 5
-    v4 = stream[:4] + bytes([4]) + stream[5:]
-    assert hashlib.sha256(v4).hexdigest() == digest
 
 
 def test_stream_layout_header_then_single_frame():

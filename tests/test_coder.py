@@ -203,20 +203,29 @@ def test_compress_rejects_out_of_range():
 # frames code k-sample tuples
 
 
-def frame_k(size, precision):
-    """The rule: the largest k with size^k <= 256 and size^k <= 2^(q-8)."""
-    return max(k for k in range(1, 9)
-               if size ** k <= min(256, 2 ** (precision - 8)) or k == 1)
+def extension_k(m):
+    """The rule: the largest k with (rows * size)^k <= 4096 cells,
+    size^k <= min(256, 2^(q-8)) and fmin^k >= 2^(q(k-1)), fmin the
+    least nonzero frequency (every nonzero tuple's exact product is at
+    least one unit), or 1 if there is none."""
+    rows, size = m.freq.shape
+    q = m.precision
+    fmin = int(m.freq[m.freq > 0].min())
+    return max([1] + [k for k in range(2, 9)
+                      if (rows * size) ** k <= 4096
+                      and size ** k <= min(256, 2 ** (q - 8))
+                      and fmin ** k >= 2 ** (q * (k - 1))])
 
 
 @pytest.mark.parametrize("probs, precision, k", [
-    ([0.89, 0.11], 16, 8),
+    ([0.75, 0.25], 16, 8),     # 2^14 units: the one-unit bound's edge
     ([0.89, 0.11], 11, 3),
     ([0.89, 0.11], 10, 2),
     ([0.89, 0.11], 8, 1),
     ([0.5, 0.3, 0.2], 16, 5),
     ([0.4, 0.3, 0.2, 0.1], 24, 4),
     ([0.3, 0.3, 0.2, 0.1, 0.1], 16, 3),
+    ([0.89, 0.11], 16, 5),     # the one-unit bound
 ])
 def test_tuple_frames_round_trip_every_remainder(probs, precision, k):
     m = quantize(Pmf(probs), precision)
@@ -243,7 +252,7 @@ def test_tuple_table_exists_for_every_alphabet_and_precision(size, precision):
                                          np.full(support, 1 / support))
     m = QuantizedModel(freq, precision)
     k, pad, table = m.kernel_form()[:3]
-    assert k == frame_k(size, precision)
+    assert k == extension_k(m)
     assert table.size == size ** k and m.freq[0][pad] == freq.max()
     symbols = rng.integers(0, support, 2 * k + 1)
     raw = compress(symbols, m).to_bytes()
@@ -279,12 +288,19 @@ def test_uniform_binary_tuples_code_to_the_bytes_of_single_samples():
 
 
 @pytest.mark.parametrize("probs, k, bound", [
-    ([0.89, 0.11], 8, 1e-3),   # 8.2e-5 bit/sample
-    ([0.97, 0.03], 8, 1e-3),   # 4.2e-4
-    ([0.99, 0.01], 8, 1e-3),   # 5.7e-4, 0.70% of the entropy
+    ([0.75, 0.25], 8, 1e-3),   # 0: the product rows are exact
+    ([0.7, 0.3], 8, 1e-3),     # 7.5e-7 bit/sample
+    ([0.6, 0.4], 8, 1e-3),     # 2.1e-7
     ([1 / 3] * 3, 5, 2e-6),    # 4.0e-7
     ([1 / 4] * 4, 4, 2e-6),    # 0: the product rows are exact
     (np.arange(1, 17) / 136, 2, 2e-6),  # 1.6e-6
+    # skewed marginals take the k at which no tuple rounds up to a unit;
+    # in brackets the cost of stream v5's k = 8
+    ([0.89, 0.11], 5, 1e-6),   # 3.0e-7 (8.2e-5)
+    ([0.97, 0.03], 3, 1e-6),   # 1.1e-7 (4.2e-4)
+    ([0.99, 0.01], 2, 1e-6),   # 1.7e-7 (5.7e-4, 0.70% of the entropy)
+    ([0.999, 0.001], 1, 1e-6),     # 0 (6.6e-4, 5.8%)
+    ([0.9999, 0.0001], 1, 1e-6),   # 0 (6.8e-4, 46%)
 ])
 def test_frame_rounding_costs_little_at_q16(probs, k, bound):
     """What rounding the frames' tuple table costs over the exact
@@ -292,6 +308,12 @@ def test_frame_rounding_costs_little_at_q16(probs, k, bound):
     m = quantize(Pmf(probs), 16)
     assert m.kernel_form().k == k
     assert extension_cost(m) < bound
+
+
+@pytest.mark.parametrize("freq, k", [([65280, 256], 2), ([65281, 255], 1)])
+def test_one_unit_bound_is_exact(freq, k):
+    """256^2 is one unit of 2^16 exactly, and 255^2 is less."""
+    assert QuantizedModel(freq, 16).kernel_form().k == k
 
 
 def test_tuple_frames_skip_a_zero_frequency_symbol_0():
@@ -322,24 +344,17 @@ def test_frame_whose_pad_is_not_the_pad_symbol_is_refused():
 # one k-th extension builder for every model
 
 
-def extension_k(rows, size, precision):
-    """The rule: the largest k with (rows * size)^k <= 256 cells and
-    size^k <= 2^(q-8), or 1 if there is none."""
-    return max([1] + [k for k in range(2, 9)
-                      if (rows * size) ** k <= 256
-                      and size ** k <= 2 ** (precision - 8)])
-
-
-def random_rows(rows, size, precision, salt=0):
+def random_rows(rows, size, precision, salt=0, alpha=1.0):
     """A model of `rows` random rows, each with as many nonzero
-    frequencies as the precision allows, at random places."""
+    frequencies as the precision allows, at random places; a large
+    Dirichlet `alpha` makes the rows near uniform."""
     total = 1 << precision
     rng = np.random.default_rng([rows, size, precision, salt])
     support = min(size, total)
     freq = np.zeros((rows, size), dtype=np.int64)
     for row in freq:
         row[:support] = 1 + rng.multinomial(
-            total - support, rng.dirichlet(np.ones(support)))
+            total - support, rng.dirichlet(np.full(support, alpha)))
         rng.shuffle(row)
     return QuantizedModel(freq, precision)
 
@@ -363,7 +378,7 @@ def extension_by_loop(m, k):
 def test_extension_follows_the_rule(rows, size, precision):
     m = random_rows(rows, size, precision)
     k, pad, ext = m.kernel_form()[:3]
-    assert k == extension_k(rows, size, precision)
+    assert k == extension_k(m)
     assert ext.freq.shape == (rows ** k, size ** k)
     assert ext.precision == precision
     assert np.array_equal(ext.freq, extension_by_loop(m, k))
@@ -392,34 +407,48 @@ def test_kernel_form_is_built_once_in_the_kernels_input_form(rows, size):
 
 
 def test_one_row_extension_is_the_stream_v5_frame_table():
-    """k and the table of every one-row model below are those that
-    stream v5's frames code, recorded as a digest."""
+    """For one row the cell cap and the row bound are stream v5's 256
+    cells, so where every tuple keeps its unit, as on the near-uniform
+    rows below, k and the table are those that v5's frames code,
+    recorded as a digest of v5's tables."""
     h = hashlib.sha256()
     for size in range(2, 18):
         for precision in (4, 8, 10, 11, 12, 16, 24):
-            model = random_rows(1, size, precision, salt=1)
+            model = random_rows(1, size, precision, salt=1, alpha=1000)
             k, _, ext = model.kernel_form()[:3]
             h.update(bytes([k]) + ext.freq.astype("<u4").tobytes())
     assert h.hexdigest() == (
-        "70f8b9baadeabc00553cbf831481be3f7d66ba5584be8f6a4302cf1556188cb5")
+        "9060e14e129471af10488089dbf046b1c6911065e99951be8ed83e8a625e9da2")
 
 
 def test_square_tables_keep_the_stream_v4_k():
-    """With as many rows as symbols, (rows * size)^k <= 256 is stream
-    v4's max(rows, size)^k <= 16, so a test channel's extension, and
-    with it every shaped block, is as in stream v4."""
+    """Up to q = 12 the precision bound, size^k <= 2^(q-8) <= 16, is
+    stream v4's cap, and the cells never bind before it: (rows * size)^k
+    <= 4096 is size^k <= 64.  So a square table whose every tuple keeps
+    its unit, as on the near-uniform rows below, keeps v4's k."""
     for size in range(2, 18):
-        for precision in (4, 8, 10, 11, 12, 16, 24):
+        for precision in (4, 8, 10, 11, 12):
             v4 = max([1] + [k for k in range(2, 5) if size ** k <= 16
                             and size ** k <= 2 ** (precision - 8)])
-            m = random_rows(size, size, precision)
+            m = random_rows(size, size, precision, alpha=1000)
             assert m.kernel_form().k == v4, (size, precision)
 
 
-def kernel_steps(monkeypatch, precision, n):
+def test_near_uniform_square_tables_take_the_cell_cap():
+    """From q = 14 the cell cap, size^k <= 64 on a square table, sets
+    the k of near-uniform rows: 6 on the BSC, 3 on 3 x 3 and 4 x 4."""
+    for size in range(2, 18):
+        for precision in (16, 24):
+            cap = max([1] + [k for k in range(2, 7) if size ** k <= 64])
+            m = random_rows(size, size, precision, alpha=1000)
+            assert m.kernel_form().k == cap, (size, precision)
+
+
+def kernel_steps(monkeypatch, probs, precision, n):
     """The kernel calls, with their symbol counts, that a binary frame
-    of n samples at `precision` makes to encode and then to decode."""
-    m = quantize(Pmf([0.89, 0.11]), precision)
+    of n samples drawn from `probs` at `precision` makes to encode and
+    then to decode."""
+    m = quantize(Pmf(probs), precision)
     seen = []
     encode_kernel = _kernels.encode_kernel
     decode_kernel = _kernels.decode_kernel
@@ -434,7 +463,7 @@ def kernel_steps(monkeypatch, precision, n):
 
     monkeypatch.setattr(_kernels, "encode_kernel", encode_spy)
     monkeypatch.setattr(_kernels, "decode_kernel", decode_spy)
-    symbols = np.random.default_rng(n).choice(2, size=n, p=[0.89, 0.11])
+    symbols = np.random.default_rng(n).choice(2, size=n, p=probs)
     raw = compress(symbols, m).to_bytes()
     out, _ = decode_frame_prefix(raw, m, n)
     assert np.array_equal(out, symbols)
@@ -443,18 +472,29 @@ def kernel_steps(monkeypatch, precision, n):
 
 @pytest.mark.parametrize("n", [0, 1, 4, 7, 1001])
 def test_binary_frames_take_one_kernel_step_per_four_samples(monkeypatch, n):
-    """At q = 12 the precision bound, 2^k <= 2^(12 - 8), holds k at 4."""
+    """At q = 12 the precision bound, 2^k <= 2^(12 - 8), holds k at 4
+    on a uniform marginal."""
     steps = -(-n // 4)
-    assert kernel_steps(monkeypatch, 12, n) == [("encode", steps),
-                                                ("decode", steps)]
+    assert kernel_steps(monkeypatch, [0.5, 0.5], 12, n) == [
+        ("encode", steps), ("decode", steps)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 15, 1001])
 def test_binary_frames_take_one_kernel_step_per_eight_samples(monkeypatch, n):
-    """At q = 16 the cell cap, 2^k <= 256, sets k to 8."""
+    """At q = 16 the row bound, 2^k <= 256 symbols, sets k to 8 on a
+    uniform marginal."""
     steps = -(-n // 8)
-    assert kernel_steps(monkeypatch, 16, n) == [("encode", steps),
-                                                ("decode", steps)]
+    assert kernel_steps(monkeypatch, [0.5, 0.5], 16, n) == [
+        ("encode", steps), ("decode", steps)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 9, 1001])
+def test_binary_frames_take_one_kernel_step_per_five_samples(monkeypatch, n):
+    """At q = 16 the one-unit bound holds (0.89, 0.11) at k = 5: its
+    least frequency, 7209, has 7209^5 >= (2^16)^4 but 7209^6 < (2^16)^5."""
+    steps = -(-n // 5)
+    assert kernel_steps(monkeypatch, [0.89, 0.11], 16, n) == [
+        ("encode", steps), ("decode", steps)]
 
 
 # ---------------------------------------------------------------------------

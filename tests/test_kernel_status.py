@@ -29,7 +29,9 @@ STATUSES = {name: value for name, value in vars(_kernels).items()
 MODEL = quantize(Pmf.uniform(2), 16)
 CHANNEL = quantize_channel(TestChannel.bsc(0.11), 16)
 SIDE = np.zeros(4096, dtype=np.int64)
-SYMBOLS = np.array([0, 1, 1, 0], dtype=np.int64)
+# one tuple of the channel's k samples (k = 5), which deshape_raw needs
+SYMBOLS = np.resize(np.array([0, 1, 1, 0], dtype=np.int64),
+                    CHANNEL.kernel_form().k)
 
 # (caller, kernel it calls, the kernel's return value for a status)
 CALLS = {
@@ -81,15 +83,15 @@ def test_shape_retries_need_more_sym_with_a_doubled_buffer(monkeypatch):
     calls = stub(monkeypatch, kernel,
                  [(0, _kernels.NEED_MORE_SYM), (2, _kernels.OK)])
     symbols, used = run()
-    # two tuples of the BSC's k = 4 samples
-    assert used == 8 and symbols.size == 8
+    # two tuples of the BSC's k = 5 samples
+    assert used == 10 and symbols.size == 10
     first, second = (len(args[-1]) for args in calls)
     assert second == 2 * first
 
 
 def test_shape_refuses_need_more_sym_once_the_side_is_exhausted(
         monkeypatch):
-    # shape's first buffer holds 256 symbols, as many as this side.
+    # shape's first buffer holds 52 tuples, more than this side's 51.
     _, kernel, _ = CALLS["shape"]
     calls = stub(monkeypatch, kernel, [(256, _kernels.NEED_MORE_SYM)])
     with pytest.raises(ShapingError, match="side provider exhausted"):

@@ -216,18 +216,18 @@ def test_deshape_rejects_symbols_outside_the_model():
     pairs whose flat index x * (size + 1) + xhat lands inside the table
     (x = 1, xhat = -2 is row 0's symbol 1 under BSC(0.11))."""
     n_rows, size = BSC11.freq.shape
-    xhat = np.array([0, 1, 1, 0], dtype=np.int64)
-    x = np.array([0, 1, 0, 1], dtype=np.int64)
+    xhat = np.array([0, 1, 1, 0, 1], dtype=np.int64)  # one 5-sample tuple
+    x = np.array([0, 1, 0, 1, 1], dtype=np.int64)
     deshape_raw(xhat, x, BSC11)
     for bad_xhat in (-1, -2, size):
         for t in range(xhat.size):
             with pytest.raises(ShapingError, match="outside"):
-                deshape_raw(np.where(np.arange(4) == t, bad_xhat, xhat), x,
+                deshape_raw(np.where(np.arange(5) == t, bad_xhat, xhat), x,
                             BSC11)
     for bad_x in (-1, n_rows):
         for t in range(x.size):
             with pytest.raises(ShapingError, match="outside"):
-                deshape_raw(xhat, np.where(np.arange(4) == t, bad_x, x),
+                deshape_raw(xhat, np.where(np.arange(5) == t, bad_x, x),
                             BSC11)
     with pytest.raises(ShapingError, match="outside"):
         deshape_raw([-2], [1], BSC11)
@@ -336,16 +336,21 @@ def rotations(row):
     return [row[-i:] + row[:-i] for i in range(len(row))]
 
 
-# (channel rows, precision, the k of its extension)
+# (channel rows, precision, the k of its extension); at q = 16 the cell
+# cap sets the last three's k and the one-unit bound the others'.
 TUPLE_CHANNELS = [
-    ([[0.89, 0.11], [0.11, 0.89]], 16, 4),
+    ([[0.92, 0.08], [0.08, 0.92]], 16, 4),
     ([[0.89, 0.11], [0.11, 0.89]], 11, 3),
     ([[0.89, 0.11], [0.11, 0.89]], 10, 2),
     ([[0.89, 0.11], [0.11, 0.89]], 8, 1),
-    (rotations([0.8, 0.15, 0.05]), 16, 2),
-    (rotations([0.7, 0.15, 0.1, 0.05]), 16, 2),
-    (rotations([0.6, 0.2, 0.1, 0.06, 0.04]), 16, 1),
+    (rotations([0.8, 0.18, 0.02]), 16, 2),
+    (rotations([0.7, 0.15, 0.13, 0.02]), 16, 2),
+    (rotations([0.6, 0.2, 0.1, 0.097, 0.003]), 16, 1),
     ([[0.8, 0.05, 0.15], [0.05, 0.8, 0.15]], 16, 3),  # erasure output
+    ([[0.89, 0.11], [0.11, 0.89]], 16, 5),
+    (rotations([0.8, 0.15, 0.05]), 16, 3),
+    (rotations([0.7, 0.15, 0.1, 0.05]), 16, 3),
+    (rotations([0.6, 0.2, 0.1, 0.06, 0.04]), 16, 2),
 ]
 
 
@@ -387,8 +392,10 @@ def test_deshape_rejects_an_impossible_pair_in_a_tuple():
 
 
 def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
-    """shape_kernel decodes used/4 tuples, and the deshape re-encode
-    codes used/4 tuples."""
+    """On BSC(0.08), whose k the one-unit bound holds at 4, shape_kernel
+    decodes used/4 tuples, and the deshape re-encode codes used/4
+    tuples."""
+    cm = quantize_channel(TestChannel.bsc(0.08), 16)
     seen = []
     shape_kernel = _kernels.shape_kernel
     encode_kernel = _kernels.encode_kernel
@@ -408,19 +415,44 @@ def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
     for m in (1, 100, 3000):
         bits, side = random_case(rng, m)
         seen.clear()
-        xhat, used = shape(bits, side, BSC11)
+        xhat, used = shape(bits, side, cm)
         assert seen[-1] == ("shape", used // 4, _kernels.OK)
         assert all(status == _kernels.NEED_MORE_SYM
                    for _, _, status in seen[:-1])
         seen.clear()
-        assert np.array_equal(unshape(xhat, side[:used], BSC11, m), bits)
+        assert np.array_equal(unshape(xhat, side[:used], cm, m), bits)
         assert seen == [("encode", used // 4)]
 
 
 def test_extension_rounding_costs_under_a_millionth_of_a_bit():
+    """The one-unit bound holds BSC(0.11) at k = 5 (3.0e-7 bit/sample);
+    the cell cap alone would allow k = 6, at 3.1e-6."""
     cm = quantize_channel(TestChannel.bsc(0.11), 16)
-    assert cm.kernel_form().k == 4
+    assert cm.kernel_form().k == 5
     assert 0 < extension_cost(cm) < 1e-6
+
+
+def hamming_shift(cm):
+    """Each row's expected Hamming distortion under a binary square
+    table's extension, over that of the exact products of its quantized
+    rows, less 1."""
+    form = cm.kernel_form()
+    total = 1 << cm.precision
+    # a square binary table's row tuples have the symbol tuples' digits
+    dist = (form.digits[:, None] != form.digits[None]).mean(axis=2)
+    coded = (form.table.freq / total * dist).sum(axis=1)
+    crossover = cm.freq[[0, 1], [1, 0]] / total
+    exact = crossover[form.digits].mean(axis=1)
+    return coded / exact - 1
+
+
+@pytest.mark.parametrize("p", [0.001, 0.005, 0.02])
+def test_skewed_bsc_extension_keeps_its_rate_and_distortion(p):
+    """A skewed BSC takes the k at which no tuple rounds up to a unit
+    (k = 4 at stream v5 shifted D by +10.6%, +1.22% and +0.15%)."""
+    cm = quantize_channel(TestChannel.bsc(p), 16)
+    assert extension_cost(cm) < 1e-6
+    assert np.abs(hamming_shift(cm)).max() < 1e-3
 
 
 @pytest.mark.parametrize("freq, precision", [
