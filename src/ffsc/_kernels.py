@@ -45,7 +45,7 @@ and element writes into numpy arrays cost 2-4x more per step.  The
 fallback is bit-identical to the compiled loops, and the tests check
 both byte for byte against a readable reference coder,
 ``tests/rangecoder.py``.  On 2 cores one trial of the binary benchmark
-(n ~ 128k, encode and decode) takes about 0.046 s.
+(n ~ 128k, encode and decode) takes about 0.04 s.
 
 Kernels never raise: they return a status code so the compiled loops
 stay allocation-free and exception-free.  Buffers are caller-allocated
@@ -53,13 +53,17 @@ and bounds-checked by the kernels themselves.  The encoder's output
 never exceeds ``encoded_bytes_bound``, and the shaper's stream has a
 closed-form size too (see ``shaping.shape``), so their callers
 allocate once and treat NEED_MORE_BUF and TRUNCATED as errors.
-Grow-and-retry is left only for the shaper's symbol buffer: ``shape``
-doubles it on NEED_MORE_SYM and reruns from scratch, which keeps the
-kernels stateless, until it holds every whole tuple of the side.  The
-decoder returns TRUNCATED as soon as it has shifted in more bytes than
-its input holds; between shifts its work is bounded by the symbol
-count it is given, which its caller caps.  All arithmetic is int64: the largest
-intermediate, low + r*start < 2^33, is far below overflow.
+Only the shaper's symbol buffer grows.  The decoder's whole state is
+(range, code, shifts), as it has always read shifts + 4 bytes, so the
+loop takes that state and returns it: ``start_state`` reads the first
+four bytes for a fresh start, and on NEED_MORE_SYM ``shape`` resumes
+from the returned state on the next side tuples and a fresh chunk,
+doubling the buffer's total until it holds every whole tuple of the
+side.  No symbol is decoded twice.  The decoder returns TRUNCATED as
+soon as it has shifted in more bytes than its input holds; between
+shifts its work is bounded by the symbol count it is given, which its
+caller caps.  All arithmetic is int64: the largest intermediate,
+low + r*start < 2^33, is far below overflow.
 
 **Prefix duality.**  At any point, the encoder's buffer equals a prefix
 of the final stream except for an *unsettled* suffix, a trailing run of
@@ -214,36 +218,40 @@ def slot_table(cum, precision):
     return slots.astype(np.min_scalar_type(-len(cum)))
 
 
+def start_state(data):
+    """The decoder's state before its first symbol of `data`, a uint8
+    array: (range, code, shifts), the code being data's first four
+    bytes, with bytes past its end read as 0."""
+    head = data[:4].tobytes().ljust(4, b"\0")
+    return 1 << 32, int.from_bytes(head, "big"), 0
+
+
 @_jit
 def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
-                 stop):
+                 stop, rng, code, shifts):
     """Range-decode up to `count` symbols of `data` into `out`, symbol t
     against cum_rows[side[t]] and its slot table slot_rows[side[t]]
-    (row 0 for every symbol if side is empty); bytes past the end of
-    `data` read as 0.
+    (row 0 for every symbol if side is empty), from the coder state
+    (rng, code, shifts): ``start_state`` for a fresh start, or the
+    state a NEED_MORE_SYM return left.  The loop has read shifts + 4
+    bytes of `data`, so the state needs no read position; bytes past
+    the end of `data` read as 0.
 
-    Returns (symbols, shifts, status).  The status is OK once the shift
-    count passes `stop`, counting the symbol whose renormalisation
-    passed it; TRUNCATED as soon as shifts+2 exceeds len(data), leaving
-    the symbol being renormalised written but not counted; ERR_RANGE at
-    a side value with no row; and NEED_MORE_SYM after `count` symbols
-    with neither.
+    Returns (symbols, rng, code, shifts, status).  The status is OK once
+    the shift count passes `stop`, counting the symbol whose
+    renormalisation passed it; TRUNCATED as soon as shifts+2 exceeds
+    len(data), leaving the symbol being renormalised written but not
+    counted; ERR_RANGE at a side value with no row; and NEED_MORE_SYM
+    after `count` symbols with neither, the only return whose state
+    lies between two symbols and so resumes.
     """
     total = 1 << precision
     sh = precision - min(precision, _SLOT_BITS)
-    rng = 1 << 32
-    code = 0
-    pos = 0
+    pos = shifts + 4
     dlen = len(data)
-    shifts = 0
     # One test per shift serves both exits; it tells them apart only
     # when it fires.
     limit = min(stop, dlen - 2)
-
-    for _ in range(4):
-        b = data[pos] if pos < dlen else 0
-        code = (code << 8) | b
-        pos += 1
 
     fixed_row = len(side) == 0
     n_rows = len(cum_rows)
@@ -253,7 +261,7 @@ def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
         if not fixed_row:
             x = side[t]
             if x < 0 or x >= n_rows:
-                return t, shifts, ERR_RANGE
+                return t, rng, code, shifts, ERR_RANGE
             cum = cum_rows[x]
             slots = slot_rows[x]
         r = rng >> precision
@@ -281,10 +289,10 @@ def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
             shifts += 1
             if shifts > limit:
                 if shifts + 2 > dlen:
-                    return t, shifts, TRUNCATED
-                return t + 1, shifts, OK
+                    return t, rng, code, shifts, TRUNCATED
+                return t + 1, rng, code, shifts, OK
             rng <<= 8
-    return count, shifts, NEED_MORE_SYM
+    return count, rng, code, shifts, NEED_MORE_SYM
 
 
 # decode_kernel's side: empty, so every symbol reads row 0.  Every call
@@ -304,27 +312,30 @@ def decode_kernel(data, count, cum_rows, slot_rows, precision, out):
     length to detect oversized frames.
     """
     # A stop at len(data) never fires, as TRUNCATED comes first.
-    _, shifts, _ = _decode_loop(data, count, _NO_SIDE, cum_rows, slot_rows,
-                                precision, out, len(data))
+    shifts = _decode_loop(data, count, _NO_SIDE, cum_rows, slot_rows,
+                          precision, out, len(data), *start_state(data))[3]
     return shifts, TRUNCATED if shifts + 2 > len(data) else OK
 
 
 def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
-                 out_sym):
+                 out_sym, state):
     """Decode symbols from `stream` against per-position rows keyed by
-    `side` (cum_rows and their slot tables, slot_rows) until the first
-    `m_bits` bits of the stream are settled.
+    `side` (cum_rows and their slot tables, slot_rows), from the coder
+    `state`, until the first `m_bits` bits of the stream are settled.
 
-    Returns ``_decode_loop``'s (nsym, status), and NEED_MORE_SYM once
-    the output buffer or the side runs out.  The bits are settled once
-    the shift count passes ceil(m_bits/8) (see ``shaping``).
+    Returns (nsym, state, status): ``_decode_loop``'s symbol count, its
+    (rng, code, shifts) state and its status, NEED_MORE_SYM once the
+    output buffer or the side runs out.  A call given that state, the
+    side that follows and a fresh buffer goes on where this one stopped.
+    The bits are settled once the shift count passes ceil(m_bits/8)
+    (see ``shaping``).
     """
     if m_bits <= 0:
-        return 0, OK
-    nsym, _, status = _decode_loop(stream, min(len(out_sym), len(side)),
-                                   side, cum_rows, slot_rows, precision,
-                                   out_sym, (m_bits + 7) >> 3)
-    return nsym, status
+        return 0, state, OK
+    nsym, rng, code, shifts, status = _decode_loop(
+        stream, min(len(out_sym), len(side)), side, cum_rows, slot_rows,
+        precision, out_sym, (m_bits + 7) >> 3, *state)
+    return nsym, (rng, code, shifts), status
 
 
 def kernel_form(cum, precision):
@@ -351,10 +362,11 @@ def python_encode_kernel(codes, cum, precision, buf):
 
 
 def python_decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
-                       stop):
+                       stop, rng, code, shifts):
     """_decode_loop run as plain Python on the tables as given."""
     return _py_loop(data.tobytes(), int(count), side.tolist(), cum_rows,
-                    slot_rows, int(precision), memoryview(out), int(stop))
+                    slot_rows, int(precision), memoryview(out), int(stop),
+                    int(rng), int(code), int(shifts))
 
 
 if not HAVE_NUMBA:  # pragma: no cover - exercised only without numba

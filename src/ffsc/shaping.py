@@ -77,24 +77,32 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     # ceil(m/8); that renormalisation shifts at most ceil(q/8) <= 3
     # bytes, so it reads at most 4 + ceil(m/8) + 3 <= m//8 + 8 bytes.
     stream = _padded_stream(bits.astype(np.uint8, copy=False), m // 8 + 8)
-    # The buffer holds max(256, 2m + 64) samples, k to a tuple.
+    # The first chunk of the symbol buffer holds max(256, 2m + 64)
+    # samples, k to a tuple.  Each NEED_MORE_SYM with side to spare
+    # resumes the kernel from its returned state on the next side tuples
+    # and a fresh chunk that doubles the total, so no tuple is decoded
+    # twice and only the side tuples the kernel reaches are built.
     cap = -(-max(256, 2 * m + 64) // k)
     side_tuples = side_arr.size // k
+    state = _kernels.start_state(stream)
+    chunks = []
+    done = 0
     while True:
-        out = np.zeros(cap, dtype=np.int64)
-        # Only the side tuples the buffer can use are built.
-        given = to_tuples(side_arr[:k * min(cap, side_tuples)],
-                          form.row_place)
-        ntup, status = _kernels.shape_kernel(
-            stream, m, given, form.cum, form.slots, cm.precision, out)
+        end = min(cap, side_tuples)
+        given = to_tuples(side_arr[k * done:k * end], form.row_place)
+        out = np.zeros(end - done, dtype=np.int64)
+        ntup, state, status = _kernels.shape_kernel(
+            stream, m, given, form.cum, form.slots, cm.precision, out, state)
+        chunks.append(out[:ntup])
+        done += int(ntup)
         if status == _kernels.OK:
-            return form.digits[out[:ntup]].ravel(), k * int(ntup)
-        if status == _kernels.NEED_MORE_SYM and cap < side_tuples:
+            return form.digits[np.concatenate(chunks)].ravel(), k * done
+        if status == _kernels.NEED_MORE_SYM and end < side_tuples:
             cap *= 2
             continue
         if status == _kernels.NEED_MORE_SYM:
             raise ShapingError(
-                f"side provider exhausted after {k * ntup} symbols "
+                f"side provider exhausted after {k * done} symbols "
                 f"({side_arr.size} available)"
             )
         if status == _kernels.ERR_RANGE:

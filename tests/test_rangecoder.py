@@ -2,6 +2,8 @@
 of ``rangecoder`` (the test oracle, beside this file), and the
 settled-prefix property that the shaping layer depends on."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,8 +294,10 @@ def test_shape_kernel_status_contract():
     side = rng.integers(0, 2, 3 * m).astype(np.int64)
 
     def run(stream, m_bits, side, cap):
-        return _kernels.shape_kernel(stream, m_bits, side, cm_cum, cm_slots,
-                                     16, np.empty(cap, dtype=np.int64))
+        nsym, _, status = _kernels.shape_kernel(
+            stream, m_bits, side, cm_cum, cm_slots, 16,
+            np.empty(cap, dtype=np.int64), _kernels.start_state(stream))
+        return nsym, status
 
     assert run(stream, 0, side, 8) == (0, _kernels.OK)
     # A 3-byte stream is shifted past its end long before 2000 bits settle.
@@ -428,9 +432,9 @@ def test_shape_kernel_matches_reference_over_rows(precision):
         side = rng.integers(0, len(freqs), 4000)
         stream = rng.integers(0, 256, 8 + 600 // 8).astype(np.uint8)
         out = np.empty(side.size, dtype=np.int64)
-        nsym, status = _kernels.shape_kernel(
+        nsym, _, status = _kernels.shape_kernel(
             stream, 600, side, *decoder_rows(cm.cum, precision), precision,
-            out)
+            out, _kernels.start_state(stream))
         assert status == _kernels.OK and nsym > 0
         ref = decode_reference_rows(stream.tobytes(), side[:nsym],
                                     cm.cum, precision)
@@ -449,9 +453,10 @@ def on_python_loop(monkeypatch, kernel, *args):
 def test_pure_python_fallback_matches_jit(monkeypatch):
     """The compiled loops and the list-form loops that run without numba
     agree on every return value and every byte written, with
-    decode_kernel and shape_kernel run over each decode loop: a binary
-    channel at q = 16, and a ternary one with zero frequencies at a q
-    below the slot table's bits (one slot per value)."""
+    decode_kernel and shape_kernel run over each decode loop, shape_kernel
+    also split over two calls that carry its state: a binary channel at
+    q = 16, and a ternary one with zero frequencies at a q below the slot
+    table's bits (one slot per value)."""
     cases = (([[58327, 7209], [7209, 58327]], 16),
              ([[40, 0, 24], [8, 50, 6], [0, 20, 44]], 6))
     rng = np.random.default_rng(3)
@@ -491,16 +496,27 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
 
+        # A shape split at symbol 64, the state carried between the two
+        # calls, matches one call, on both loops.
         stream = rng.integers(0, 256, 600).astype(np.uint8)
-        for sym_cap, want in ((64, _kernels.NEED_MORE_SYM),
-                              (4000, _kernels.OK)):
-            out_a = np.zeros(sym_cap, dtype=np.int64)
-            out_b = np.zeros(sym_cap, dtype=np.int64)
-            res_a = _kernels.shape_kernel(stream, 2000, side, *tables, q, out_a)
-            res_b = on_python_loop(monkeypatch, "shape_kernel", stream, 2000,
-                                   side, *tables, q, out_b)
-            assert res_a == res_b and res_a[1] == want
-            assert np.array_equal(out_a, out_b)
+        start = _kernels.start_state(stream)
+        results, outs = [], []
+        for run in (_kernels.shape_kernel,
+                    partial(on_python_loop, monkeypatch, "shape_kernel")):
+            one = np.zeros(4000, dtype=np.int64)
+            res = run(stream, 2000, side, *tables, q, one, start)
+            assert res[-1] == _kernels.OK
+            head = np.zeros(64, dtype=np.int64)
+            first = run(stream, 2000, side, *tables, q, head, start)
+            assert first[0] == 64 and first[-1] == _kernels.NEED_MORE_SYM
+            tail = np.zeros(4000 - 64, dtype=np.int64)
+            second = run(stream, 2000, side[64:], *tables, q, tail, first[1])
+            assert (64 + second[0], second[1:]) == (res[0], res[1:])
+            assert np.array_equal(np.concatenate([head, tail]), one)
+            results.append((res, first, second))
+            outs.append(one)
+        assert results[0] == results[1]
+        assert np.array_equal(*outs)
 
 
 def test_python_decode_kernel_writes_only_where_symbols_land(monkeypatch):

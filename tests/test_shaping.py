@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ffsc import _kernels
-from ffsc.coder import QuantizedModel, quantize_channel
+from ffsc.coder import QuantizedModel, quantize_channel, to_tuples
 from ffsc.errors import ShapingError
 from ffsc.model import (
     Pmf, TestChannel, conditional_entropy, is_strongly_typical,
@@ -391,37 +391,75 @@ def test_deshape_rejects_an_impossible_pair_in_a_tuple():
         deshape_raw(np.eye(1, k, k - 1, dtype=np.int64)[0], x, asym)
 
 
-def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
-    """On BSC(0.08), whose k the one-unit bound holds at 4, shape_kernel
-    decodes used/4 tuples, and the deshape re-encode codes used/4
-    tuples."""
-    cm = quantize_channel(TestChannel.bsc(0.08), 16)
-    seen = []
+def spy_on_shape_kernel(monkeypatch, seen):
+    """Record each shape_kernel call as ("shape", tuples, status)."""
     shape_kernel = _kernels.shape_kernel
-    encode_kernel = _kernels.encode_kernel
 
     def shape_spy(*args):
-        nsym, status = shape_kernel(*args)
+        nsym, state, status = shape_kernel(*args)
         seen.append(("shape", nsym, status))
-        return nsym, status
+        return nsym, state, status
+
+    monkeypatch.setattr(_kernels, "shape_kernel", shape_spy)
+
+
+def test_binary_shaping_takes_one_kernel_step_per_four_samples(monkeypatch):
+    """On BSC(0.08), whose k the one-unit bound holds at 4, shape_kernel
+    decodes used/4 tuples over its calls, and the deshape re-encode
+    codes used/4 tuples."""
+    cm = quantize_channel(TestChannel.bsc(0.08), 16)
+    seen = []
+    encode_kernel = _kernels.encode_kernel
 
     def encode_spy(codes, *args):
         seen.append(("encode", len(codes)))
         return encode_kernel(codes, *args)
 
-    monkeypatch.setattr(_kernels, "shape_kernel", shape_spy)
+    spy_on_shape_kernel(monkeypatch, seen)
     monkeypatch.setattr(_kernels, "encode_kernel", encode_spy)
     rng = np.random.default_rng(44)
     for m in (1, 100, 3000):
         bits, side = random_case(rng, m)
         seen.clear()
         xhat, used = shape(bits, side, cm)
-        assert seen[-1] == ("shape", used // 4, _kernels.OK)
-        assert all(status == _kernels.NEED_MORE_SYM
-                   for _, _, status in seen[:-1])
+        assert sum(nsym for _, nsym, _ in seen) == used // 4
+        assert [status for _, _, status in seen] == (
+            [_kernels.NEED_MORE_SYM] * (len(seen) - 1) + [_kernels.OK])
         seen.clear()
         assert np.array_equal(unshape(xhat, side[:used], cm, m), bits)
         assert seen == [("encode", used // 4)]
+
+
+def test_shape_decodes_no_tuple_twice(monkeypatch):
+    """On BSC(0.005) (k = 2), 2000 bits take about 44,000 samples, past
+    four doublings of shape's first 4064-sample chunk.  shape's calls
+    resume one another: their tuple counts sum to used / k, and the
+    symbols and count are those of one shape_kernel call whose buffer
+    holds every side tuple."""
+    cm = quantize_channel(TestChannel.bsc(0.005), 16)
+    form = cm.kernel_form()
+    assert (form.k, cm.precision) == (2, 16)
+    rng = np.random.default_rng(51)
+    bits, side = random_case(rng, 2000, side_factor=40.0)
+    seen = []
+    spy_on_shape_kernel(monkeypatch, seen)
+    xhat, used = shape(bits, side, cm)
+    monkeypatch.undo()
+    assert len(seen) >= 4
+    assert sum(nsym for _, nsym, _ in seen) == used // form.k
+
+    pad = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
+    nbytes = bits.size // 8 + 8
+    stream = np.packbits(np.concatenate(
+        [bits, np.resize(pad, 8 * nbytes - bits.size)]))
+    tuples = to_tuples(side[:side.size // form.k * form.k], form.row_place)
+    out = np.zeros(tuples.size, dtype=np.int64)
+    ntup, _, status = _kernels.shape_kernel(
+        stream, bits.size, tuples, form.cum, form.slots, 16, out,
+        _kernels.start_state(stream))
+    assert status == _kernels.OK
+    assert used == form.k * ntup
+    assert np.array_equal(xhat, form.digits[out[:ntup]].ravel())
 
 
 def test_extension_rounding_costs_under_a_millionth_of_a_bit():
