@@ -45,14 +45,14 @@ and element writes into numpy arrays cost 2-4x more per step.  The
 fallback is bit-identical to the compiled loops, and the tests check
 both byte for byte against a readable reference coder,
 ``tests/rangecoder.py``.  On 2 cores one trial of the binary benchmark
-(n ~ 128k, encode and decode) takes about 0.04 s.
+(n ~ 128k, encode and decode) takes about 0.03 s.
 
 Kernels never raise: they return a status code so the compiled loops
-stay allocation-free and exception-free.  Buffers are caller-allocated
-and bounds-checked by the kernels themselves.  The encoder's output
-never exceeds ``encoded_bytes_bound``, and the shaper's stream has a
-closed-form size too (see ``shaping.shape``), so their callers
-allocate once and treat NEED_MORE_BUF and TRUNCATED as errors.
+stay allocation-free and exception-free.  Buffers are caller-allocated.
+The encoder's output never exceeds ``encoded_bytes_bound``, which it
+checks its buffer against once, on entry, and the shaper's stream has a
+closed-form size too (see ``shaping.shape``), so their callers allocate
+once and treat NEED_MORE_BUF and TRUNCATED as errors.
 Only the shaper's symbol buffer grows.  The decoder's whole state is
 (range, code, shifts), as it has always read shifts + 4 bytes, so the
 loop takes that state and returns it: ``start_state`` reads the first
@@ -131,11 +131,25 @@ def _carry(buf, nbuf):
 
 
 @_jit
+def encoded_bytes_bound(count, precision):
+    """Most bytes encode_kernel can write for `count` symbols.
+
+    Before each symbol the range is at least 2^24, and a symbol of
+    frequency >= 1 leaves at least range >> precision >= 2^(24 -
+    precision), so renormalising shifts out at most ceil(precision/8)
+    bytes per symbol; the flush adds two.  The encoder checks its
+    buffer against this bound once, on entry.
+    """
+    return count * -(-precision // 8) + 2
+
+
+@_jit
 def encode_kernel(codes, cum, precision, buf):
     """Range-encode each code c of `codes` as the interval [cum[c],
     cum[c+1]) of a 2^precision total: ERR_RANGE guards the index,
     0 <= c < len(cum) - 1, and ERR_ZERO_FREQ an empty interval.
-    Returns (nbytes, settled_pre_flush, status).
+    Returns (nbytes, settled_pre_flush, status), and NEED_MORE_BUF
+    before any write if buf is shorter than ``encoded_bytes_bound``.
 
     nbytes includes the 2-byte terminator; settled_pre_flush, which the
     shaper's deshape direction needs, is the count of buffer bytes
@@ -143,11 +157,13 @@ def encode_kernel(codes, cum, precision, buf):
     ``RangeEncoder.settled_count`` in ``tests/rangecoder.py``.  It is 0
     on any status but OK.
     """
+    if len(buf) < encoded_bytes_bound(len(codes), precision):
+        return 0, 0, NEED_MORE_BUF
     total = 1 << precision
+    mask, top = _MASK32, _TOP
     low = 0
     rng = 1 << 32
     nbuf = 0
-    cap = len(buf)
     last = len(cum) - 1
     for c in codes:
         if c < 0 or c >= last:
@@ -158,20 +174,18 @@ def encode_kernel(codes, cum, precision, buf):
             return nbuf, 0, ERR_ZERO_FREQ
         r = rng >> precision
         low += r * start
-        if low > _MASK32:
+        if low > mask:
             if _carry(buf, nbuf) != OK:
                 return nbuf, 0, ERR_CARRY
-            low &= _MASK32
+            low &= mask
         if end == total:
             rng -= r * start
         else:
             rng = r * (end - start)
-        while rng < _TOP:
-            if nbuf >= cap:
-                return nbuf, 0, NEED_MORE_BUF
-            buf[nbuf] = (low >> 24) & 0xFF
+        while rng < top:
+            buf[nbuf] = low >> 24
             nbuf += 1
-            low = (low << 8) & _MASK32
+            low = (low << 8) & mask
             rng <<= 8
 
     # By prefix duality, every byte before the last non-0xFF one is final.
@@ -185,22 +199,9 @@ def encode_kernel(codes, cum, precision, buf):
         if _carry(buf, nbuf) != OK:
             return nbuf, 0, ERR_CARRY
         z &= _MASK32
-    if nbuf + 2 > cap:
-        return nbuf, 0, NEED_MORE_BUF
-    buf[nbuf] = (z >> 24) & 0xFF
+    buf[nbuf] = z >> 24
     buf[nbuf + 1] = (z >> 16) & 0xFF
     return nbuf + 2, settled, OK
-
-
-def encoded_bytes_bound(count, precision):
-    """Most bytes encode_kernel can write for `count` symbols.
-
-    Before each symbol the range is at least 2^24, and a symbol of
-    frequency >= 1 leaves at least range >> precision >= 2^(24 -
-    precision), so renormalising shifts out at most ceil(precision/8)
-    bytes per symbol; the flush adds two.
-    """
-    return count * -(-precision // 8) + 2
 
 
 def slot_table(cum, precision):
@@ -247,8 +248,9 @@ def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
     """
     total = 1 << precision
     sh = precision - min(precision, _SLOT_BITS)
-    pos = shifts + 4
+    mask, top = _MASK32, _TOP
     dlen = len(data)
+    tail, tlen = data[4:], dlen - 4  # data[shifts + 4] is tail[shifts]
     # One test per shift serves both exits; it tells them apart only
     # when it fires.
     limit = min(stop, dlen - 2)
@@ -282,10 +284,9 @@ def _decode_loop(data, count, side, cum_rows, slot_rows, precision, out,
             rng -= r * start
         else:
             rng = r * (end - start)
-        while rng < _TOP:
-            b = data[pos] if pos < dlen else 0
-            code = ((code << 8) | b) & _MASK32
-            pos += 1
+        while rng < top:
+            b = tail[shifts] if shifts < tlen else 0
+            code = ((code << 8) | b) & mask
             shifts += 1
             if shifts > limit:
                 if shifts + 2 > dlen:

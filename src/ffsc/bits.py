@@ -43,11 +43,12 @@ def as_symbols(arr, size: int | None, error: type[Exception],
         raise error(f"{stem}, not a ragged sequence") from None
     if a.ndim != 1 or (a.size and a.dtype.kind not in "biu"):
         raise error(f"{stem}, not a {a.ndim}-D {a.dtype} array")
-    if size is not None and a.size:
+    out = np.ascontiguousarray(a, dtype=np.int64)
+    # One reduction checks both ends, as a negative reads as >= 2^63.
+    if size is not None and a.size and out.view(np.uint64).max() >= size:
         lo, hi = a.min(), a.max()
-        if lo < 0 or hi >= size:
-            raise error(f"{stem}; {lo if lo < 0 else hi} is outside alphabet")
-    return np.ascontiguousarray(a, dtype=np.int64)
+        raise error(f"{stem}; {lo if lo < 0 else hi} is outside alphabet")
+    return out
 
 
 def as_int(value, lo: int | None, hi: int | None, error: type[Exception],

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,9 +225,11 @@ def quantize_channel(ch: TestChannel, precision: int) -> QuantizedModel:
     return _quantize_rows(ch.rows, precision)
 
 
+@lru_cache(maxsize=8)
 def model_digest(marginal: QuantizedModel, channel: QuantizedModel) -> int:
     """64-bit fingerprint of the quantized tables (FNV-1a).  The symbol
-    and row counts take 2 bytes each, which ``model.MAX_SYMBOLS`` bounds."""
+    and row counts take 2 bytes each, which ``model.MAX_SYMBOLS`` bounds.
+    Cached by the read-only tables' identities, as ``codec._quantized``."""
     return fnv1a64(b"".join([
         marginal.precision.to_bytes(1, "little"),
         marginal.size.to_bytes(2, "little"),
@@ -256,15 +259,16 @@ class Frame:
 def range_encode(codes: np.ndarray, rows, form: KernelForm,
                  error: type[Exception]) -> tuple[bytes, int]:
     """Range-code each tuple c against row x of the form's table (`rows`
-    holds the x, or is one x for all) as the flat index
+    holds the x, or is None for row 0 throughout) as the flat index
     x * (size + 1) + c.  The caller checks c and x, which a flat index
     cannot see.  Returns (all flushed bytes, settled bytes before the
     flush); raises `error`."""
     table = form.table
-    bound = _kernels.encoded_bytes_bound(codes.size, table.precision)
-    buf = np.empty(bound, dtype=np.uint8)
+    codes = codes if rows is None else rows * (table.size + 1) + codes
+    buf = np.empty(_kernels.encoded_bytes_bound(codes.size, table.precision),
+                   dtype=np.uint8)
     nbytes, settled, status = _kernels.encode_kernel(
-        rows * (table.size + 1) + codes, form.flat, table.precision, buf)
+        codes, form.flat, table.precision, buf)
     if status == _kernels.OK:
         return buf[:nbytes].tobytes(), int(settled)
     if status == _kernels.ERR_ZERO_FREQ:
@@ -277,10 +281,10 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     model's row 0, k samples per coded tuple (``kernel_form``)."""
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
     form = model.kernel_form()
-    padded = np.append(sym, np.full(-sym.size % form.k, form.pad,
-                                    dtype=np.int64))
-    codes = to_tuples(padded, form.place)
-    return Frame(int(sym.size), range_encode(codes, 0, form, CodingError)[0])
+    pad = -sym.size % form.k
+    codes = to_tuples(np.append(sym, np.full(pad, form.pad)) if pad else sym,
+                      form.place)
+    return Frame(sym.size, range_encode(codes, None, form, CodingError)[0])
 
 
 def decode_frame_prefix(data, model: QuantizedModel,
@@ -324,7 +328,7 @@ def decode_frame_prefix(data, model: QuantizedModel,
     if raw[nbytes - 1] & 0x7F:
         # the flush ends every frame with bits 16-23 of a multiple of 2^23
         raise CodingError("frame does not end in a range-coder terminator")
-    samples = form.digits[out].ravel()
+    samples = form.digits.take(out, axis=0).ravel()
     if (samples[count:] != form.pad).any():
         raise CodingError(f"frame's last tuple is not padded with {form.pad}")
     return samples[:count], nbytes

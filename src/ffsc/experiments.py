@@ -38,6 +38,7 @@ from .erasure import (
     erasure_distortion,
 )
 from .errors import ConfigError
+from .model import growth_factor
 from .rng import SplitMix64
 
 __all__ = [
@@ -133,11 +134,24 @@ _SOURCE_SEED_SALT = 0x5EED_0F5E_ED00_0001
 
 
 def _trial_source_len(cfg: CodecConfig) -> int:
-    """Samples a trial draws: the predicted n with 10% to spare, plus
-    four seed blocks.  Raises ConfigError, before anything is allocated,
-    if they cannot fit in physical memory at 16 bytes each (the 64-bit
-    draws and the int64 symbols)."""
-    need = int(1.10 * estimate_total_samples(cfg)) + 4 * cfg.min_block
+    """Samples a trial draws: the predicted n with a margin, plus four
+    seed blocks.  A shaped block of n_j samples spreads by sigma/(mu
+    sqrt(n_j)), mu and sigma the mean and deviation of a sample's -log2
+    W(xhat|x): one over the root of its crossovers on a low-D BSC.  Each
+    block's spread carries into all later ones, so n spreads by at most
+    s = (sigma/mu) sqrt(sum 1/n_j) over the shaped blocks n_j = rho^j M,
+    and the first frame's count and flush, some 32 bits, lengthen them
+    all by b = 32/(rho mu M): the margin is max(10%, 3s + b).  Raises
+    ConfigError, before anything is allocated, if they cannot fit in
+    memory at 16 bytes each (the 64-bit draws and the int64 symbols)."""
+    joint = cfg.prior.probs[:, None] * cfg.channel.rows
+    info = -np.log2(np.where(joint > 0, cfg.channel.rows, 1))
+    mu = (joint * info).sum()
+    rho = growth_factor(cfg.prior, cfg.channel)
+    inv_n = sum(rho ** -j for j in range(1, cfg.passes)) / cfg.min_block
+    s = np.sqrt((joint * (info - mu) ** 2).sum() * inv_n) / mu
+    margin = max(0.10, 3 * s + 32 / (rho * mu * cfg.min_block))
+    need = int((1 + margin) * estimate_total_samples(cfg)) + 4 * cfg.min_block
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError):  # no sysconf here: no bound

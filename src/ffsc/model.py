@@ -209,11 +209,9 @@ def is_strongly_typical(seq, p: Pmf, delta: float) -> bool:
     delta = as_real(delta, 0, 1, ModelError, "delta")
     size = p.probs.size
     seq = as_symbols(seq, size, ModelError, "sequence")
-    counts = np.bincount(seq, minlength=size).astype(np.float64)
-    if np.any(counts[p.probs == 0] > 0):
-        return False
-    n = max(seq.size, 1)
-    return bool(np.all(np.abs(counts / n - p.probs) <= delta))
+    tol = delta * (p.probs > 0)  # 0 where p is: such a symbol may not occur
+    freqs = np.bincount(seq, minlength=size) / max(seq.size, 1)
+    return bool((np.abs(freqs - p.probs) <= tol).all())
 
 
 # -- Blahut-Arimoto ----------------------------------------------------

@@ -35,13 +35,13 @@ class SplitMix64:
     def fill_u64(self, count: int) -> np.ndarray:
         """Vectorized stream of `count` outputs (advances state by `count`)."""
         count = as_int(count, 0, None, ConfigError, "count")
-        gamma = 0x9E3779B97F4A7C15
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + idx * np.uint64(gamma)
-            self._state = int(z[-1]) if count else self._state
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, count + 1, dtype=np.uint64)  # in place, mod 2^64
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(self._state)
+        self._state = int(z[-1]) if count else self._state
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
         return z
 

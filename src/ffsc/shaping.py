@@ -46,12 +46,6 @@ PAD_PATTERN = b"\xb4\x5a\x1c\xe3\x8f\x26\xd9\x71"
 _PAD_BITS = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
 
 
-def _padded_stream(bits: np.ndarray, nbytes: int) -> np.ndarray:
-    """The bits followed by the repeating pad pattern, packed to bytes."""
-    pad = np.resize(_PAD_BITS, nbytes * 8 - bits.size)
-    return np.packbits(np.concatenate([bits, pad]))
-
-
 def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     """Turn bits, a 1-D array of 0s and 1s, into symbols distributed per
     cm's rows, keyed by side, k samples at a time (``cm.kernel_form``).
@@ -75,8 +69,10 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     # The shaper reads four stream bytes, then one per shift, and stops
     # after the tuple whose renormalisation takes the shift count past
     # ceil(m/8); that renormalisation shifts at most ceil(q/8) <= 3
-    # bytes, so it reads at most 4 + ceil(m/8) + 3 <= m//8 + 8 bytes.
-    stream = _padded_stream(bits.astype(np.uint8, copy=False), m // 8 + 8)
+    # bytes, so it reads at most 4 + ceil(m/8) + 3 <= m//8 + 8 bytes: the
+    # bits and the pad's first 64 - m % 8 bits.
+    stream = np.packbits(np.concatenate(
+        [bits.astype(np.uint8, copy=False), _PAD_BITS[:64 - m % 8]]))
     # The first chunk of the symbol buffer holds max(256, 2m + 64)
     # samples, k to a tuple.  Each NEED_MORE_SYM with side to spare
     # resumes the kernel from its returned state on the next side tuples
@@ -96,7 +92,8 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
         chunks.append(out[:ntup])
         done += int(ntup)
         if status == _kernels.OK:
-            return form.digits[np.concatenate(chunks)].ravel(), k * done
+            return (form.digits.take(np.concatenate(chunks), axis=0).ravel(),
+                    k * done)
         if status == _kernels.NEED_MORE_SYM and end < side_tuples:
             cap *= 2
             continue

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffsc import _kernels, codec
+from ffsc import _kernels, codec, coder
 from ffsc.codec import (
     HEADER_LEN,
     MAGIC,
@@ -120,6 +120,25 @@ def test_equal_but_distinct_models_code_identical_bytes():
     # each decodes the other's stream: the model digests agree
     oracle = FeedforwardOracle(src[src.size - res_a.n:])
     assert np.array_equal(decode(res_a.bitstream, oracle, b).xhat, dec_a.xhat)
+
+
+def test_each_pair_of_tables_is_hashed_once(monkeypatch):
+    """The model digest is cached by its pair of tables: two encodes and
+    a decode of one config hash the pair once, and an equal pair built
+    apart hashes again to the same digest."""
+    hashed = []
+    fnv = coder.fnv1a64
+    monkeypatch.setattr(coder, "fnv1a64",
+                        lambda data: hashed.append(data) or fnv(data))
+    cfg = bsc_config(min_block=256, passes=3)  # new tables, not yet hashed
+    src = uniform_source(5, 4000, 2)
+    run_pair(cfg, src)
+    encode(src, replace(cfg, seed=2))
+    assert len(hashed) == 1
+    tables, apart = cfg.quantized(), bsc_config().quantized()
+    assert apart[0] is not tables[0] and apart[1] is not tables[1]
+    assert coder.model_digest(*apart) == coder.model_digest(*tables)
+    assert len(hashed) == 2
 
 
 def test_tables_displaced_from_the_cache_are_rebuilt_equal():

@@ -5,7 +5,7 @@ import pytest
 from ffsc.codec import CodecConfig
 from ffsc.errors import ConfigError
 from ffsc.experiments import ExperimentSpec, harness_workers, run_codec_experiment
-from ffsc.model import DistortionMatrix, Pmf, TestChannel
+from ffsc.model import DistortionMatrix, Pmf, TestChannel, blahut_arimoto
 
 
 def _report_without_wall(workers: int, monkeypatch) -> list[list[str]]:
@@ -66,3 +66,18 @@ def test_each_bound_missed_is_one_violation(monkeypatch):
             name="bounds", cfg=cfg, trials=2, rate_bounds=rate,
             distortion_bounds=dist))
         assert [v.split()[1] for v in rep.violations] == want
+
+
+def test_low_distortion_trials_draw_enough_source(monkeypatch):
+    """At D = 0.005 the first shaped block of a uniform binary source
+    (M = 335) holds about 37 crossovers, so its length, and with it n,
+    spreads by about 1/sqrt(37), 16%: 10% over the predicted n ran out
+    of source on several of these 20 trials."""
+    monkeypatch.setenv("FFSC_THREADS", "1")
+    prior, d = Pmf.uniform(2), DistortionMatrix.hamming(2)
+    channel, _, _ = blahut_arimoto(prior, d, 0.005)
+    cfg = CodecConfig(prior=prior, channel=channel, distortion=d,
+                      min_block=335, passes=3, seed=1)
+    rep = run_codec_experiment(ExperimentSpec(name="low-D", cfg=cfg,
+                                              trials=20))
+    assert rep.violations == []

@@ -449,6 +449,52 @@ def on_python_loop(monkeypatch, kernel, *args):
         return getattr(_kernels, kernel)(*args)
 
 
+def edge_results(monkeypatch, loop, tables, q, payload, side):
+    """decode_kernel and shape_kernel over the decode loop `loop` on the
+    first 0-3 bytes of `payload`, each call's result beside the symbols
+    it wrote: reads past the end, from the first shift on."""
+    results = []
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "_decode_loop", loop)
+        for size in range(4):
+            data = payload[:size]
+            out = np.zeros(64, dtype=np.int64)
+            results.append((_kernels.decode_kernel(data, 64, *tables, q, out),
+                            out.tolist()))
+            out = np.zeros(64, dtype=np.int64)
+            results.append((_kernels.shape_kernel(
+                data, 8, side, *tables, q, out, _kernels.start_state(data)),
+                out.tolist()))
+    return results
+
+
+def short_buffer_result(encode, codes, table, q):
+    """`encode` given a buffer one byte below encoded_bytes_bound, and
+    whether it left the buffer untouched."""
+    buf = np.full(_kernels.encoded_bytes_bound(codes.size, q) - 1, 0xAA,
+                  dtype=np.uint8)
+    return encode(codes, table, q, buf), bool((buf == 0xAA).all())
+
+
+def test_kernels_refuse_short_inputs_with_a_status(monkeypatch):
+    """On the loops in use, a 0-3 byte payload ends in a status, never a
+    raw IndexError: TRUNCATED for a frame shorter than its terminator,
+    and for a stream that cannot settle a byte; a buffer below the bound
+    gets NEED_MORE_BUF before any write."""
+    cm = QuantizedModel(np.array([[58327, 7209], [7209, 58327]]), 16)
+    tables = decoder_rows(cm.cum, 16)
+    side = np.random.default_rng(5).integers(0, 2, 64).astype(np.int64)
+    payload = kernel_encode([0, 1] * 32, [58327, 7209], 16)[0]
+    results = edge_results(monkeypatch, _kernels._decode_loop, tables, 16,
+                           np.frombuffer(payload, dtype=np.uint8), side)
+    decode, shape_ = results[0::2], results[1::2]
+    assert [r[0][1] for r in decode] == [_kernels.TRUNCATED] * 4
+    assert [r[0][2] for r in shape_] == [_kernels.TRUNCATED] * 4
+    codes = np.zeros(5, dtype=np.int64)
+    assert short_buffer_result(_kernels.encode_kernel, codes, cm.cum[0],
+                               16) == ((0, 0, _kernels.NEED_MORE_BUF), True)
+
+
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="fallback already in use")
 def test_pure_python_fallback_matches_jit(monkeypatch):
     """The compiled loops and the list-form loops that run without numba
@@ -456,7 +502,8 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
     decode_kernel and shape_kernel run over each decode loop, shape_kernel
     also split over two calls that carry its state: a binary channel at
     q = 16, and a ternary one with zero frequencies at a q below the slot
-    table's bits (one slot per value)."""
+    table's bits (one slot per value).  They agree on 0-3 byte payloads
+    and on a buffer a byte below the encoder's bound too."""
     cases = (([[58327, 7209], [7209, 58327]], 16),
              ([[40, 0, 24], [8, 50, 6], [0, 20, 44]], 6))
     rng = np.random.default_rng(3)
@@ -482,6 +529,9 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
             assert np.array_equal(buf_a, buf_b)
             want, settled = encode_reference_rows(symbols, rows, cm.cum, q)
             assert buf_a[:res_a[0]].tobytes() == want and res_a[1] == settled
+            short = [short_buffer_result(run, codes, table, q) for run in (
+                _kernels.encode_kernel, _kernels.python_encode_kernel)]
+            assert short == [((0, 0, _kernels.NEED_MORE_BUF), True)] * 2
             if symbols is fixed:
                 payload = buf_a[:res_a[0]]
 
@@ -495,6 +545,9 @@ def test_pure_python_fallback_matches_jit(monkeypatch):
                                    fixed.size, *tables, q, out_b)
             assert res_a == res_b and res_a[1] == want
             assert np.array_equal(out_a, out_b)
+        assert edge_results(monkeypatch, _kernels._decode_loop, tables, q,
+                            payload, side) == edge_results(
+            monkeypatch, _kernels.python_decode_loop, tables, q, payload, side)
 
         # A shape split at symbol 64, the state carried between the two
         # calls, matches one call, on both loops.
