@@ -13,7 +13,11 @@ symbol step has two entry points: ``decode_kernel`` decodes a frame's
 k-sample tuples against row 0 of a tuple table (see ``coder``), and
 ``shape_kernel`` decodes k-sample tuples against the rows of the
 channel's k-th extension, keyed by side tuples, until the payload is
-settled (see ``shaping``).
+settled (see ``shaping``).  Frames over a table whose row 0 holds 2^b
+equal frequencies, as a uniform source's marginal on 2^a symbols gives,
+never reach either loop: there the coder only copies bits, and
+``coder`` writes and reads those bits with numpy, byte for byte what
+the loops would (see ``coder``).
 
 The decoder's step finds the symbol whose interval holds the scaled
 value v by table lookup, the decode table of rANS (Duda,
@@ -45,7 +49,7 @@ and element writes into numpy arrays cost 2-4x more per step.  The
 fallback is bit-identical to the compiled loops, and the tests check
 both byte for byte against a readable reference coder,
 ``tests/rangecoder.py``.  On 2 cores one trial of the binary benchmark
-(n ~ 128k, encode and decode) takes about 0.03 s.
+(n ~ 128k, encode and decode) takes about 0.02 s.
 
 Kernels never raise: they return a status code so the compiled loops
 stay allocation-free and exception-free.  Buffers are caller-allocated.

@@ -36,6 +36,27 @@ requires.  By the coder's deterministic flush (see ``_kernels``), the
 decoder recomputes the payload length from the sample count, so frames
 are self-delimiting without a separate length field, and both
 truncation and trailing garbage are detectable.
+
+Where row 0 of the extension holds 2^b equal frequencies, as a uniform
+source's marginal on 2^a symbols gives with b = a * k, the range coder
+only copies bits, and the frames skip its loops (the form's ``bits``
+is b, or 0 for any other row).  Each tuple's frequency is 2^(q - b),
+so with range a power of two 2^R >= 2^24, r = 2^(R - q) leaves no
+remainder and the tuple's interval is [low + c * 2^(R - b), + 2^(R -
+b)): low stays a multiple of the range, never carries, and each byte
+shifted out is the next eight bits of the tuple indices' b-bit string,
+first tuple first.  low, a multiple of the range, is its own least
+multiple of 2^23, so the flush writes the next 16 bits.  N tuples
+shift s = max(0, ceil((N * b - 8) / 8)) times, so the payload is the
+string padded to whole bytes and then one zero byte, or two zero bytes
+for no tuples.  On any input the decoder's code stays below its range
+2^R: it starts so, each tuple takes its top b bits, c = code >> (R -
+b), and leaves the rest below 2^(R - b), and a shift scales both by
+2^8.  So the code is always the next R bits of the payload, and each
+decoded tuple the next b bits.  ``_pack_tuples`` and ``_unpack_tuples``
+write and read that string with numpy, and a payload shorter than
+s + 2 bytes is refused from its length before anything is allocated,
+with the shift count the loops would stop at.
 """
 
 from __future__ import annotations
@@ -73,7 +94,7 @@ _MAX_CELLS = 4096
 _MAX_ROW = 1 << _kernels._SLOT_BITS
 # A model's extension as the kernels and tuple indices take it.
 KernelForm = namedtuple(
-    "KernelForm", "k pad table cum flat slots place row_place digits")
+    "KernelForm", "k pad table cum flat slots place row_place digits bits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +146,8 @@ class QuantizedModel:
 
     def kernel_form(self) -> KernelForm:
         """How these rows are coded: (k, pad, table, cum, flat, slots,
-        place, row_place, digits), built on the first call and shared by
-        every later one.  Samples are coded k at a time as symbols of
+        place, row_place, digits, bits), built on the first call and shared
+        by every later one.  Samples are coded k at a time as symbols of
         `table`, the k-th extension (see the module docstring), whose
         rows are the products of the quantized rows, so ``model_digest``
         covers them, each rounded back to 2^precision by ``quantize``'s
@@ -136,7 +157,9 @@ class QuantizedModel:
         with `place` and row tuples with `row_place`; digits[c] are the
         samples of tuple c.  Frames code row 0 of `table` and pad their
         last tuple with `pad`, row 0's most frequent symbol (the lowest
-        such index).
+        such index); `bits` is b if row 0 holds 2^b equal frequencies,
+        whose frames skip the coder loops (see the module docstring),
+        else 0.
         """
         form = self.__dict__.get("_form")
         if form is None:
@@ -154,11 +177,14 @@ class QuantizedModel:
                 probs = np.kron(probs, p)
             ext = _quantize_rows(probs, self.precision)
             place = size ** np.arange(k - 1, -1, -1)
+            row = ext.freq[0]
             form = KernelForm(
                 k, int(np.argmax(self.freq[0])), ext,
                 *_kernels.kernel_form(ext.cum, self.precision), place,
                 rows ** np.arange(k - 1, -1, -1),
-                np.arange(size ** k)[:, None] // place % size)
+                np.arange(size ** k)[:, None] // place % size,
+                (ext.size.bit_length() - 1 if ext.size > 1
+                 and (row == row[0]).all() else 0))
             # setdefault is atomic, so racing threads still share one form
             form = self.__dict__.setdefault("_form", form)
         return form
@@ -276,15 +302,54 @@ def range_encode(codes: np.ndarray, rows, form: KernelForm,
     raise error(f"range encoder failed with status {status}")
 
 
+def _pack_tuples(codes: np.ndarray, bits: int) -> bytes:
+    """What the range encoder writes for `codes` on a row of 2^bits
+    equal frequencies, in closed form (see the module docstring): each
+    code as `bits` bits, most significant first and the first code
+    first, padded to a whole byte, then one zero byte, or two if there
+    are no codes."""
+    if not codes.size:
+        return bytes(2)
+    if bits == 8:  # uniform binary and 4-ary frames from q = 16: bytes
+        return codes.astype(np.uint8).tobytes() + b"\0"
+    width = -(-bits // 8)  # bytes per code, big-endian
+    code_bits = np.unpackbits(
+        codes.astype(f">u{width}").view(np.uint8).reshape(-1, width), axis=1)
+    return np.packbits(code_bits[:, 8 * width - bits:]).tobytes() + b"\0"
+
+
+def _unpack_tuples(data: np.ndarray, count: int, bits: int):
+    """``decode_kernel`` on a row of 2^bits equal frequencies, in closed
+    form (see the module docstring): (shifts, status, codes), the codes
+    being the first `count` groups of `bits` bits of the uint8 payload
+    `data`, or None unless the status is OK.  A payload too short for
+    the frame is refused before anything is allocated, with the shift
+    count at which the decoder stops: its first shift past len(data) - 2,
+    or its last."""
+    shifts = max(0, -(-(count * bits - 8) // 8))
+    if shifts + 2 > data.size:
+        return min(shifts, max(1, data.size - 1)), _kernels.TRUNCATED, None
+    if bits == 8:
+        return shifts, _kernels.OK, data[:count]
+    width = -(-bits // 8)
+    code_bits = np.unpackbits(data, count=count * bits).reshape(count, bits)
+    codes = np.packbits(code_bits, axis=1).view(f">u{width}").ravel()
+    return shifts, _kernels.OK, codes >> (8 * width - bits)
+
+
 def compress(symbols, model: QuantizedModel) -> Frame:
     """Entropy-code an i.i.d. symbol sequence into a frame against the
-    model's row 0, k samples per coded tuple (``kernel_form``)."""
+    model's row 0, k samples per coded tuple (``kernel_form``).  A row
+    of 2^b equal frequencies (the form's `bits` b) is coded in closed
+    form, by ``_pack_tuples``, and any other by the range encoder; the
+    bytes are the same either way."""
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
     form = model.kernel_form()
     pad = -sym.size % form.k
     codes = to_tuples(np.append(sym, np.full(pad, form.pad)) if pad else sym,
                       form.place)
-    return Frame(sym.size, range_encode(codes, None, form, CodingError)[0])
+    return Frame(sym.size, _pack_tuples(codes, form.bits) if form.bits
+                 else range_encode(codes, None, form, CodingError)[0])
 
 
 def decode_frame_prefix(data, model: QuantizedModel,
@@ -301,7 +366,9 @@ def decode_frame_prefix(data, model: QuantizedModel,
     caller knows how many it can accept.  Raises TruncatedFrameError if
     `data` cannot even hold the frame it declares, and CodingError if
     the frame's last byte is not one the flush can write or its last
-    tuple is not padded with the kernel form's pad.
+    tuple is not padded with the kernel form's pad.  Frames of a dyadic
+    row (``compress``) are read in closed form, by ``_unpack_tuples``,
+    and any other by the range decoder, with the same results.
     """
     limit = as_int(limit, 0, None, CodingError, "limit")
     raw = as_bytes(data, CodingError, "data")
@@ -312,11 +379,14 @@ def decode_frame_prefix(data, model: QuantizedModel,
             f"expected; refusing to decode"
         )
     form = model.kernel_form()
-    out = np.empty(-(-count // form.k), dtype=np.int64)
-    shifts, status = _kernels.decode_kernel(
-        np.frombuffer(raw, dtype=np.uint8)[off:], out.size, form.cum,
-        form.slots, model.precision, out,
-    )
+    tuples = -(-count // form.k)
+    payload = np.frombuffer(raw, dtype=np.uint8)[off:]
+    if form.bits:
+        shifts, status, out = _unpack_tuples(payload, tuples, form.bits)
+    else:
+        out = np.empty(tuples, dtype=np.int64)
+        shifts, status = _kernels.decode_kernel(
+            payload, tuples, form.cum, form.slots, model.precision, out)
     nbytes = off + int(shifts) + 2
     if status == _kernels.TRUNCATED:
         raise TruncatedFrameError(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,19 +474,19 @@ def kernel_steps(monkeypatch, probs, precision, n):
 @pytest.mark.parametrize("n", [0, 1, 4, 7, 1001])
 def test_binary_frames_take_one_kernel_step_per_four_samples(monkeypatch, n):
     """At q = 12 the precision bound, 2^k <= 2^(12 - 8), holds k at 4
-    on a uniform marginal."""
-    steps = -(-n // 4)
-    assert kernel_steps(monkeypatch, [0.5, 0.5], 12, n) == [
-        ("encode", steps), ("decode", steps)]
+    on a uniform marginal.  Its 16 tuples of equal frequency are coded
+    in closed form, so the loops never run."""
+    assert quantize(Pmf([0.5, 0.5]), 12).kernel_form().k == 4
+    assert kernel_steps(monkeypatch, [0.5, 0.5], 12, n) == []
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 15, 1001])
 def test_binary_frames_take_one_kernel_step_per_eight_samples(monkeypatch, n):
     """At q = 16 the row bound, 2^k <= 256 symbols, sets k to 8 on a
-    uniform marginal."""
-    steps = -(-n // 8)
-    assert kernel_steps(monkeypatch, [0.5, 0.5], 16, n) == [
-        ("encode", steps), ("decode", steps)]
+    uniform marginal.  Its 256 tuples of equal frequency are coded in
+    closed form, so the loops never run."""
+    assert quantize(Pmf([0.5, 0.5]), 16).kernel_form().k == 8
+    assert kernel_steps(monkeypatch, [0.5, 0.5], 16, n) == []
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 1001])
@@ -495,6 +496,104 @@ def test_binary_frames_take_one_kernel_step_per_five_samples(monkeypatch, n):
     steps = -(-n // 5)
     assert kernel_steps(monkeypatch, [0.89, 0.11], 16, n) == [
         ("encode", steps), ("decode", steps)]
+
+
+# ---------------------------------------------------------------------------
+# frames of a dyadic table: the loops in closed form
+
+# Every table of 2^a equal symbols (a = 1..8) at every precision that
+# quantizes it: 163 tables, whose tuples take b = a * k = 1..8 bits.  Past
+# a = 8, k = 1 and b = a, up to 15 as model.MAX_SYMBOLS < 2^16.
+DYADIC = ([(a, q) for a in range(1, 9) for q in range(max(a, 2), 25)]
+          + [(9, 9), (9, 24), (12, 16), (15, 15)])
+
+
+def loop_twin(m):
+    """A model of m's rows whose frames run the coder loops."""
+    twin = QuantizedModel(m.freq, m.precision)
+    twin.__dict__["_form"] = m.kernel_form()._replace(bits=0)
+    return twin
+
+
+def decode_outcome(data, m, limit):
+    """decode_frame_prefix's result, or its exception's type and message."""
+    try:
+        out, used = decode_frame_prefix(data, m, limit)
+    except Exception as e:
+        return type(e), str(e)
+    return out.tolist(), used
+
+
+def test_dyadic_tables_cover_every_tuple_width():
+    widths = {quantize(Pmf.uniform(2 ** a), q).kernel_form().bits
+              for a, q in DYADIC}
+    assert widths == set(range(1, 10)) | {12, 15}
+    assert len(DYADIC) == 163 + 4
+    assert quantize(Pmf.uniform(3), 16).kernel_form().bits == 0
+    assert quantize(Pmf([0.89, 0.11]), 16).kernel_form().bits == 0
+
+
+@pytest.mark.parametrize("a, q", DYADIC)
+def test_dyadic_frames_are_the_loops_in_closed_form(a, q):
+    """On 2^b equal frequencies the range coder copies bits: its frames,
+    and its decodes of any bytes, valid or hostile, are those of the
+    closed form, exceptions and their messages included."""
+    m = quantize(Pmf.uniform(2 ** a), q)
+    k, bits = m.kernel_form().k, m.kernel_form().bits
+    assert bits == a * k
+    twin = loop_twin(m)
+    rng = np.random.default_rng([a, q])
+    lengths = list(range(3 * k + 1)) + [int(n) for n in (
+        rng.integers(1, 300), *rng.integers(1, 4000, 2))]
+    frames = []
+    for n in lengths:
+        symbols = rng.integers(0, 2 ** a, n)
+        frame = compress(symbols, m)
+        assert frame.payload == compress(symbols, twin).payload
+        raw = frame.to_bytes()
+        junk = rng.bytes(3)
+        out, used = decode_frame_prefix(raw + junk, m, n)
+        assert np.array_equal(out, symbols) and used == len(raw)
+        assert decode_outcome(raw + junk, twin, n) == (symbols.tolist(),
+                                                       used)
+        frames.append((n, raw))
+    hostile = []
+    for n, raw in frames[3 * k - 1:3 * k + 2]:  # two short, one medium
+        header = len(write_uvarint(n))
+        cuts = range(len(raw)) if len(raw) < 64 else rng.integers(
+            0, len(raw), 32)
+        hostile += [(raw[:c], n) for c in cuts]
+        for bit in rng.integers(0, 8 * len(raw), 12):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << bit % 8
+            hostile.append((bytes(flipped), 10 ** 6))
+        hostile += [(raw[:header] + rng.bytes(int(size)), n)
+                    for size in rng.integers(0, len(raw) + 4, 4)]
+        hostile += [(raw, max(n - 1, 0)), (raw + rng.bytes(5), n)]
+    hostile += [(write_uvarint(int(count)) + rng.bytes(int(size)), 10 ** 6)
+                for count, size in zip(rng.integers(0, 2000, 24),
+                                       rng.integers(0, 40, 24))]
+    hostile += [(rng.bytes(int(size)), 10 ** 6)
+                for size in rng.integers(0, 12, 12)]
+    for data, limit in hostile:
+        assert decode_outcome(data, m, limit) == decode_outcome(
+            data, twin, limit), (data, limit)
+
+
+def test_hostile_dyadic_frame_reserves_no_memory():
+    """A dyadic frame declaring 10^8 samples in three bytes is refused
+    from its length alone, before room for its tuples is reserved."""
+    m = quantize(Pmf.uniform(2), 16)
+    frame = write_uvarint(10 ** 8) + bytes(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFrameError,
+                           match="needs at least 8 bytes, buffer has 7$"):
+            decode_frame_prefix(frame, m, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

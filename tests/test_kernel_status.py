@@ -28,7 +28,9 @@ STATUSES = {name: value for name, value in vars(_kernels).items()
             if name.isupper() and not name.startswith("_")
             and type(value) is int and name != "OK"}
 
-MODEL = quantize(Pmf.uniform(2), 16)
+# a frame table that is not dyadic (243 tuples of 269-270 units), so its
+# frames run the coder loops: a dyadic one is coded in closed form
+MODEL = quantize(Pmf.uniform(3), 16)
 CHANNEL = quantize_channel(TestChannel.bsc(0.11), 16)
 SIDE = np.zeros(4096, dtype=np.int64)
 # a coder state for the shape_kernel stubs to return
