@@ -182,12 +182,21 @@ class MeasureReport:
     gap: float
 
 
-def _sample_rows(rng: SplitMix64, model: QuantizedModel, rows: np.ndarray):
-    """One inverse-CDF draw from row rows[i] of the model per position."""
-    q = model.precision
-    u = (rng.fill_u64(rows.size) >> np.uint64(64 - q)).astype(np.int64)
-    cum = model.cum[rows]  # (n, output alphabet size + 1)
-    return (u[:, None] >= cum[:, 1:-1]).sum(axis=1, dtype=np.int64)
+def _sample_rows(rng: SplitMix64, cum: np.ndarray, q: int, count: int,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """The package's one sampler: `count` inverse-CDF draws as int64
+    symbols.  Draw i counts the boundaries cum[r, 1:-1] at or below u,
+    the top q bits of rng's next word, where r is rows[i] (or 0 if rows
+    is None) and each row of the integer CDF `cum` ends at 2^q, so a
+    zero-frequency symbol is never drawn.  Boundaries are compared one
+    column at a time, building no (count, size + 1) table."""
+    u = rng.fill_u64(count)
+    u >>= np.uint64(64 - q)
+    u = u.view(np.int64)  # below 2^q, so the same values
+    sym = np.zeros(count, dtype=np.int64)
+    for j in range(1, cum.shape[1] - 1):
+        sym += u >= (cum[0, j] if rows is None else cum[rows, j])
+    return sym
 
 
 def _crc(xhat: np.ndarray) -> int:
@@ -216,7 +225,8 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     marg, cond = cfg.quantized()
     rev = np.ascontiguousarray(src[::-1])
 
-    blocks = [_sample_rows(SplitMix64(cfg.seed), cond, rev[:M])]
+    blocks = [_sample_rows(SplitMix64(cfg.seed), cond.cum, cond.precision, M,
+                           rev[:M])]
     frame = compress(blocks[0], marg)
     edges = [0, M]  # block k codes rev[edges[k]:edges[k + 1]]
     for _ in range(1, cfg.passes):

@@ -1,9 +1,10 @@
 """Scripted experiments with machine-readable reports.
 
 Each codec experiment runs independent seeded trials (optionally in a
-worker pool, capped by FFSC_THREADS), scores them against closed-form
-or solver references, and emits a CSV/JSON report whose rows are
-ordered by trial index no matter the completion order.  Reports are
+worker pool, capped by FFSC_THREADS), each coding a source drawn from
+the configuration's prior.  It scores them against closed-form or
+solver references and emits a CSV/JSON report whose rows are ordered
+by trial index no matter the completion order.  Reports are
 byte-deterministic for a fixed configuration and seed, except the
 wall-time column.
 """
@@ -19,15 +20,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _kernels
-from .bits import as_int
+from .bits import as_int, as_real
 from .codec import (
     CodecConfig,
     FeedforwardOracle,
+    _sample_rows,
     decode,
     encode,
     estimate_total_samples,
     measure,
 )
+from .coder import _round
 from .erasure import (
     ErasurePattern,
     ErasureSource,
@@ -38,7 +41,7 @@ from .erasure import (
     erasure_distortion,
 )
 from .errors import ConfigError
-from .model import growth_factor
+from .model import Pmf, growth_factor
 from .rng import SplitMix64
 
 __all__ = [
@@ -63,6 +66,21 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "trials", as_int(
             self.trials, 1, None, ConfigError, "trial count"))
+        for name in ("rate_bounds", "distortion_bounds"):
+            bounds = getattr(self, name)
+            if bounds is not None:
+                object.__setattr__(self, name, _bounds(bounds, name))
+
+
+def _bounds(bounds, name: str) -> tuple[float, float]:
+    """`bounds` as a pair of reals (lo, hi) with lo <= hi, or raise
+    ConfigError about argument `name`."""
+    try:
+        lo, hi = bounds
+    except (TypeError, ValueError):  # not a pair
+        raise ConfigError(f"{name} {bounds!r} is not a pair (lo, hi)") from None
+    lo = as_real(lo, -np.inf, np.inf, ConfigError, f"{name} low end")
+    return lo, as_real(hi, lo, np.inf, ConfigError, f"{name} high end")
 
 
 @dataclass(frozen=True)
@@ -121,13 +139,19 @@ def _csv_row(*cells) -> str:
 
 
 def uniform_source(seed: int, count: int, size: int) -> np.ndarray:
-    """Deterministic uniform symbols in [0, size) from the package
-    generator; size <= 2^32 keeps the multiply-shift under 2^64."""
-    size = as_int(size, 1, 2**32, ConfigError, "size")
-    u = SplitMix64(seed).fill_u64(count)
-    return (((u >> np.uint64(32)) * np.uint64(size)) >> np.uint64(32)).astype(
-        np.int64
-    )
+    """`count` deterministic symbols of ``Pmf.uniform(size)``, drawn as
+    the harness draws a trial's source (``_prior_source``); a size
+    outside ``Pmf.uniform``'s [2, MAX_SYMBOLS] raises ModelError."""
+    return _prior_source(seed, count, Pmf.uniform(size))
+
+
+def _prior_source(seed: int, count: int, prior: Pmf) -> np.ndarray:
+    """`count` deterministic symbols of `prior`, drawn by the codec's
+    sampler from the prior's CDF at 32 bits, rounded as ``quantize``
+    rounds."""
+    cum = np.zeros((1, prior.probs.size + 1), dtype=np.int64)
+    np.cumsum(_round(prior.probs, 1 << 32), out=cum[0, 1:])
+    return _sample_rows(SplitMix64(seed), cum, 32, count)
 
 
 _SOURCE_SEED_SALT = 0x5EED_0F5E_ED00_0001
@@ -166,8 +190,8 @@ def _run_trial(cfg: CodecConfig, trial: int) -> tuple[TrialRow, list[str]]:
     t0 = time.perf_counter()
     seed = cfg.seed + trial
     cfg_t = replace(cfg, seed=seed)
-    source = uniform_source(seed ^ _SOURCE_SEED_SALT, _trial_source_len(cfg_t),
-                            cfg_t.prior.probs.size)
+    source = _prior_source(seed ^ _SOURCE_SEED_SALT, _trial_source_len(cfg_t),
+                           cfg_t.prior)
     enc = encode(source, cfg_t)
     coded = source[source.size - enc.n:]
     oracle = FeedforwardOracle(coded)

@@ -66,6 +66,9 @@ EXPORTS = set(ffsc.__all__).union(*(
 NO_CALLER_IN_SRC = {
     # criterion 6 calls it as the one geometric block-length planner
     "plan_passes",
+    # the uniform prior's draws, through the harness's sampler, which
+    # the tests and perfbench's traced runs call by name
+    "uniform_source",
 }
 
 # Submodules that no module of the package imports: the console-script
@@ -365,6 +368,9 @@ HAMMING = DistortionMatrix.hamming(2)
 PMF_BAD = (0.5, "ab", [[0.5, 0.5]], [0.5, 0.6], [1.5, -0.5])
 CHANNEL_BAD = (0.5, "ab", [1.0, 0.0], [[0.5, 0.6], [0.5, 0.5]],
                [[1.5, -0.5], [0.5, 0.5]])
+# Not a pair of reals (lo, hi) with lo <= hi
+BOUNDS_BAD = ((1,), "ab", 3, (0.5, None), (math.nan, 1.0), (1.0, 0.5),
+              (0.0, 1.0, 2.0))
 DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
                   [[math.nan, 1], [1, 0]], [[-1, 1], [1, 0]],
                   [[math.inf, 1], [1, 0]], np.zeros((0, 0)))
@@ -414,10 +420,11 @@ SCALAR_TABLE = {
     "quantize": (lambda q: quantize(CFG.prior, q), (16,), (_int(1, 25),)),
     "quantize_channel": (lambda q: quantize_channel(CFG.channel, q), (16,),
                          (_int(1, 25),)),
-    "ExperimentSpec": (lambda t: ExperimentSpec("t", CFG, t), (1,),
-                       (_int(0),)),
+    "ExperimentSpec": (lambda t, r, d: ExperimentSpec("t", CFG, t, r, d),
+                       (1, None, (0.0, 1.0)),
+                       (_int(0), BOUNDS_BAD, BOUNDS_BAD)),
     "uniform_source": (uniform_source, (1, 4, 3),
-                       (_int(), _int(-1), _int(0, 2**32 + 1))),
+                       (_int(), _int(-1), _int(0, 1, 2**16, 2**32 + 1))),
     # the pad alone: an empty payload whose 64 settled bits are the pad
     "check_unshaped": (lambda s, m: check_unshaped(PAD_PATTERN, s, m),
                        (64, 0), (_int(65, 1000), _int(-3))),

@@ -445,3 +445,20 @@ def test_exp_general_small(tmp_path):
     assert len(doc["rows"]) == 2
     assert doc["violations"] == []
     assert abs(doc["summary"]["mean"]["distortion"] - 0.15) < 0.015
+
+
+def test_exp_general_codes_a_skewed_prior_within_its_bounds(tmp_path,
+                                                             monkeypatch):
+    """Each trial draws its source from the model's prior, so on the
+    (0.6, 0.3, 0.1) ternary prior the harness meets exp-general's own
+    bounds: mean rate within 10% of R(0.1), mean D within 0.015."""
+    monkeypatch.setenv("FFSC_THREADS", "1")
+    out = tmp_path / "skewed.json"
+    assert run("exp-general", "--model", "ternary_skewed", "--target-d", 0.1,
+               "--trials", 4, "--min-block", 1024, "--passes", 4,
+               "--format", "json", "--out", out) == 0
+    mean = json.loads(out.read_text())["summary"]["mean"]
+    _, prior, d = load_model("ternary_skewed")
+    _, ref_rate, _ = blahut_arimoto(prior, d, 0.1)
+    assert abs(mean["rate"] / ref_rate - 1) <= 0.10
+    assert abs(mean["distortion"] - 0.1) <= 0.015

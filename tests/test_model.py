@@ -383,6 +383,10 @@ def test_bundled_models_load():
     name, prior, d = load_model("ternary_hamming")
     assert prior.alphabet.size == 3
     assert sum(prior.probs) == pytest.approx(1.0, abs=1e-12)
+    name, prior, d = load_model("ternary_skewed")
+    assert name == "ternary_skewed" and "ternary_skewed" in names
+    assert prior.probs.tolist() == [0.6, 0.3, 0.1]
+    assert d.entries.tolist() == DistortionMatrix.hamming(3).entries.tolist()
 
 
 def test_load_model_from_path(tmp_path):

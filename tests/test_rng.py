@@ -1,17 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ffsc.codec import _sample_rows
-from ffsc.coder import QuantizedModel
 from ffsc.errors import ConfigError, FfscError
+from ffsc.experiments import _prior_source, uniform_source
+from ffsc.model import Pmf
 from ffsc.rng import SplitMix64
 
 
 def sample_from_table(seed: int, cum, count: int) -> np.ndarray:
     """`count` draws through the codec's sampler from the one 16-bit
     table whose cumulative frequencies are `cum`."""
-    table = QuantizedModel(np.diff(cum), 16)
-    return _sample_rows(SplitMix64(seed), table, np.zeros(count, dtype=np.int64))
+    return _sample_rows(SplitMix64(seed), np.asarray(cum)[None], 16, count)
 
 
 def test_splitmix64_reference_sequence():
@@ -75,3 +77,27 @@ def test_sample_never_emits_zero_frequency_symbol():
     cum = np.array([0, 40000, 40000, 65536], dtype=np.int64)
     s = sample_from_table(3, cum, 50_000)
     assert not np.any(s == 1)
+    # and so must a zero of a prior the trial harness draws from
+    s = _prior_source(3, 50_000, Pmf([0.5, 0.0, 0.5]))
+    assert not np.any(s == 1) and set(np.unique(s)) == {0, 2}
+
+
+def test_prior_source_hits_the_prior_within_five_deviations():
+    """Each symbol's count over 10^6 draws lies within 5 binomial
+    standard deviations, sqrt(n p (1 - p)), of n p."""
+    p = np.array([0.6, 0.3, 0.1])
+    n = 10**6
+    counts = np.bincount(_prior_source(11, n, Pmf(p)), minlength=3)
+    assert (np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p))).all()
+
+
+@pytest.mark.parametrize("size, digest", [
+    (2, "9b9d0a6ab03e2840722da936fd74bcb4d7002ea2f8fbc81cbd968959e512f811"),
+    (3, "0dcbdcc09cff7b210945e4aa5cb544faae9aa5046140b9611145d2ef48f4fd79"),
+    (4, "87dd1837e9a685fb8703155459f8f1b92588e6fcf790648a791cb0b086eae5c4"),
+])
+def test_uniform_source_draws_recorded_symbols(size, digest):
+    """The inverse CDF of a uniform prior draws the symbols the earlier
+    multiply-shift drew, floor(size * u / 2^32) of the top 32 bits u."""
+    s = uniform_source(5, 100_000, size)
+    assert hashlib.sha256(s.astype("<i8").tobytes()).hexdigest() == digest
