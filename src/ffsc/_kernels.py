@@ -56,14 +56,14 @@ stay allocation-free and exception-free.  Buffers are caller-allocated.
 The encoder's output never exceeds ``encoded_bytes_bound``, which it
 checks its buffer against once, on entry, and the shaper's stream has a
 closed-form size too (see ``shaping.shape``), so their callers allocate
-once and treat NEED_MORE_BUF and TRUNCATED as errors.
-Only the shaper's symbol buffer grows.  The decoder's whole state is
-(range, code, shifts), as it has always read shifts + 4 bytes, so the
-loop takes that state and returns it: ``start_state`` reads the first
-four bytes for a fresh start, and on NEED_MORE_SYM ``shape`` resumes
-from the returned state on the next side tuples and a fresh chunk,
-doubling the buffer's total until it holds every whole tuple of the
-side.  No symbol is decoded twice.  The decoder returns TRUNCATED as
+once and treat NEED_MORE_BUF and TRUNCATED as errors; ``shape``
+allocates one symbol buffer and hands each call the next span of it.
+The decoder's whole state is (range, code, shifts), having read
+shifts + 4 bytes, so the loop takes that state and returns it:
+``start_state`` reads the first four bytes for a fresh start, and on
+NEED_MORE_SYM ``shape`` resumes from the returned state on the next
+side tuples and span, doubling the total until the spans cover every
+whole side tuple.  No symbol is decoded twice.  The decoder returns TRUNCATED as
 soon as it has shifted in more bytes than its input holds; between
 shifts its work is bounded by the symbol count it is given, which its
 caller caps.  All arithmetic is int64: the largest intermediate,
@@ -331,7 +331,7 @@ def shape_kernel(stream, m_bits, side, cum_rows, slot_rows, precision,
     Returns (nsym, state, status): ``_decode_loop``'s symbol count, its
     (rng, code, shifts) state and its status, NEED_MORE_SYM once the
     output buffer or the side runs out.  A call given that state, the
-    side that follows and a fresh buffer goes on where this one stopped.
+    side that follows and the next output span resumes this one.
     The bits are settled once the shift count passes ceil(m_bits/8)
     (see ``shaping``).
     """

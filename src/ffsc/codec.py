@@ -22,7 +22,8 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -212,9 +213,9 @@ def _pack_header(cfg: CodecConfig, digest: int, crc: int) -> bytes:
 def encode(source, cfg: CodecConfig) -> EncodeResult:
     """Compress the last n samples of source, where n is data-dependent.
 
-    The amount consumed is roughly min_block * (rho^K - 1)/(rho - 1)
-    where rho is the growth factor; the supplied buffer must cover it
-    or a ShapingError("side provider exhausted") is raised.
+    The amount consumed is roughly ``estimate_total_samples(cfg)``; the
+    supplied buffer must cover it or a ShapingError("side provider
+    exhausted") is raised.
     """
     src = as_symbols(source, cfg.prior.probs.size, CodingError, "source")
     M = cfg.min_block
@@ -340,31 +341,28 @@ def decode(stream: bytes, oracle: FeedforwardOracle, cfg: CodecConfig) -> Decode
     )
 
 
-def _pass_totals(cfg: CodecConfig):
-    """Predicted total samples after 1, 2, ... passes: each block is
-    rho times the previous one, starting from min_block."""
+def _block_lengths(cfg: CodecConfig, passes: int) -> list[float]:
+    """Predicted lengths of the first `passes` blocks: min_block, then
+    each rho times the one before, rho the growth factor."""
     rho = growth_factor(cfg.prior, cfg.channel)
-    total = length = float(cfg.min_block)
-    while True:
-        yield total
-        length *= rho
-        total += length
+    return list(accumulate(repeat(rho, passes - 1), mul,
+                           initial=float(cfg.min_block)))
 
 
 def plan_passes(cfg: CodecConfig, target_n: int) -> int:
     """Smallest pass count whose predicted total covers target_n samples."""
     target_n = as_int(target_n, cfg.min_block, None, ConfigError, "target_n")
-    for k, total in enumerate(_pass_totals(cfg), start=1):
+    for k, total in enumerate(accumulate(_block_lengths(cfg, 64)), start=1):
         if total >= target_n:
             return k
-        if k == 64:
-            raise ConfigError("pass count exceeds 64; check the growth factor")
+    raise ConfigError("pass count exceeds 64; check the growth factor")
 
 
 def estimate_total_samples(cfg: CodecConfig) -> int:
-    """Predicted n for a full K-pass run (geometric block growth).
+    """Predicted n for a full K-pass run, the sum of its block lengths.
     Raises ConfigError if the prediction overflows a float."""
-    total = next(islice(_pass_totals(cfg), cfg.passes - 1, None))
+    # left to right, as in plan_passes (``sum`` compensates from Python 3.12)
+    *_, total = accumulate(_block_lengths(cfg, cfg.passes))
     if total == float("inf"):
         raise ConfigError(f"{cfg.passes} passes predict more samples than "
                           f"a float can count")

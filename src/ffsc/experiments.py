@@ -24,6 +24,7 @@ from .bits import as_int, as_real
 from .codec import (
     CodecConfig,
     FeedforwardOracle,
+    _block_lengths,
     _sample_rows,
     decode,
     encode,
@@ -41,7 +42,7 @@ from .erasure import (
     erasure_distortion,
 )
 from .errors import ConfigError
-from .model import Pmf, growth_factor
+from .model import Pmf
 from .rng import SplitMix64
 
 __all__ = [
@@ -164,17 +165,18 @@ def _trial_source_len(cfg: CodecConfig) -> int:
     W(xhat|x): one over the root of its crossovers on a low-D BSC.  Each
     block's spread carries into all later ones, so n spreads by at most
     s = (sigma/mu) sqrt(sum 1/n_j) over the shaped blocks n_j = rho^j M,
-    and the first frame's count and flush, some 32 bits, lengthen them
-    all by b = 32/(rho mu M): the margin is max(10%, 3s + b).  Raises
-    ConfigError, before anything is allocated, if they cannot fit in
-    memory at 16 bytes each (the 64-bit draws and the int64 symbols)."""
+    j < K, and the first frame's count and flush, some 32 bits, lengthen
+    them all by b = 32/(mu n_1), even at K = 1: the margin is max(10%,
+    3s + b).  Raises ConfigError, before anything is allocated, if they
+    cannot fit in memory at 16 bytes each (the 64-bit draws and the int64
+    symbols)."""
     joint = cfg.prior.probs[:, None] * cfg.channel.rows
     info = -np.log2(np.where(joint > 0, cfg.channel.rows, 1))
     mu = (joint * info).sum()
-    rho = growth_factor(cfg.prior, cfg.channel)
-    inv_n = sum(rho ** -j for j in range(1, cfg.passes)) / cfg.min_block
+    lengths = _block_lengths(cfg, cfg.passes + 1)
+    inv_n = sum(1 / n for n in lengths[1:-1])
     s = np.sqrt((joint * (info - mu) ** 2).sum() * inv_n) / mu
-    margin = max(0.10, 3 * s + 32 / (rho * mu * cfg.min_block))
+    margin = max(0.10, 3 * s + 32 / (mu * lengths[1]))
     need = int((1 + margin) * estimate_total_samples(cfg)) + 4 * cfg.min_block
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -48,7 +48,8 @@ _PAD_BITS = np.unpackbits(np.frombuffer(PAD_PATTERN, dtype=np.uint8))
 
 def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     """Turn bits, a 1-D array of 0s and 1s, into symbols distributed per
-    cm's rows, keyed by side, k samples at a time (``cm.kernel_form``).
+    cm's rows, keyed by side, k samples at a time (``cm.kernel_form``),
+    into one tuple buffer that each ``shape_kernel`` call fills a span of.
 
     Returns (symbols, consumed_side_count); the two counts are equal —
     each emitted tuple of k symbols consumes one side tuple of k
@@ -61,8 +62,6 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     bits = as_symbols(bits, 2, ShapingError, "bits")
     side_arr = as_symbols(side, len(cm.freq), ShapingError, "side")
     m = bits.size
-    if m == 0:
-        return np.zeros(0, dtype=np.int64), 0
     form = cm.kernel_form()
     k = form.k
 
@@ -73,27 +72,26 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     # bits and the pad's first 64 - m % 8 bits.
     stream = np.packbits(np.concatenate(
         [bits.astype(np.uint8, copy=False), _PAD_BITS[:64 - m % 8]]))
-    # The first chunk of the symbol buffer holds max(256, 2m + 64)
-    # samples, k to a tuple.  Each NEED_MORE_SYM with side to spare
-    # resumes the kernel from its returned state on the next side tuples
-    # and a fresh chunk that doubles the total, so no tuple is decoded
-    # twice and only the side tuples the kernel reaches are built.
+    # The buffer holds a tuple per whole side tuple, zeroed, so only the
+    # pages that tuples land in are touched.  The first call gets its
+    # first max(256, 2m + 64) samples, k to a tuple.  Each NEED_MORE_SYM
+    # with side to spare resumes the kernel from its returned state on
+    # the next side tuples and span, doubling the total, so no tuple is
+    # decoded twice and only the side tuples the kernel reaches are built.
     cap = -(-max(256, 2 * m + 64) // k)
     side_tuples = side_arr.size // k
+    out = np.zeros(side_tuples, dtype=np.int64)
     state = _kernels.start_state(stream)
-    chunks = []
     done = 0
     while True:
         end = min(cap, side_tuples)
         given = to_tuples(side_arr[k * done:k * end], form.row_place)
-        out = np.zeros(end - done, dtype=np.int64)
         ntup, state, status = _kernels.shape_kernel(
-            stream, m, given, form.cum, form.slots, cm.precision, out, state)
-        chunks.append(out[:ntup])
+            stream, m, given, form.cum, form.slots, cm.precision,
+            out[done:end], state)
         done += int(ntup)
         if status == _kernels.OK:
-            return (form.digits.take(np.concatenate(chunks), axis=0).ravel(),
-                    k * done)
+            return form.digits.take(out[:done], axis=0).ravel(), k * done
         if status == _kernels.NEED_MORE_SYM and end < side_tuples:
             cap *= 2
             continue

@@ -204,11 +204,14 @@ NO_SYMBOL_ARRAY = {
 
 def _variants(good, size):
     """Malformed copies of a well-formed symbol array.  The 2-D and float
-    copies flatten and truncate back to it; each value variant puts its
-    symbol last, where a check of a prefix or a lazy read would miss it."""
+    copies flatten and truncate back to it, and the ragged copy is its
+    symbols and its first symbol as two rows of unequal length; each
+    value variant puts its symbol last, where a check of a prefix or a
+    lazy read would miss it."""
     obj = good.astype(object)
     obj[-1] = None
-    variants = {"2-D": good[:, None], "float": good + 0.25, "object": obj}
+    variants = {"2-D": good[:, None], "float": good + 0.25, "object": obj,
+                "ragged": [good.tolist(), good[:1].tolist()]}
     for label, value in (("negative", -1), ("size", size)):
         if size is not None:
             variants[label] = np.concatenate([good[:-1], [value]])
@@ -379,11 +382,15 @@ DISTORTION_BAD = ("x", [[0, 1], [1]], [[0, 1j], [1, 0]], [0, 1],
 # values).
 SCALAR_TABLE = {
     "Alphabet": (Alphabet, (2,), (_int(1, 2**16, 2**16 + 1),)),
+    # the distortion matrix must be the channel's shape
     "CodecConfig": (
-        lambda m, k, q, seed: CodecConfig(
-            prior=CFG.prior, channel=CFG.channel, distortion=CFG.distortion,
-            min_block=m, passes=k, precision=q, seed=seed),
-        (64, 2, 16, 1), (_int(0, 2**32), _int(0, 2**16), _int(1, 25), _int())),
+        lambda m, k, q, seed, d: CodecConfig(
+            prior=CFG.prior, channel=CFG.channel,
+            distortion=DistortionMatrix(d), min_block=m, passes=k,
+            precision=q, seed=seed),
+        (64, 2, 16, 1, [[0, 1], [1, 0]]),
+        (_int(0, 2**32), _int(0, 2**16), _int(1, 25), _int(),
+         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]],))),
     "DistortionMatrix": (DistortionMatrix, ([[0, 1], [1, 0]],),
                          (DISTORTION_BAD,)),
     "DistortionMatrix.hamming": (DistortionMatrix.hamming, (2,),

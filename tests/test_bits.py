@@ -33,6 +33,12 @@ def test_uvarint_truncated_raises():
         read_uvarint(b"")
 
 
+def test_uvarint_past_64_bits_raises():
+    # ten continuation bytes: the tenth would shift a payload to bit 70
+    with pytest.raises(StreamFormatError, match="too long"):
+        read_uvarint(b"\x80" * 10)
+
+
 def test_fnv1a64_reference_values():
     # standard FNV-1a test vectors
     assert fnv1a64(b"") == 0xCBF29CE484222325

@@ -46,6 +46,19 @@ def test_rd_grid_monotone(tmp_path):
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
+def test_rd_without_levels_prints_eleven_up_to_d_max(capsys):
+    """Levels 0, 0.1, ..., 1 of binary Hamming distortion's d_max = 1;
+    past the zero-rate point's 0.5 the solver reports that point."""
+    assert run("rd", "--model", "binary_hamming") == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    points = [tuple(map(float, r.split(",")[:2])) for r in rows]
+    assert len(points) == 11
+    assert [d for d, _ in points] == pytest.approx(
+        [min(k / 10, 0.5) for k in range(11)], abs=1e-9)
+    assert points[0][1] == pytest.approx(1.0, abs=1e-9)
+    assert [r for _, r in points[5:]] == [0.0] * 6
+
+
 def test_rd_unknown_model_exits_2(capsys):
     assert run("rd", "--model", "no_such_model") == 2
     assert "error:" in capsys.readouterr().err
@@ -280,6 +293,14 @@ def _sidecar_not_an_object(tmp_path, coded_dir):
             "--out", tmp_path / "x.bin"), "source_offset"
 
 
+def _sidecar_not_json(tmp_path, coded_dir):
+    stream = tmp_path / "out.ffsc"
+    stream.write_bytes((coded_dir / "out.ffsc").read_bytes())
+    (tmp_path / "out.ffsc.stats.json").write_text("{")
+    return ("decode", "--in", stream, "--source", coded_dir / "source.bin",
+            "--out", tmp_path / "x.bin"), "is not valid JSON"
+
+
 def _sidecar_nested_too_deeply(tmp_path, coded_dir):
     stream = tmp_path / "out.ffsc"
     stream.write_bytes((coded_dir / "out.ffsc").read_bytes())
@@ -373,7 +394,8 @@ def _missing_bitstream(tmp_path, coded_dir):
     _ascii_symbol_x, _grid_without_count, _model_not_json, _model_not_utf8,
     _model_fractional_alphabet_size, _model_alphabet_past_the_streams_limit,
     _model_nested_too_deeply, _zero_trials,
-    _sidecar_not_an_object, _sidecar_nested_too_deeply, _negative_offset,
+    _sidecar_not_an_object, _sidecar_not_json, _sidecar_nested_too_deeply,
+    _negative_offset,
     _missing_bitstream, _source_outside_alphabet, _duality_message_012,
     _duality_message_abc, _duality_erasures_a_b, _passes_2000, _passes_100,
     _passes_50, _min_block_over_header_field, _grid_too_large,
@@ -434,6 +456,17 @@ def test_exp_hamming_small(tmp_path):
     assert lines[0].startswith("trial,seed,n,K,rate,distortion")
     assert len(lines) == 1 + 3 + 2  # header, trials, mean, std
     assert lines[-2].startswith("mean,") and lines[-1].startswith("std,")
+
+
+def test_exp_hamming_exits_1_on_a_missed_rate_bound(tmp_path, capsys):
+    """At M = 64 and K = 2 the frame's fixed cost puts the rate far
+    above exp-hamming's rate bounds."""
+    out = tmp_path / "hamming.csv"
+    assert run("exp-hamming", "--trials", 1, "--min-block", 64,
+               "--passes", 2, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("violation: mean rate ")
+    assert len(out.read_text().strip().splitlines()) == 1 + 1 + 2
 
 
 def test_exp_general_small(tmp_path):

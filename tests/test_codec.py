@@ -369,6 +369,14 @@ def test_plan_passes_rejects_tiny_target():
         plan_passes(cfg, 100)
 
 
+def test_plan_passes_refuses_more_than_64_passes():
+    # rho is about 1.007 at BSC(0.45): 100 min_blocks take 76 passes
+    cfg = bsc_config(channel=TestChannel.bsc(0.45))
+    assert 1 < growth_factor(cfg.prior, cfg.channel) < 1.01
+    with pytest.raises(ConfigError, match="exceeds 64"):
+        plan_passes(cfg, 100 * cfg.min_block)
+
+
 # ---------------------------------------------------------------------------
 # stream format
 
@@ -667,6 +675,14 @@ def test_measure_refuses_source_that_is_not_1d_integers():
     for bad in (x[:, None], x[None, :], x + 0.7, x.astype(np.float64)):
         with pytest.raises(ConfigError, match="1-D integer"):
             measure(bad, dec, cfg.distortion)
+
+
+def test_measure_refuses_a_source_one_sample_short():
+    cfg = bsc_config(seed=5, passes=2, min_block=1024)
+    src = uniform_source(5, 20_000, 2)
+    res, dec, _ = run_pair(cfg, src)
+    with pytest.raises(ConfigError, match="does not match"):
+        measure(src[src.size - res.n + 1:], dec, cfg.distortion)
 
 
 def test_distortion_matches_channel_level():

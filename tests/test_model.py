@@ -71,6 +71,32 @@ def test_expected_distortion_bsc():
     assert expected_distortion(prior, ch, d) == pytest.approx(0.11)
 
 
+# Each call handed a prior, or a distortion matrix, of the wrong size,
+# and the error it raises.
+SIZE_MISMATCHES = {
+    "marginal": (lambda: TestChannel.bsc(0.1).marginal(Pmf.uniform(3)),
+                 "prior alphabet 3 != channel input 2"),
+    "conditional_entropy": (
+        lambda: conditional_entropy(TestChannel.bsc(0.1), Pmf.uniform(3)),
+        "prior alphabet 3 != channel input 2"),
+    "expected_distortion": (
+        lambda: expected_distortion(Pmf.uniform(2), TestChannel.bsc(0.1),
+                                    DistortionMatrix.hamming(3)),
+        "does not match channel"),
+    "blahut_arimoto": (
+        lambda: blahut_arimoto(Pmf.uniform(3), DistortionMatrix.hamming(2),
+                               0.1),
+        "rows must match prior alphabet"),
+}
+
+
+@pytest.mark.parametrize("name", SIZE_MISMATCHES)
+def test_sizes_that_do_not_match_are_refused(name):
+    call, message = SIZE_MISMATCHES[name]
+    with pytest.raises(ModelError, match=message):
+        call()
+
+
 def test_pmf_validation():
     with pytest.raises(ModelError):
         Pmf([0.5, 0.4])  # does not sum to 1
@@ -413,6 +439,20 @@ def test_load_model_refuses_tables_that_are_not_numbers(tmp_path, probs,
     path.write_text(json.dumps({"name": "bad", "alphabet_size": 2,
                                 "probs": probs, "distortion": distortion}))
     with pytest.raises(ModelError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ([0.5, 0.5], "malformed model file"),
+    ({"alphabet_size": 2, "distortion": [[0, 1], [1, 0]]},
+     "malformed model file"),
+    ({"alphabet_size": 3, "probs": [0.5, 0.5],
+      "distortion": [[0, 1], [1, 0]]}, "do not match alphabet_size=3"),
+], ids=["list", "no-probs", "size-3-two-probs"])
+def test_load_model_refuses_a_malformed_document(tmp_path, doc, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=reason):
         load_model(str(path))
 
 

@@ -267,6 +267,15 @@ def test_deshape_refuses_two_dimensional_input():
             deshape_raw(a, b, BSC11)
 
 
+def test_deshape_refuses_unequal_lengths():
+    rng = np.random.default_rng(16)
+    bits, side = random_case(rng, 200)
+    xhat, used = shape(bits, side, BSC11)
+    for a, b in ((xhat[:-1], side[:used]), (xhat, side[:used + 1])):
+        with pytest.raises(ShapingError, match="equal length"):
+            deshape_raw(a, b, BSC11)
+
+
 def test_deshape_rejects_m_beyond_settled():
     rng = np.random.default_rng(14)
     bits, side = random_case(rng, 1000)
@@ -460,6 +469,31 @@ def test_shape_decodes_no_tuple_twice(monkeypatch):
     assert status == _kernels.OK
     assert used == form.k * ntup
     assert np.array_equal(xhat, form.digits[out[:ntup]].ravel())
+
+
+def test_shape_decodes_into_consecutive_spans_of_one_buffer(monkeypatch):
+    """Each shape_kernel call of a shape that resumes several times
+    writes a view of one base array, each view starting where the last
+    one ended, so no tuple is copied between chunks."""
+    cm = quantize_channel(TestChannel.bsc(0.005), 16)
+    bits, side = random_case(np.random.default_rng(51), 2000,
+                             side_factor=40.0)
+    outs = []
+    shape_kernel = _kernels.shape_kernel
+
+    def out_spy(*args):
+        outs.append(args[6])
+        return shape_kernel(*args)
+
+    monkeypatch.setattr(_kernels, "shape_kernel", out_spy)
+    shape(bits, side, cm)
+    assert len(outs) >= 4
+    base = outs[0].base
+    assert base is not None and all(out.base is base for out in outs)
+    start = base.__array_interface__["data"][0]
+    offsets = [(out.__array_interface__["data"][0] - start) // out.itemsize
+               for out in outs]
+    assert offsets == [0, *np.cumsum([out.size for out in outs[:-1]])]
 
 
 def test_extension_rounding_costs_under_a_millionth_of_a_bit():
