@@ -6,8 +6,11 @@ called with the entry point's own error type: ``as_symbols`` for symbol
 and bit arrays, ``as_int`` for integers, ``as_real`` for real numbers
 and ``as_bytes`` for byte streams.  Symbols and bits are 1-D integer
 arrays below a size: the alphabet's, or 2 for bits, which need no
-container.  Bytes hold bits MSB-first, as ``np.packbits`` and
-``np.unpackbits`` do.
+container.  A checked symbol array keeps an unsigned dtype up to
+uint32, so an array held at its alphabet's width (uint8 up to 256
+symbols, uint16 above) is never widened; any other integer or bool
+array comes back as int64.  Bytes hold bits MSB-first, as
+``np.packbits`` and ``np.unpackbits`` do.
 """
 
 from __future__ import annotations
@@ -31,10 +34,13 @@ __all__ = [
 
 def as_symbols(arr, size: int | None, error: type[Exception],
                name: str) -> np.ndarray:
-    """`arr` as a contiguous 1-D int64 array of symbols in [0, size), or
-    raise `error` about argument `name`: for any other shape, a dtype
-    not integer or bool (a float would be truncated), or a value out of
-    range.  Empty 1-D input of any dtype passes; size None skips range."""
+    """`arr` as a contiguous 1-D array of symbols in [0, size), or raise
+    `error` about argument `name`: for any other shape, a dtype not
+    integer or bool (a float would be truncated), or a value out of
+    range.  Empty 1-D input of any dtype passes; size None skips range.
+    An unsigned array of uint8 to uint32 keeps its dtype, and is `arr`
+    itself when contiguous; anything else comes back as int64, uint64
+    too, which numpy would promote with int64 to float64."""
     stem = f"{name} must be 1-D integers" + (
         "" if size is None else f" in [0, {size})")
     try:
@@ -43,9 +49,13 @@ def as_symbols(arr, size: int | None, error: type[Exception],
         raise error(f"{stem}, not a ragged sequence") from None
     if a.ndim != 1 or (a.size and a.dtype.kind not in "biu"):
         raise error(f"{stem}, not a {a.ndim}-D {a.dtype} array")
-    out = np.ascontiguousarray(a, dtype=np.int64)
-    # One reduction checks both ends, as a negative reads as >= 2^63.
-    if size is not None and a.size and out.view(np.uint64).max() >= size:
+    if a.dtype.kind == "u" and a.itemsize < 8:
+        out = top = np.ascontiguousarray(a)
+    else:
+        out = np.ascontiguousarray(a, dtype=np.int64)
+        top = out.view(np.uint64)  # a negative reads as >= 2^63
+    # One reduction checks both ends.
+    if size is not None and a.size and int(top.max()) >= size:
         lo, hi = a.min(), a.max()
         raise error(f"{stem}; {lo if lo < 0 else hi} is outside alphabet")
     return out

@@ -42,7 +42,7 @@ from .experiments import (
     run_codec_experiment,
     run_duality_example,
 )
-from .model import TestChannel, blahut_arimoto, load_model
+from .model import TestChannel, _zero_rate_point, blahut_arimoto, load_model
 
 _BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
 # Most points `rd --grid` accepts; each is one solver call.
@@ -80,6 +80,21 @@ _CODEC_DEFAULTS = {f.name: f.default for f in fields(CodecConfig)}
 _CODEC_FLAGS = ("min_block", "passes", "seed", "precision")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one ``error: ...`` line, as
+    every other malformed input's, with exit status 2.  What it raises
+    as ArgumentError, such as a malformed option value, ``main`` reports
+    as it reports a package error; what it refuses itself, such as an
+    unknown flag, ``error`` reports.  Subparsers take this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, exit_on_error=False, **kwargs)
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        self.exit(2)
+
+
 def _config_args(p: argparse.ArgumentParser):
     """A flag per CodecConfig field in _CODEC_FLAGS.  An unset flag stays
     off the namespace, so CodecConfig's own default applies."""
@@ -105,7 +120,7 @@ def _experiment_args(p: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ffsc",
         description="Lossy source coding with unit-lag feedforward side "
                     "information.",
@@ -183,7 +198,7 @@ def _cmd_rd(args) -> int:
     elif args.target_d:
         targets = np.array(args.target_d, dtype=np.float64)
     else:
-        targets = np.linspace(0.0, d.d_max, 11)
+        targets = np.linspace(0.0, _zero_rate_point(prior, d)[1], 11)
     lines = ["D,R,channel_digest"]
     for t in targets:
         channel, rate, dist = blahut_arimoto(prior, d, float(t))
@@ -367,10 +382,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
-    except (FfscError, OSError) as exc:
+    except (FfscError, OSError, argparse.ArgumentError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,6 +1,6 @@
 """The recursive feedforward codec.
 
-The encoder works on a reversed view of the source.  Pass 1 turns the
+The encoder works on a reversed copy of the source.  Pass 1 turns the
 first M reversed samples into a seeded "noisy" block (one draw from the
 quantized test-channel row of each sample).  Every later pass
 entropy-codes the previous block's reconstruction and *shapes* those
@@ -14,6 +14,13 @@ samples, deshapes the pair to recover the previous frame, and repeats.
 The reconstruction therefore streams out in original time order, every
 oracle read is strictly behind the emission high-water mark, and the
 seed block, which is never deshaped, is never read.
+
+Both sides hold reconstructions at the width of the channel's output
+alphabet, ``np.min_scalar_type(size - 1)``: uint8 up to 256 symbols and
+uint16 up to ``model.MAX_SYMBOLS``.  The encoder's reversed source is
+narrowed to the width of the input alphabet, which a rectangular
+channel may make narrower, only after its range check; the oracle's
+samples are read as the oracle holds them.
 """
 
 from __future__ import annotations
@@ -157,7 +164,9 @@ class FeedforwardOracle:
 @dataclass(frozen=True, eq=False)
 class EncodeResult:
     bitstream: bytes
-    xhat: np.ndarray          # encoder-internal reconstruction, original order
+    # encoder-internal reconstruction, original order, at the width of
+    # the channel's output alphabet (uint8 up to 256 symbols, else uint16)
+    xhat: np.ndarray
     n: int
     pass_lengths: list[int]
     rate: float
@@ -167,7 +176,7 @@ class EncodeResult:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    xhat: np.ndarray
+    xhat: np.ndarray          # as EncodeResult.xhat: same values, same dtype
     pass_lengths: list[int]
     n: int
     total_bits: int
@@ -202,7 +211,7 @@ def _sample_rows(rng: SplitMix64, cum: np.ndarray, q: int, count: int,
 
 def _crc(xhat: np.ndarray) -> int:
     """CRC-32 of xhat as <u2 symbols (``model.MAX_SYMBOLS`` bounds them)."""
-    return zlib.crc32(xhat.astype("<u2").tobytes())
+    return zlib.crc32(xhat.astype("<u2", copy=False))
 
 
 def _pack_header(cfg: CodecConfig, digest: int, crc: int) -> bytes:
@@ -224,10 +233,12 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
             f"source exhausted: {src.size} samples < min_block {M}"
         )
     marg, cond = cfg.quantized()
-    rev = np.ascontiguousarray(src[::-1])
+    # checked above, so the cast to the source alphabet's width is exact
+    rev = src[::-1].astype(np.min_scalar_type(cfg.prior.probs.size - 1))
+    width = np.min_scalar_type(marg.size - 1)  # the reconstruction alphabet
 
     blocks = [_sample_rows(SplitMix64(cfg.seed), cond.cum, cond.precision, M,
-                           rev[:M])]
+                           rev[:M]).astype(width)]
     frame = compress(blocks[0], marg)
     edges = [0, M]  # block k codes rev[edges[k]:edges[k + 1]]
     for _ in range(1, cfg.passes):
@@ -239,10 +250,12 @@ def encode(source, cfg: CodecConfig) -> EncodeResult:
     atypical = [k for k in range(1, len(edges)) if not is_strongly_typical(
         rev[edges[k - 1]:edges[k]], cfg.prior, _TYPICAL_DELTA)]
 
-    xhat = np.concatenate(blocks)[::-1].copy()
+    n = edges[-1]
+    xhat = np.empty(n, dtype=width)
+    for block, start, stop in zip(blocks, edges, edges[1:]):
+        xhat[n - stop:n - start] = block[::-1]
     header = _pack_header(cfg, model_digest(marg, cond), _crc(xhat))
     stream = header + frame.to_bytes()
-    n = edges[-1]
     total_bits = 8 * len(stream)
     return EncodeResult(
         bitstream=stream,

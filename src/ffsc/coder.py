@@ -130,7 +130,7 @@ class QuantizedModel:
                 f"freq must be 1 to {MAX_SYMBOLS} rows of at most "
                 f"{MAX_SYMBOLS} symbols, not shape {f.shape}")
         f = as_symbols(f.ravel(), total + 1, QuantizationError,
-                       "freq").reshape(f.shape)
+                       "freq").astype(np.int64, copy=False).reshape(f.shape)
         sums = f.sum(axis=1)
         if (sums != total).any():
             raise QuantizationError(f"rows sum to {sums}, expected {total}")
@@ -154,12 +154,14 @@ class QuantizedModel:
         rule.  `cum`, `flat` (its rows end to end) and `slots` (the
         decoder's slot rows) are the table's in the kernels' input form
         (``_kernels.kernel_form``).  ``to_tuples`` indexes sample tuples
-        with `place` and row tuples with `row_place`; digits[c] are the
-        samples of tuple c.  Frames code row 0 of `table` and pad their
-        last tuple with `pad`, row 0's most frequent symbol (the lowest
-        such index); `bits` is b if row 0 holds 2^b equal frequencies,
-        whose frames skip the coder loops (see the module docstring),
-        else 0.
+        with `place` and row tuples with `row_place`, each in the
+        narrowest dtype that holds its largest tuple index; digits[c]
+        are the samples of tuple c at the alphabet's width,
+        ``np.min_scalar_type(size - 1)``, so the blocks built from them
+        are too.  Frames code row 0 of `table` and pad their last tuple
+        with `pad`, row 0's most frequent symbol (the lowest such
+        index); `bits` is b if row 0 holds 2^b equal frequencies, whose
+        frames skip the coder loops (see the module docstring), else 0.
         """
         form = self.__dict__.get("_form")
         if form is None:
@@ -180,9 +182,12 @@ class QuantizedModel:
             row = ext.freq[0]
             form = KernelForm(
                 k, int(np.argmax(self.freq[0])), ext,
-                *_kernels.kernel_form(ext.cum, self.precision), place,
-                rows ** np.arange(k - 1, -1, -1),
-                np.arange(size ** k)[:, None] // place % size,
+                *_kernels.kernel_form(ext.cum, self.precision),
+                place.astype(np.min_scalar_type(size ** k - 1)),
+                (rows ** np.arange(k - 1, -1, -1)).astype(
+                    np.min_scalar_type(rows ** k - 1)),
+                (np.arange(size ** k)[:, None] // place % size).astype(
+                    np.min_scalar_type(size - 1)),
                 (ext.size.bit_length() - 1 if ext.size > 1
                  and (row == row[0]).all() else 0))
             # setdefault is atomic, so racing threads still share one form
@@ -191,11 +196,14 @@ class QuantizedModel:
 
 
 def to_tuples(samples: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """Each k consecutive samples as one tuple index, with the place
-    values `place` of its k digits (``QuantizedModel.kernel_form``), the
-    first sample the most significant; the sample count is a multiple
-    of k."""
-    return samples.reshape(-1, place.size) @ place
+    """Each k consecutive samples as one int64 tuple index, with the
+    place values `place` of its k digits (``QuantizedModel.kernel_form``),
+    the first sample the most significant; the sample count is a
+    multiple of k.  The product is taken in the wider of the two dtypes,
+    and `place`'s holds every tuple index, so narrow samples are not
+    widened to int64: only the tuple indices are, for the kernels."""
+    return (samples.reshape(-1, place.size) @ place).astype(np.int64,
+                                                             copy=False)
 
 
 def quantize(p: Pmf, precision: int) -> QuantizedModel:
@@ -345,9 +353,12 @@ def compress(symbols, model: QuantizedModel) -> Frame:
     bytes are the same either way."""
     sym = as_symbols(symbols, model.size, CodingError, "symbols")
     form = model.kernel_form()
-    pad = -sym.size % form.k
-    codes = to_tuples(np.append(sym, np.full(pad, form.pad)) if pad else sym,
-                      form.place)
+    whole = sym.size - sym.size % form.k
+    codes = to_tuples(sym[:whole], form.place)
+    if whole < sym.size:  # only the last tuple is built padded
+        last = np.full(form.k, form.pad)
+        last[:sym.size - whole] = sym[whole:]
+        codes = np.append(codes, last @ form.place)
     return Frame(sym.size, _pack_tuples(codes, form.bits) if form.bits
                  else range_encode(codes, None, form, CodingError)[0])
 
@@ -356,10 +367,11 @@ def decode_frame_prefix(data, model: QuantizedModel,
                         limit: int) -> tuple[np.ndarray, int]:
     """Decode a frame, coded with row 0, at the start of `data`.
 
-    Returns (symbols, total frame length in bytes).  Bytes after the
-    frame are ignored, which is exactly what the feedforward decoder
-    needs: a deshaped bit buffer contains one frame followed by pad
-    bits.  `limit` counts samples, as the frame's varint does, not
+    Returns (symbols, total frame length in bytes), the symbols at the
+    model's alphabet width: uint8 up to 256 symbols, else uint16.  Bytes
+    after the frame are ignored, which is exactly what the feedforward
+    decoder needs: a deshaped bit buffer contains one frame followed by
+    pad bits.  `limit` counts samples, as the frame's varint does, not
     coded tuples.  Raises CodingError if the frame declares more than
     `limit` samples, before reserving room for them: on a skewed model
     a few bytes can validly hold millions of samples, so only the

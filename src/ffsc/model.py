@@ -359,6 +359,15 @@ def _one_step_slope(
     return beta
 
 
+def _zero_rate_point(prior: Pmf, d: DistortionMatrix) -> tuple[int, float]:
+    """The zero-rate end of R(D): the best constant reproduction j and
+    its distortion, min_j sum_x p_x d_xj (the lowest such j on a tie).
+    Every level at or above it has rate 0."""
+    col_cost = prior.probs @ d.entries
+    j = int(np.argmin(col_cost))
+    return j, float(col_cost[j])
+
+
 def blahut_arimoto(
     prior: Pmf, d: DistortionMatrix, target_D: float
 ) -> tuple[TestChannel, float, float]:
@@ -395,10 +404,7 @@ def blahut_arimoto(
     target_D = as_real(target_D, 0, d.d_max, ModelError, "target distortion")
     rows, n_out = dm.shape
 
-    # Zero-rate endpoint: the best constant reproduction.
-    col_cost = p @ dm
-    j_star = int(np.argmin(col_cost))
-    d_above = float(col_cost[j_star])
+    j_star, d_above = _zero_rate_point(prior, d)
     w_above = np.zeros((rows, n_out))
     w_above[:, j_star] = 1.0
     if target_D >= d_above:

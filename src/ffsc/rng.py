@@ -25,13 +25,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = as_int(seed, None, None, ConfigError, "seed") & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
     def fill_u64(self, count: int) -> np.ndarray:
         """Vectorized stream of `count` outputs (advances state by `count`)."""
         count = as_int(count, 0, None, ConfigError, "count")

@@ -51,9 +51,10 @@ def shape(bits, side, cm: QuantizedModel) -> tuple[np.ndarray, int]:
     cm's rows, keyed by side, k samples at a time (``cm.kernel_form``),
     into one tuple buffer that each ``shape_kernel`` call fills a span of.
 
-    Returns (symbols, consumed_side_count); the two counts are equal —
-    each emitted tuple of k symbols consumes one side tuple of k
-    samples, so both are k times the tuples shaped.  Raises
+    Returns (symbols, consumed_side_count), the symbols at cm's
+    alphabet width (uint8 up to 256 symbols, else uint16); the counts
+    are equal — each emitted tuple of k symbols consumes one side tuple
+    of k samples, so both are k times the tuples shaped.  Raises
     ShapingError on bits that are not 1-D 0s and 1s, on a side that is
     not cm's row indices, or if the side's whole tuples run out before
     the bits settle.

@@ -1,14 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from ffsc.bits import (
     as_bytes,
+    as_symbols,
     fnv1a64,
     read_uvarint,
     write_uvarint,
 )
-from ffsc.errors import StreamFormatError
+from ffsc.errors import CodingError, StreamFormatError
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -50,3 +52,31 @@ def test_as_bytes_returns_a_bytes_input_itself():
     """So the frame decoder's checks of a bytes stream copy nothing."""
     raw = b"\x05\x01"
     assert as_bytes(raw, StreamFormatError, "data") is raw
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_as_symbols_keeps_a_narrow_unsigned_array(dtype):
+    """A symbol array at its alphabet's width is checked, not widened:
+    a contiguous one comes back sharing its memory, a strided one as a
+    contiguous copy of the same dtype."""
+    arr = np.array([0, 2, 1, 2, 0, 1], dtype=dtype)
+    out = as_symbols(arr, 3, CodingError, "a")
+    assert out.dtype == dtype and np.shares_memory(out, arr)
+    strided = as_symbols(arr[::-2], 3, CodingError, "a")
+    assert strided.dtype == dtype and strided.flags.c_contiguous
+    assert strided.tolist() == [1, 2, 2]
+
+
+@pytest.mark.parametrize("dtype, value", [(np.uint8, 255), (np.uint8, 3),
+                                          (np.uint16, 257)])
+def test_as_symbols_checks_a_narrow_unsigned_array(dtype, value):
+    arr = np.array([0, 1, value, 2], dtype=dtype)
+    with pytest.raises(CodingError, match=f"{value} is outside"):
+        as_symbols(arr, 3, CodingError, "a")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, bool])
+def test_as_symbols_widens_signed_bool_and_uint64_input_to_int64(dtype):
+    arr = np.array([0, 1, 1, 0], dtype=dtype)
+    out = as_symbols(arr, 2, CodingError, "a")
+    assert out.dtype == np.int64 and out.tolist() == [0, 1, 1, 0]

@@ -7,7 +7,8 @@ from ffsc import _kernels
 from ffsc.cli import _build_parser, main
 from ffsc.codec import HEADER_LEN, CodecConfig, encode
 from ffsc.experiments import uniform_source
-from ffsc.model import blahut_arimoto, load_model
+from ffsc.model import blahut_arimoto, bundled_model_names, load_model
+from testlib import h2
 
 BINARY_RATE_011 = 0.500084041835
 BACKEND = "numba" if _kernels.HAVE_NUMBA else "python"
@@ -46,17 +47,34 @@ def test_rd_grid_monotone(tmp_path):
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
-def test_rd_without_levels_prints_eleven_up_to_d_max(capsys):
-    """Levels 0, 0.1, ..., 1 of binary Hamming distortion's d_max = 1;
-    past the zero-rate point's 0.5 the solver reports that point."""
+def test_rd_without_levels_prints_eleven_up_to_the_zero_rate_point(capsys):
+    """Levels 0, 0.05, ..., 0.5: binary Hamming distortion's zero-rate
+    point is D = 0.5, so the grid spans the curve, 1 - h2(D), and no
+    level past it repeats that point."""
     assert run("rd", "--model", "binary_hamming") == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     points = [tuple(map(float, r.split(",")[:2])) for r in rows]
     assert len(points) == 11
     assert [d for d, _ in points] == pytest.approx(
-        [min(k / 10, 0.5) for k in range(11)], abs=1e-9)
-    assert points[0][1] == pytest.approx(1.0, abs=1e-9)
-    assert [r for _, r in points[5:]] == [0.0] * 6
+        [k / 20 for k in range(11)], abs=1e-9)
+    assert [r for _, r in points] == pytest.approx(
+        [1 - h2(k / 20) if k else 1.0 for k in range(11)], abs=1e-6)
+    assert points[-1][1] == 0.0
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_rd_without_levels_prints_eleven_distinct_points(name, capsys):
+    """Every bundled model's default grid ends at its zero-rate point,
+    min over j of sum_x p_x d_xj, and reaches rate 0 there only."""
+    _, prior, d = load_model(name)
+    d_zero = (prior.probs @ d.entries).min()
+    assert run("rd", "--model", name) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    points = [tuple(map(float, r.split(",")[:2])) for r in rows]
+    assert len(set(rows)) == len(points) == 11
+    assert [dist for dist, _ in points] == pytest.approx(
+        np.linspace(0, d_zero, 11), abs=1e-9)
+    assert [r > 0 for _, r in points] == [True] * 10 + [False]
 
 
 def test_rd_unknown_model_exits_2(capsys):
@@ -384,6 +402,23 @@ def _ascii_format_4_symbols(tmp_path, coded_dir):
             "--target-d", 0.5), "--format ascii holds at most 3 symbols"
 
 
+def _offset_not_an_integer(tmp_path, coded_dir):
+    return ("decode", "--in", coded_dir / "out.ffsc",
+            "--source", coded_dir / "source.bin", "--out", tmp_path / "x.bin",
+            "--offset", "1e3"), "argument --offset: invalid int value: '1e3'"
+
+
+def _passes_abc(tmp_path, coded_dir):
+    return (("exp-hamming", "--passes", "abc"),
+            "argument --passes: invalid int value: 'abc'")
+
+
+def _target_d_x(tmp_path, coded_dir):
+    return (("encode", "--in", coded_dir / "source.bin",
+             "--out", tmp_path / "x.ffsc", "--target-d", "x"),
+            "argument --target-d: invalid float value: 'x'")
+
+
 def _missing_bitstream(tmp_path, coded_dir):
     return ("decode", "--in", tmp_path / "none.ffsc",
             "--source", coded_dir / "source.bin",
@@ -400,6 +435,7 @@ def _missing_bitstream(tmp_path, coded_dir):
     _duality_message_abc, _duality_erasures_a_b, _passes_2000, _passes_100,
     _passes_50, _min_block_over_header_field, _grid_too_large,
     _bytes_format_260_symbols, _ascii_format_4_symbols,
+    _offset_not_an_integer, _passes_abc, _target_d_x,
 ])
 def test_malformed_input_exits_2_with_one_error_line(case, coded_dir,
                                                      tmp_path, capsys):

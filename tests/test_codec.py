@@ -2,6 +2,7 @@ import hashlib
 import pickle
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +28,10 @@ from ffsc.errors import (
     CodingError,
     ConfigError,
     FfscError,
+    ShapingError,
     StreamFormatError,
 )
-from ffsc.experiments import uniform_source
+from ffsc.experiments import _prior_source, _trial_source_len, uniform_source
 from ffsc.model import (
     DistortionMatrix,
     Pmf,
@@ -37,6 +39,7 @@ from ffsc.model import (
     blahut_arimoto,
     growth_factor,
 )
+from ffsc.shaping import deshape_raw, shape
 from testlib import h2
 
 RHO_011 = 2.000336223856
@@ -695,3 +698,118 @@ def test_distortion_matches_channel_level():
     assert rep.per_sample_distortion.shape == (dec.n,)
     assert rep.mean_distortion == pytest.approx(
         cfg.distortion.entries[x, dec.xhat].mean())
+
+
+# -- samples at the alphabet's width ------------------------------------
+
+def _keep_three_quarters_config(size, passes):
+    """A uniform prior on `size` symbols through a channel that keeps a
+    symbol with probability 3/4 and spreads the rest evenly."""
+    rows = np.full((size, size), 0.25 / (size - 1))
+    np.fill_diagonal(rows, 0.75)
+    return CodecConfig(prior=Pmf.uniform(size), channel=TestChannel(rows),
+                       distortion=DistortionMatrix.hamming(size),
+                       min_block=64, passes=passes, seed=3)
+
+
+@pytest.mark.parametrize("passes", [1, 3])
+@pytest.mark.parametrize("size, dtype", [(2, np.uint8), (3, np.uint8),
+                                         (4, np.uint8), (257, np.uint16)])
+def test_samples_are_held_at_the_alphabets_width(size, dtype, passes):
+    """Reconstructions and the blocks that frames and the shaper return
+    are uint8 up to 256 symbols and uint16 above, whatever K."""
+    cfg = _keep_three_quarters_config(size, passes)
+    src = uniform_source(9, 2 * estimate_total_samples(cfg) + 4 * 64, size)
+    enc = encode(src, cfg)
+    dec = decode(enc.bitstream, FeedforwardOracle(src[src.size - enc.n:]),
+                 cfg)
+    assert enc.xhat.dtype == dec.xhat.dtype == dtype
+    assert np.array_equal(enc.xhat, dec.xhat)
+    marg, cond = cfg.quantized()
+    frame = coder.compress(enc.xhat[:64], marg).to_bytes()
+    block, _ = coder.decode_frame_prefix(frame, marg, 64)
+    shaped, _ = shape(np.unpackbits(np.frombuffer(frame, np.uint8)), src, cond)
+    assert block.dtype == shaped.dtype == dtype
+
+
+def _two_inputs_257_outputs_config(passes):
+    """A uniform binary prior through a channel with 257 outputs: each
+    input keeps half its mass on its own end of the output alphabet, 0
+    or 256, and spreads the rest over the 255 outputs between them."""
+    rows = np.full((2, 257), 0.5 / 255)
+    rows[0, 0] = rows[1, 256] = 0.5
+    rows[0, 256] = rows[1, 0] = 0.0
+    d = np.ones((2, 257))
+    d[0, 0] = d[1, 256] = 0.0
+    return CodecConfig(prior=Pmf.uniform(2), channel=TestChannel(rows),
+                       distortion=DistortionMatrix(d), min_block=64,
+                       passes=passes, seed=3)
+
+
+@pytest.mark.parametrize("passes, stream_sha, xhat_sha", [
+    (1, "19e00bdb367a16c9", "2d6065e3a2530956"),
+    (3, "790832216cc6a548", "3260c0ffea3494f6"),
+])
+def test_the_output_alphabet_sets_the_reconstruction_width(
+        passes, stream_sha, xhat_sha):
+    """Reconstruction symbols belong to the channel's output alphabet,
+    so 2 inputs and 257 outputs give uint16 reconstructions, seed block
+    included: a uint8 one would wrap outputs 256 and above.  Streams
+    and reconstructions are those the int64 codec produced."""
+    cfg = _two_inputs_257_outputs_config(passes)
+    src = uniform_source(9, 2 * estimate_total_samples(cfg) + 4 * 64, 2)
+    enc = encode(src, cfg)
+    dec = decode(enc.bitstream, FeedforwardOracle(src[src.size - enc.n:]),
+                 cfg)
+    assert enc.xhat.dtype == dec.xhat.dtype == np.uint16
+    assert np.array_equal(enc.xhat, dec.xhat)
+    assert enc.xhat.max() == 256
+    assert hashlib.sha256(enc.bitstream).hexdigest()[:16] == stream_sha
+    assert hashlib.sha256(
+        enc.xhat.astype("<u2").tobytes()).hexdigest()[:16] == xhat_sha
+
+
+def test_no_narrowing_precedes_a_range_check():
+    """A uint8 cast reads 257 as 1, so every check sees the caller's
+    int64 values: encode's source, the oracle's samples that decode
+    deshapes, and deshape_raw's x."""
+    cfg = bsc_config(min_block=64, passes=2)
+    src = uniform_source(4, 2000, 2)
+    enc = encode(src, cfg)
+    bad = src.copy()
+    bad[-1] = 257
+    with pytest.raises(CodingError, match="257 is outside"):
+        encode(bad, cfg)
+    coded = src[src.size - enc.n:].copy()
+    coded[0] = 257  # the first sample that decode deshapes
+    with pytest.raises(ShapingError, match="257 is outside"):
+        decode(enc.bitstream, FeedforwardOracle(coded), cfg)
+    _, cond = cfg.quantized()
+    with pytest.raises(ShapingError, match="257 is outside"):
+        deshape_raw(np.zeros(5, np.uint8), np.array([0, 1, 257, 0, 1]), cond)
+
+
+def _traced_peak(call):
+    """(call(), the peak of memory traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return call(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_1_encode_and_decode_work_in_under_2_mib():
+    """Criterion 1's configuration on a source of the harness's length:
+    with samples at the alphabet's width and no full-length int64
+    temporaries, one encode and its decode each peak below 2 MiB of
+    traced allocations, where one int64 copy of the coded samples alone
+    takes about 1 MiB."""
+    cfg = bsc_config()
+    src = _prior_source(21, _trial_source_len(cfg), cfg.prior)
+    enc, enc_peak = _traced_peak(lambda: encode(src, cfg))
+    oracle = FeedforwardOracle(src[src.size - enc.n:])
+    dec, dec_peak = _traced_peak(lambda: decode(enc.bitstream, oracle, cfg))
+    assert np.array_equal(dec.xhat, enc.xhat)
+    assert enc_peak < 2 * 2**20 and dec_peak < 2 * 2**20, (enc_peak, dec_peak)
